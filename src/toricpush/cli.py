@@ -61,6 +61,12 @@ def _parse_ints(text: str, what: str, expected: int):
     return values
 
 
+def _box(args) -> int:
+    if args.box < 0:
+        raise InputError("--box must be >= 0, got %d" % args.box)
+    return args.box
+
+
 def _emit(args, human: str, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -151,7 +157,7 @@ def cmd_verify(args) -> int:
     endo = _load_endo(fan, args.endo)
     d = _parse_ints(args.divisor, "--divisor", fan.nrays)
     dec = pushforward.decompose_pushforward(endo, d)
-    report = pushforward.verify_decomposition(endo, d, dec, box=args.box)
+    report = pushforward.verify_decomposition(endo, d, dec, box=_box(args))
     payload = dict(_decomposition_payload(dec),
                    passed=report.passed, checks=report.checks,
                    violations=report.violations)
@@ -166,7 +172,7 @@ def cmd_cox_shifts(args) -> int:
     fan, _ = _load_fan(args.fan)
     endo = _load_endo(fan, args.endo)
     d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    shifts = cox.module_shifts(endo, d, box=args.box)
+    shifts = cox.module_shifts(endo, d, box=_box(args))
     human = "\n".join(",".join(map(str, s)) for s in shifts.shifts)
     _emit(args, human, {"shifts": [list(s) for s in shifts.shifts]})
     return EXIT_OK

@@ -154,8 +154,11 @@ def module_shifts(endo: ToricEndomorphism, coeffs, box: int = 2) -> ShiftList:
 
     The shift multiset comes from the floor-formula decomposition; the graded
     dimension identity dim(E_M)_mu = sum_i dim R_{lambda_i + mu} is then
-    checked exactly for every mu in the given Pic-coordinate box.
+    checked exactly for every mu in the given Pic-coordinate box (box >= 0,
+    so at least mu = 0 is checked).
     """
+    if box < 0:
+        raise ValueError("twist box must be >= 0")
     fan = endo.fan
     pic = class_group(fan)
     ring = cox_ring(fan)

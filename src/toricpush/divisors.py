@@ -9,11 +9,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import FanError
+from .errors import FanError, LatticeError
 from .fans import Fan
-from .feasibility import (is_feasible, make_constraint, solve_rational,
-                          variable_bounds)
-from .lattice import IntMatrix, inverse_unimodular, smith_normal_form
+from .feasibility import is_feasible, make_constraint, variable_bounds
+from .lattice import (IntMatrix, inverse_rational, inverse_unimodular,
+                      smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,19 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[Fraction, ...], ...]:
     for cone in fan.max_cones:
         if len(cone) != n:
             raise FanError("positivity needs a complete fan")
-        rows = fan.cone_rays(cone)
-        # m_sigma solves <m, v_rho> = -a_rho on the cone; smooth => unique
-        # m_sigma is linear in a: columns = solutions for unit coefficient vectors
-        cols = []
-        for pos in range(n):
-            rhs = [0] * n
-            rhs[pos] = -1
-            sol = solve_rational(rows, rhs)
-            if sol is None:
-                raise FanError("degenerate maximal cone %s" % (cone,))
-            cols.append(sol)
+        # m_sigma solves <m, v_rho> = -a_rho on the cone, so it is
+        # -R^{-1} a_cone for the cone's ray matrix R (rows are rays)
+        try:
+            rinv = inverse_rational(IntMatrix.from_rows(fan.cone_rays(cone)))
+        except LatticeError:
+            raise FanError("degenerate maximal cone %s" % (cone,)) from None
         for rho in range(k):
             if rho in cone:
                 continue
             form = [Fraction(0)] * k
             v = fan.rays[rho]
             for pos, idx in enumerate(cone):
-                contrib = sum(cols[pos][i] * v[i] for i in range(n))
-                form[idx] += contrib
+                form[idx] -= sum(v[i] * rinv[i][pos] for i in range(n))
             form[rho] += 1
             forms.append(tuple(form))
     return tuple(forms)

@@ -63,19 +63,8 @@ def build_endo(fan: Fan, matrix: IntMatrix) -> ToricEndomorphism:
         if frozenset(pi[i] for i in cone) not in cone_sets:
             raise EndoError("not cone-compatible: image of cone %s is not a cone"
                             % (cone,))
-    endo = ToricEndomorphism(fan=fan, matrix=matrix, pi=tuple(pi),
+    return ToricEndomorphism(fan=fan, matrix=matrix, pi=tuple(pi),
                              mults=tuple(mults))
-    _recheck(endo)
-    return endo
-
-
-def _recheck(endo: ToricEndomorphism) -> None:
-    for rho, v in enumerate(endo.fan.rays):
-        image = endo.matrix.mul_vector(v)
-        expected = tuple(endo.mults[rho] * x
-                         for x in endo.fan.rays[endo.pi[rho]])
-        if image != expected:
-            raise EndoError("internal inconsistency: F v != c * v_pi")
 
 
 def multiplication_endo(fan: Fan, q: int) -> ToricEndomorphism:

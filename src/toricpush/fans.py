@@ -72,29 +72,24 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     """Check sigma ∩ tau = cone(common rays), via exact rational feasibility.
 
     An improper intersection means some point of sigma ∩ tau needs a strictly
-    positive coefficient on a non-shared ray; strictness is normalized to
-    margin >= 1 (the cone is scale-invariant).
+    positive coefficient on a non-shared ray.  All coefficients are >= 0, so
+    that is one system: the non-shared coefficients sum to >= 1 (the cone is
+    scale-invariant).
     """
     common = set(c1) & set(c2)
     r1, r2 = fan.cone_rays(c1), fan.cone_rays(c2)
-    k1, k2 = len(r1), len(r2)
-    nvars = k1 + k2
-    base = []
+    nvars = len(r1) + len(r2)
+    cons = []
     for coord in range(fan.dim):
         coeffs = [r[coord] for r in r1] + [-r[coord] for r in r2]
-        base.extend(equality_constraints(coeffs, 0))
+        cons.extend(equality_constraints(coeffs, 0))
     for j in range(nvars):
         unit = [0] * nvars
         unit[j] = 1
-        base.append(make_constraint(unit, 0))
-    strict_positions = ([i for i, idx in enumerate(c1) if idx not in common]
-                        + [k1 + j for j, idx in enumerate(c2) if idx not in common])
-    for pos in strict_positions:
-        unit = [0] * nvars
-        unit[pos] = 1
-        if is_feasible(base + [make_constraint(unit, 1)], nvars):
-            return False
-    return True
+        cons.append(make_constraint(unit, 0))
+    margin = [int(idx not in common) for idx in (*c1, *c2)]
+    cons.append(make_constraint(margin, 1))
+    return not is_feasible(cons, nvars)
 
 
 def _walls(cone):

@@ -1,20 +1,29 @@
-"""Exact rational linear feasibility via Fourier-Motzkin elimination.
+"""Exact linear feasibility: Fourier-Motzkin (FM) elimination on integer rows.
 
-A constraint is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs,
-with all numbers Fractions (or ints).  Problem sizes in this package are tiny
-(at most a handful of variables), so the classical doubly-exponential blowup
-is irrelevant.
+A constraint is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs.
+Rows may be given with ints or Fractions; each is scaled once to integers by
+the lcm of its denominators.  Unpruned FM grows doubly exponentially (P^5
+took about 20 s to validate), so after every elimination step each row is
+divided by the gcd of its entries, only the tightest of parallel rows (same
+primitive coefficients) is kept, rows 0 >= r <= 0 are dropped, and a row
+0 >= r > 0 ends the elimination as infeasible (Imbert; Schrijver, Theory of
+Linear and Integer Programming, 12.2).  Pruning drops only redundant rows,
+so every projected polyhedron, and with it the feasible_point witness
+(midpoints of the exact bound intervals), is exactly the unpruned one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]
+Constraint = tuple[tuple[int, ...], int]
 
 
 def make_constraint(coeffs, rhs) -> Constraint:
-    return (tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+    """The row coeffs . x >= rhs with integer entries (same half-space)."""
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), int(rhs * den)
 
 
 def equality_constraints(coeffs, rhs) -> list[Constraint]:
@@ -22,22 +31,73 @@ def equality_constraints(coeffs, rhs) -> list[Constraint]:
     return [c, (tuple(-x for x in c[0]), -c[1])]
 
 
-def _eliminate(cons: list[Constraint], k: int) -> list[Constraint]:
-    pos, neg, out = [], [], []
-    for c in cons:
-        ck = c[0][k]
+def _prune(rows) -> list[Constraint] | None:
+    """Normalized rows, the tightest of each parallel family; None if some
+    row reads 0 >= r with r > 0."""
+    tightest: dict[tuple[int, ...], tuple[int, int]] = {}
+    for coeffs, rhs in rows:
+        gc = gcd(*coeffs)
+        if gc == 0:
+            if rhs > 0:
+                return None
+            continue
+        key = coeffs if gc == 1 else tuple(c // gc for c in coeffs)
+        old = tightest.get(key)
+        # key . x >= rhs / gc is tighter than key . x >= old_rhs / old_gc
+        if old is None or rhs * old[1] > old[0] * gc:
+            g = gcd(gc, rhs)
+            tightest[key] = (rhs // g, gc // g)
+    return [(key if gc == 1 else tuple(gc * c for c in key), rhs)
+            for key, (rhs, gc) in tightest.items()]
+
+
+def _eliminate(rows: list[Constraint], k: int):
+    """Yield the rows of the projection along x_k, unpruned: the rows free
+    of x_k, then b * p + a * n for each pair with p_k = a > 0 > -b = n_k."""
+    pos, neg = [], []
+    for row in rows:
+        ck = row[0][k]
         if ck > 0:
-            pos.append(c)
+            pos.append(row)
         elif ck < 0:
-            neg.append(c)
+            neg.append(row)
         else:
-            out.append(c)
+            yield row
     for (cp, rp) in pos:
+        a = cp[k]
         for (cn, rn) in neg:
-            a, b = cp[k], cn[k]  # a > 0 > b; (-b)*cp + a*cn kills x_k
-            coeffs = tuple(-b * x + a * y for x, y in zip(cp, cn))
-            out.append((coeffs, -b * rp + a * rn))
-    return out
+            b = -cn[k]
+            yield (tuple(b * x + a * y for x, y in zip(cp, cn)),
+                   b * rp + a * rn)
+
+
+def _projections(cons, nvars: int):
+    """Yield S_0, ..., S_nvars, where S_j is the system after eliminating
+    x_{nvars-1}, ..., x_{nvars-j}; an infeasible system ends with None."""
+    rows = _prune(make_constraint(c, r) for c, r in cons)
+    yield rows
+    for k in range(nvars - 1, -1, -1):
+        if rows is None:
+            return
+        rows = _prune(_eliminate(rows, k))
+        yield rows
+
+
+def _interval(rows: list[Constraint], k: int, x: list[Fraction]):
+    """Exact (min, max) of x_k over rows in x_0..x_k with x_0..x_{k-1} = x;
+    None = unbounded."""
+    lo = hi = None
+    for coeffs, rhs in rows:
+        ck = coeffs[k]
+        if ck == 0:
+            continue
+        rest = sum((coeffs[j] * x[j] for j in range(k)), Fraction(0))
+        bound = (rhs - rest) / ck
+        if ck > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return lo, hi
 
 
 def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
@@ -46,28 +106,13 @@ def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
     The point is chosen deterministically (midpoints of the FM bound
     intervals, 0 on unbounded coordinates).
     """
-    cons = [make_constraint(c, r) for c, r in cons]
-    systems = [cons]
-    current = cons
-    for k in range(nvars - 1, -1, -1):
-        current = _eliminate(current, k)
-        systems.append(current)
-    if any(rhs > 0 for _, rhs in systems[-1]):
+    systems = list(_projections(cons, nvars))
+    if systems[-1] is None:
         return None
     x: list[Fraction] = []
     for k in range(nvars):
-        sys_k = systems[nvars - 1 - k]  # involves variables 0..k only
-        lo = hi = None
-        for coeffs, rhs in sys_k:
-            ck = coeffs[k]
-            if ck == 0:
-                continue
-            rest = sum((coeffs[j] * x[j] for j in range(k)), Fraction(0))
-            bound = (rhs - rest) / ck
-            if ck > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
+        # systems[nvars - 1 - k] involves variables 0..k only
+        lo, hi = _interval(systems[nvars - 1 - k], k, x)
         if lo is None and hi is None:
             x.append(Fraction(0))
         elif lo is None:
@@ -80,7 +125,9 @@ def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
 
 
 def is_feasible(cons: list[Constraint], nvars: int) -> bool:
-    return feasible_point(cons, nvars) is not None
+    for rows in _projections(cons, nvars):  # one projection alive at a time
+        pass
+    return rows is not None
 
 
 def variable_bounds(cons: list[Constraint], nvars: int,
@@ -89,37 +136,9 @@ def variable_bounds(cons: list[Constraint], nvars: int,
 
     The region must be nonempty (check with is_feasible first).
     """
-    current = [make_constraint(c, r) for c, r in cons]
-    for k in range(nvars):
-        if k != i:
-            current = _eliminate(current, k)
-    lo = hi = None
-    for coeffs, rhs in current:
-        ck = coeffs[i]
-        if ck == 0:
-            continue
-        bound = rhs / ck
-        if ck > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    return lo, hi
-
-
-def solve_rational(rows, b) -> list[Fraction] | None:
-    """Solve the square system rows @ x = b exactly; None if singular."""
-    n = len(rows)
-    a = [[Fraction(e) for e in row] + [Fraction(bi)]
-         for row, bi in zip(rows, b)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        a[k] = [x / p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+    # with x_i moved to the front, the last projection bounds x_i alone
+    systems = list(_projections(
+        [((c[i], *c[:i], *c[i + 1:]), r) for c, r in cons], nvars))
+    if systems[-1] is None:
+        raise ValueError("variable_bounds of an infeasible system")
+    return _interval(systems[nvars - 1], 0, [])

@@ -206,36 +206,33 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                      IntMatrix.from_rows(v))
 
 
-def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
+def inverse_rational(M: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rational inverse by Gauss-Jordan elimination."""
     if M.nrows != M.ncols:
         raise LatticeError("inverse of a non-square matrix")
     n = M.nrows
-    a = [[Fraction(e) for e in row] for row in M.entries]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M.entries)]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             raise LatticeError("matrix is singular")
         a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
         p = a[k][k]
         a[k] = [x / p for x in a[k]]
-        inv[k] = [x / p for x in inv[k]]
         for i in range(n):
             if i != k and a[i][k] != 0:
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    rows = []
-    for row in inv:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise LatticeError("matrix is not unimodular")
-            out.append(int(x))
-        rows.append(out)
-    return IntMatrix.from_rows(rows)
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def inverse_unimodular(M: IntMatrix) -> IntMatrix:
+    """Exact inverse of a unimodular integer matrix."""
+    inv = inverse_rational(M)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise LatticeError("matrix is not unimodular")
+    return IntMatrix.from_rows(inv)
 
 
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:

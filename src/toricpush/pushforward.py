@@ -24,13 +24,6 @@ class Decomposition:
     witness_divisors: tuple[tuple[int, ...], ...]
     cosets: tuple[tuple[int, ...], ...]
 
-    def class_multiset(self) -> tuple[tuple[int, ...], ...]:
-        return self.summands
-
-
-def _floor_div(num: int, den: int) -> int:
-    return num // den  # Python floor division is the floor for den > 0
-
 
 def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
     """Generalized Thomsen floor formula over cosets of the character lattice.
@@ -50,7 +43,7 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
             rho = pi_inv[rho_prime]
             v = fan.rays[rho]
             num = coeffs[rho] + sum(ui * vi for ui, vi in zip(u, v))
-            witness.append(_floor_div(num, endo.mults[rho]))
+            witness.append(num // endo.mults[rho])  # floor: mults are > 0
         witness = tuple(witness)
         entries.append((pic.class_of(witness), witness, u))
     entries.sort()
@@ -72,8 +65,11 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
 
     Checks rank = deg f, the projection-formula dimension identity
     h0(D + f*E) = sum_i h0(lift(lambda_i) + lift(E)) for every class E in the
-    box, and (for trivial D) the single-trivial-summand law.
+    box, and (for trivial D) the single-trivial-summand law.  The box must
+    be >= 0, so that at least the zero twist is checked.
     """
+    if box < 0:
+        raise ValueError("twist box must be >= 0")
     fan = endo.fan
     pic = class_group(fan)
     coeffs = tuple(int(a) for a in coeffs)

@@ -4,7 +4,12 @@ All identities are exact integer equalities; there are no tolerances anywhere.
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import contextlib
+import hashlib
+import importlib.util
+import io
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,10 @@ from toricpush import (class_group, contracting_exponent, cox_ring,
 
 FANS = corpus_fans()
 PAIRS = corpus_pairs()
+
+# md5 of the survey that scripts/run_corpus.py prints at box 2; a change
+# that is only meant to be faster must leave these bytes alone
+CORPUS_MD5 = "6c7f04fd3b23f89f72cd039f69fc9f91"
 
 
 def report(criterion, ok, detail=""):
@@ -187,3 +196,17 @@ def test_criterion_9_dual_counting():
             if graded_dimension(ring, cls) != h0(fan, pic.lift(cls)):
                 ok = False
     report("9 dual counting", ok)
+
+
+def test_corpus_survey_bytes():
+    """scripts/run_corpus.py at box 2 prints exactly the frozen survey:
+    every degree, verdict, certificate, exponent and decomposition."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        module.survey(2)
+    digest = hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
+    report("corpus survey byte-identical", digest == CORPUS_MD5, digest)

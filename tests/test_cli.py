@@ -152,6 +152,15 @@ class TestExitCodes:
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2
         assert "entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "cox-shifts"])
+    def test_negative_box(self, command, capsys):
+        # a negative box used to check no twist at all and still exit 0
+        assert run_command([command, P2, "--endo", "mul:2",
+                            "--divisor", "1,0,0", "--box", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--box must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_bad_mul_shorthand(self, capsys):
         assert run_command(["intamp", P2, "--endo", "mul:x"]) == 2
         capsys.readouterr()

@@ -148,6 +148,10 @@ class TestModuleShifts:
         assert sorted(shifts.shifts) == sorted(
             decompose_pushforward(SWAP, (0, 0, 0, 0)).summands)
 
+    def test_negative_box_rejected(self):
+        with pytest.raises(ValueError, match="box"):
+            module_shifts(multiplication_endo(P1, 2), (0, 0), box=-1)
+
     def test_verification_is_live(self, monkeypatch):
         # force a wrong shift multiset through the graded-dimension check
         import toricpush.cox as cox_module

@@ -1,10 +1,16 @@
 import random
 from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 
-from toricpush import (FanError, IntMatrix, hirzebruch, product_fan,
+from conftest import FIXTURE_DIR
+from toricpush import (Fan, FanError, IntMatrix, hirzebruch, product_fan,
                        projective_space, standard_fan, validate_fan)
+from toricpush.fans import _cones_intersect_properly
+from toricpush.feasibility import (equality_constraints, is_feasible,
+                                   make_constraint)
+from toricpush.io import parse_fan
 
 
 def complete_rank2_oracle(rays, max_cones):
@@ -79,7 +85,7 @@ class TestValidateFan:
 
 
 class TestStandardFans:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
     def test_projective_space_validates(self, n):
         fan = projective_space(n)
         _, report = validate_fan(fan.dim, fan.rays, fan.max_cones)
@@ -163,3 +169,71 @@ class TestInvariances:
         _, report = validate_fan(2, rays, cones)
         assert not report.complete
         assert not complete_rank2_oracle(rays, cones)
+
+
+def per_ray_overlap_check(fan, c1, c2):
+    """The overlap check as one feasibility problem per non-shared ray: the
+    intersection is proper iff no point of it has that ray's coefficient
+    >= 1."""
+    common = set(c1) & set(c2)
+    r1, r2 = fan.cone_rays(c1), fan.cone_rays(c2)
+    k1, nvars = len(r1), len(r1) + len(r2)
+    base = []
+    for coord in range(fan.dim):
+        base.extend(equality_constraints(
+            [r[coord] for r in r1] + [-r[coord] for r in r2], 0))
+    for j in range(nvars):
+        base.append(make_constraint([int(i == j) for i in range(nvars)], 0))
+    strict = ([i for i, idx in enumerate(c1) if idx not in common]
+              + [k1 + j for j, idx in enumerate(c2) if idx not in common])
+    return not any(
+        is_feasible(base + [make_constraint([int(i == pos)
+                                             for i in range(nvars)], 1)],
+                    nvars)
+        for pos in strict)
+
+
+def built_fans():
+    p1 = projective_space(1)
+    return [projective_space(3), product_fan(projective_space(2), p1),
+            product_fan(hirzebruch(1), p1)]
+
+
+def overlap_test_fans():
+    """The built fans above plus every bundled fan file."""
+    fans = built_fans()
+    for path in sorted(FIXTURE_DIR.glob("*.fan.json")):
+        doc = parse_fan(path.read_text())
+        fans.append(validate_fan(doc.dim, doc.rays, doc.cones,
+                                 name=path.name)[0])
+    return fans
+
+
+def planted_overlap(fan):
+    """The fan plus a cone inside its first maximal cone: the first ray of
+    that cone is swapped for the sum of all its rays."""
+    cone = fan.max_cones[0]
+    inner = tuple(map(sum, zip(*fan.cone_rays(cone))))
+    return Fan(dim=fan.dim, rays=fan.rays + (inner,),
+               max_cones=fan.max_cones + (cone[1:] + (fan.nrays,),),
+               name=fan.name + "+overlap")
+
+
+class TestOverlapCheck:
+    @pytest.mark.parametrize("fan", overlap_test_fans(), ids=lambda f: f.name)
+    def test_single_system_matches_per_ray_loop(self, fan):
+        for c1, c2 in combinations(fan.max_cones, 2):
+            assert _cones_intersect_properly(fan, c1, c2)
+            assert per_ray_overlap_check(fan, c1, c2)
+        planted = planted_overlap(fan)
+        verdicts = [(_cones_intersect_properly(planted, c1, c2),
+                     per_ray_overlap_check(planted, c1, c2))
+                    for c1, c2 in combinations(planted.max_cones, 2)]
+        assert all(new == old for new, old in verdicts)
+        assert (False, False) in verdicts
+
+    @pytest.mark.parametrize("fan", built_fans(), ids=lambda f: f.name)
+    def test_planted_overlap_rejected(self, fan):
+        planted = planted_overlap(fan)
+        with pytest.raises(FanError, match="overlap"):
+            validate_fan(planted.dim, planted.rays, planted.max_cones)

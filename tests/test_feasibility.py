@@ -1,0 +1,205 @@
+"""Differential tests of the integer Fourier-Motzkin engine against a plain,
+unpruned Fraction FM kept here as the reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricpush.feasibility import (equality_constraints, feasible_point,
+                                   is_feasible, make_constraint,
+                                   variable_bounds)
+
+
+# ---------------------------------------------------------------- reference
+# Unpruned FM on Fraction rows, with the same witness and bound rules.
+
+def ref_rows(cons):
+    return [(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+            for coeffs, rhs in cons]
+
+
+def ref_eliminate(cons, k):
+    pos, neg, out = [], [], []
+    for c in cons:
+        ck = c[0][k]
+        if ck > 0:
+            pos.append(c)
+        elif ck < 0:
+            neg.append(c)
+        else:
+            out.append(c)
+    for (cp, rp) in pos:
+        for (cn, rn) in neg:
+            a, b = cp[k], cn[k]
+            out.append((tuple(-b * x + a * y for x, y in zip(cp, cn)),
+                        -b * rp + a * rn))
+    return out
+
+
+def ref_feasible_point(cons, nvars):
+    current = ref_rows(cons)
+    systems = [current]
+    for k in range(nvars - 1, -1, -1):
+        current = ref_eliminate(current, k)
+        systems.append(current)
+    if any(rhs > 0 for _, rhs in systems[-1]):
+        return None
+    x = []
+    for k in range(nvars):
+        lo = hi = None
+        for coeffs, rhs in systems[nvars - 1 - k]:
+            ck = coeffs[k]
+            if ck == 0:
+                continue
+            rest = sum((coeffs[j] * x[j] for j in range(k)), Fraction(0))
+            bound = (rhs - rest) / ck
+            if ck > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            x.append(Fraction(0))
+        elif lo is None:
+            x.append(hi)
+        elif hi is None:
+            x.append(lo)
+        else:
+            x.append((lo + hi) / 2)
+    return x
+
+
+def ref_variable_bounds(cons, nvars, i):
+    current = ref_rows(cons)
+    for k in range(nvars):
+        if k != i:
+            current = ref_eliminate(current, k)
+    lo = hi = None
+    for coeffs, rhs in current:
+        ck = coeffs[i]
+        if ck == 0:
+            continue
+        bound = rhs / ck
+        if ck > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return lo, hi
+
+
+# --------------------------------------------------------------- generators
+
+NUMBERS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def systems(draw):
+    """(rows, nvars): up to 4 free rows in <= 4 variables, optionally an
+    equality pair and, in <= 3 variables, a box -b <= x_i <= b.  The sizes
+    keep the unpruned reference at a few thousand rows at most."""
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(st.lists(NUMBERS, min_size=nvars, max_size=nvars), NUMBERS)
+    rows = [tuple(r) for r in draw(st.lists(row, max_size=4))]
+    if draw(st.booleans()):
+        coeffs, rhs = draw(row)
+        rows += equality_constraints(coeffs, rhs)
+    if nvars <= 3 and draw(st.booleans()):
+        b = draw(st.integers(0, 3))
+        for i in range(nvars):
+            unit = [int(i == j) for j in range(nvars)]
+            rows += [(unit, -b), ([-u for u in unit], -b)]
+    return rows, nvars
+
+
+def satisfies(point, cons):
+    return all(sum(Fraction(c) * x for c, x in zip(coeffs, point))
+               >= Fraction(rhs) for coeffs, rhs in cons)
+
+
+class TestAgainstUnprunedFM:
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_same_verdict_and_witness(self, system):
+        cons, nvars = system
+        point = feasible_point(cons, nvars)
+        assert point == ref_feasible_point(cons, nvars)
+        assert is_feasible(cons, nvars) == (point is not None)
+        if point is not None:
+            assert satisfies(point, cons)
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_same_bounds(self, system):
+        cons, nvars = system
+        if not is_feasible(cons, nvars):
+            return
+        for i in range(nvars):
+            assert (variable_bounds(cons, nvars, i)
+                    == ref_variable_bounds(cons, nvars, i))
+
+
+def check_against_reference(cons, nvars):
+    point = feasible_point(cons, nvars)
+    assert point == ref_feasible_point(cons, nvars)
+    if point is not None:
+        assert satisfies(point, cons)
+        for i in range(nvars):
+            assert (variable_bounds(cons, nvars, i)
+                    == ref_variable_bounds(cons, nvars, i))
+    return point
+
+
+class TestFixedCases:
+    def test_rows_scaled_to_integers(self):
+        assert (make_constraint([Fraction(1, 2), Fraction(-1, 3)],
+                                Fraction(1, 6)) == ((3, -2), 1))
+        assert make_constraint([2, 4], 6) == ((2, 4), 6)
+
+    def test_parallel_rows_keep_the_tightest(self):
+        # x >= 1, 2x >= 5, 3x >= 2, -2x >= -20: the binding row is 2x >= 5
+        cons = [make_constraint([1], 1), make_constraint([2], 5),
+                make_constraint([3], 2), make_constraint([-2], -20)]
+        assert variable_bounds(cons, 1, 0) == (Fraction(5, 2), 10)
+        assert check_against_reference(cons, 1) == [Fraction(25, 4)]
+
+    def test_parallel_rows_in_a_projection(self):
+        # eliminating y leaves x >= 1 and x >= 3/2 (parallel); x <= 2
+        cons = [make_constraint([1, 1], 2), make_constraint([1, -1], 0),
+                make_constraint([2, 0], 3), make_constraint([-1, 0], -2)]
+        assert variable_bounds(cons, 2, 0) == (Fraction(3, 2), 2)
+        check_against_reference(cons, 2)
+
+    def test_zero_row_with_positive_rhs_is_infeasible(self):
+        cons = [make_constraint([1, 0], 0), make_constraint([0, 0], 1)]
+        assert not is_feasible(cons, 2)
+        assert check_against_reference(cons, 2) is None
+        with pytest.raises(ValueError, match="infeasible"):
+            variable_bounds(cons, 2, 0)
+
+    def test_zero_row_with_nonpositive_rhs_is_dropped(self):
+        cons = [make_constraint([1], 0), make_constraint([0], -1),
+                make_constraint([0], 0), make_constraint([-1], -4)]
+        assert check_against_reference(cons, 1) == [2]
+
+    def test_contradiction_found_in_projection(self):
+        # x + y >= 3 with x <= 1 and y <= 1
+        cons = [make_constraint([1, 1], 3), make_constraint([-1, 0], -1),
+                make_constraint([0, -1], -1)]
+        assert not is_feasible(cons, 2)
+        assert check_against_reference(cons, 2) is None
+
+    def test_equality_pair(self):
+        # x + 2y = 3 with x, y >= 0
+        cons = (equality_constraints([1, 2], 3)
+                + [make_constraint([1, 0], 0), make_constraint([0, 1], 0)])
+        assert variable_bounds(cons, 2, 1) == (0, Fraction(3, 2))
+        assert variable_bounds(cons, 2, 0) == (0, 3)
+        point = check_against_reference(cons, 2)
+        assert point[0] + 2 * point[1] == 3
+
+    def test_unbounded_coordinates(self):
+        cons = [make_constraint([1, 0], 2)]
+        assert variable_bounds(cons, 2, 0) == (2, None)
+        assert variable_bounds(cons, 2, 1) == (None, None)
+        assert check_against_reference(cons, 2) == [2, 0]

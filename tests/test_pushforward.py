@@ -83,6 +83,25 @@ class TestVerifyDecomposition:
         assert dec.summands == (pic.class_of((2, -1, 0)),)
         assert verify_decomposition(ident, (2, -1, 0), dec, box=2).passed
 
+    def test_negative_box_rejected(self):
+        e = multiplication_endo(P2, 2)
+        dec = decompose_pushforward(e, (1, 0, 0))
+        with pytest.raises(ValueError, match="box"):
+            verify_decomposition(e, (1, 0, 0), dec, box=-1)
+
+    def test_box_zero_checks_the_zero_twist(self):
+        e = multiplication_endo(P2, 2)
+        dec = decompose_pushforward(e, (1, 0, 0))
+        report = verify_decomposition(e, (1, 0, 0), dec, box=0)
+        assert report.passed and report.checks == 2  # rank + one twist
+        shifted = ((dec.summands[0][0] + 1,),) + dec.summands[1:]
+        bad = Decomposition(summands=shifted,
+                            witness_divisors=dec.witness_divisors,
+                            cosets=dec.cosets)
+        report = verify_decomposition(e, (1, 0, 0), bad, box=0)
+        assert not report.passed
+        assert any("twist (0,)" in v for v in report.violations)
+
     def test_rank_equals_degree(self):
         for endo, coeffs in [(multiplication_endo(P2, 3), (1, -2, 0)),
                              (SWAP, (2, 0, -1, 1))]:
