@@ -13,8 +13,8 @@ from .endos import (ToricEndomorphism, build_endo, compose, degree,
 from .errors import (EndoError, FanError, InputError, LatticeError,
                      ToricError, VerificationError)
 from .fans import (Fan, FanReport, hirzebruch, product_fan, projective_space,
-                   standard_fan, validate_fan)
-from .lattice import (IntMatrix, SnfResult, cone_is_smooth, coset_reduce,
+                   validate_fan)
+from .lattice import (IntMatrix, SnfResult, cone_is_smooth,
                       coset_representatives, smith_normal_form)
 from .pushforward import (Decomposition, VerificationReport,
                           decompose_pushforward, iterate_coherence,
@@ -28,12 +28,12 @@ __all__ = [
     "PicLattice", "Positivity", "ShiftList", "SnfResult", "ToricEndomorphism",
     "ToricError", "VerificationError", "VerificationReport", "build_endo",
     "class_group", "compose", "cone_is_smooth", "contracting_exponent",
-    "coset_reduce", "coset_representatives", "cox_ring",
+    "coset_representatives", "cox_ring",
     "decompose_pushforward", "degree", "fixed_classes", "graded_dimension",
     "h0", "h0_class", "hirzebruch", "induced_cox_endo", "is_int_amplified",
     "iterate_coherence", "module_shifts", "multiplication_endo",
     "pic_coset_decomposition", "positivity", "product_fan",
     "projective_space", "pullback_divisor", "pullback_matrix",
-    "rank_bookkeeping", "smith_normal_form", "standard_fan", "validate_fan",
+    "rank_bookkeeping", "smith_normal_form", "validate_fan",
     "verify_decomposition",
 ]

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .errors import FanError, LatticeError
 from .fans import Fan
-from .feasibility import is_feasible, make_constraint, variable_bounds
+from .feasibility import count_lattice_points, make_constraint
 from .lattice import (IntMatrix, inverse_rational, inverse_unimodular,
                       smith_normal_form)
 
@@ -69,21 +67,10 @@ def h0(fan: Fan, coeffs) -> int:
     coeffs = tuple(int(a) for a in coeffs)
     if len(coeffs) != fan.nrays:
         raise FanError("divisor needs one coefficient per ray")
-    cons = _section_polytope_constraints(fan, coeffs)
-    if not is_feasible(cons, fan.dim):
-        return 0
-    box = []
-    for i in range(fan.dim):
-        lo, hi = variable_bounds(cons, fan.dim, i)
-        if lo is None or hi is None:
-            raise FanError("section polytope unbounded; fan is not complete")
-        box.append(range(math.ceil(lo), math.floor(hi) + 1))
-    count = 0
-    rays = fan.rays
-    for m in product(*box):
-        if all(sum(mi * vi for mi, vi in zip(m, ray)) >= -a
-               for ray, a in zip(rays, coeffs)):
-            count += 1
+    count = count_lattice_points(_section_polytope_constraints(fan, coeffs),
+                                 fan.dim)
+    if count is None:
+        raise FanError("section polytope unbounded; fan is not complete")
     return count
 
 

@@ -10,7 +10,7 @@ from math import lcm
 from .divisors import PicLattice, Positivity, kleiman_forms, positivity
 from .errors import EndoError
 from .fans import Fan
-from .feasibility import feasible_point, make_constraint
+from .feasibility import feasible_point, is_feasible, make_constraint
 from .lattice import IntMatrix, kernel_basis
 
 
@@ -127,7 +127,7 @@ def is_int_amplified(endo: ToricEndomorphism,
     ident = IntMatrix.identity(r)
     pb = pullback_matrix(endo, pic)
     cons = _strict_class_constraints(endo.fan, pic, ident)
-    if feasible_point(cons, r) is None:
+    if not is_feasible(cons, r):
         raise EndoError("no ample class found; fan may be non-projective")
     cons += _strict_class_constraints(endo.fan, pic, pb - ident)
     point = feasible_point(cons, r)

@@ -180,14 +180,3 @@ def hirzebruch(a: int) -> Fan:
     fan, report = validate_fan(2, rays, cones, name="F%d" % a)
     assert report.smooth and report.complete
     return fan
-
-
-def standard_fan(kind: str, *params) -> Fan:
-    """Builders by name: projective_space(n), hirzebruch(a), product(F,G)."""
-    if kind == "projective_space":
-        return projective_space(*params)
-    if kind == "hirzebruch":
-        return hirzebruch(*params)
-    if kind == "product":
-        return product_fan(*params)
-    raise FanError("unknown standard fan %r" % kind)

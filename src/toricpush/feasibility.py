@@ -10,12 +10,18 @@ primitive coefficients) is kept, rows 0 >= r <= 0 are dropped, and a row
 Linear and Integer Programming, 12.2).  Pruning drops only redundant rows,
 so every projected polyhedron, and with it the feasible_point witness
 (midpoints of the exact bound intervals), is exactly the unpruned one.
+
+The chain also counts lattice points (count_lattice_points): the projection
+that keeps x_0..x_k bounds x_k over each integer prefix x_0..x_{k-1} by
+integer ceil/floor division, so the walk visits only prefixes of points of
+the polyhedron's projections and counts the last coordinate as hi - lo + 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Constraint = tuple[tuple[int, ...], int]
 
@@ -142,3 +148,33 @@ def variable_bounds(cons: list[Constraint], nvars: int,
     if systems[-1] is None:
         raise ValueError("variable_bounds of an infeasible system")
     return _interval(systems[nvars - 1], 0, [])
+
+
+def count_lattice_points(cons: list[Constraint], nvars: int) -> int | None:
+    """Number of integer points satisfying every constraint; None if the
+    region is nonempty and unbounded."""
+    systems = list(_projections(cons, nvars))
+    if systems[-1] is None:
+        return 0
+    levels = []  # per x_k: rows (coeffs of x_0..x_{k-1}, rhs, c_k) by sign
+    for k in range(nvars):
+        lower, upper = [], []
+        for coeffs, rhs in systems[nvars - 1 - k]:
+            if coeffs[k]:
+                (lower if coeffs[k] > 0 else upper).append(
+                    (coeffs[:k], rhs, coeffs[k]))
+        if not lower or not upper:  # x_k unbounded over every prefix
+            return None
+        levels.append((lower, upper))
+
+    def count(prefix, k):
+        # rows free of x_k were enforced on the prefix one level up
+        lower, upper = levels[k]
+        lo = max(-((sum(map(mul, c, prefix)) - r) // ck)
+                 for c, r, ck in lower)
+        hi = min((r - sum(map(mul, c, prefix))) // ck for c, r, ck in upper)
+        if k == nvars - 1:
+            return max(hi - lo + 1, 0)
+        return sum(count(prefix + (x,), k + 1) for x in range(lo, hi + 1))
+
+    return count((), 0) if nvars else 1

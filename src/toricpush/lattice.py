@@ -251,17 +251,6 @@ def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
     return [uinv.mul_vector(w) for w in product(*[range(d) for d in diag])]
 
 
-def coset_reduce(F: IntMatrix, x) -> tuple[int, ...]:
-    """Reduce x to the canonical representative of its class mod F(Z^n)."""
-    snf = smith_normal_form(F)
-    diag = snf.invariant_factors()
-    if any(d == 0 for d in diag):
-        raise LatticeError("not a finite-index sublattice")
-    y = snf.U.mul_vector(x)
-    y = tuple(yi % d for yi, d in zip(y, diag))
-    return inverse_unimodular(snf.U).mul_vector(y)
-
-
 def is_primitive(v) -> bool:
     g = 0
     for e in v:

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -11,6 +12,8 @@ P1 = projective_space(1)
 P2 = projective_space(2)
 P1XP1 = product_fan(P1, P1)
 F1 = hirzebruch(1)
+F2 = hirzebruch(2)
+F3 = hirzebruch(3)
 
 
 def brute_h0(fan, coeffs):
@@ -88,7 +91,23 @@ class TestH0:
     def test_empty_polytope(self):
         assert h0(P2, (-1, 0, 0)) == 0
 
-    @pytest.mark.parametrize("fan", [P1, P2, P1XP1, F1])
+    def test_projective_space_closed_forms(self):
+        p3 = projective_space(3)
+        for d in range(41):
+            assert h0(p3, (0, 0, 0, d)) == comb(d + 3, 3)
+        for d in range(201):
+            assert h0(P2, (0, d, 0)) == comb(d + 2, 2)
+
+    def test_non_complete_fan(self):
+        # the upper half-plane fan: sections are unbounded in m_2
+        fan, report = validate_fan(2, [(1, 0), (0, 1), (-1, 0)],
+                                   [(0, 1), (1, 2)])
+        assert not report.complete
+        with pytest.raises(FanError, match="unbounded"):
+            h0(fan, (1, 1, 1))
+        assert h0(fan, (-1, 0, -1)) == 0
+
+    @pytest.mark.parametrize("fan", [P1, P2, P1XP1, F1, F2, F3])
     def test_brute_force_oracle(self, fan):
         rng = random.Random(11)
         for _ in range(15):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from toricpush import (Fan, FanError, IntMatrix, hirzebruch, product_fan,
-                       projective_space, standard_fan, validate_fan)
+                       projective_space, validate_fan)
 from toricpush.fans import _cones_intersect_properly
 from toricpush.feasibility import (equality_constraints, is_feasible,
                                    make_constraint)
@@ -110,12 +110,6 @@ class TestStandardFans:
         fan = hirzebruch(a)
         _, report = validate_fan(fan.dim, fan.rays, fan.max_cones)
         assert report.smooth and report.complete
-
-    def test_standard_fan_dispatch(self):
-        assert standard_fan("projective_space", 2) == projective_space(2)
-        assert standard_fan("hirzebruch", 1) == hirzebruch(1)
-        with pytest.raises(FanError):
-            standard_fan("nope")
 
     def test_bad_params(self):
         with pytest.raises(FanError):

@@ -1,13 +1,16 @@
 """Differential tests of the integer Fourier-Motzkin engine against a plain,
-unpruned Fraction FM kept here as the reference."""
+unpruned Fraction FM kept here as the reference, and of the lattice-point
+counter against a box-then-filter count."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpush.feasibility import (equality_constraints, feasible_point,
+from toricpush.feasibility import (count_lattice_points,
+                                   equality_constraints, feasible_point,
                                    is_feasible, make_constraint,
                                    variable_bounds)
 
@@ -203,3 +206,68 @@ class TestFixedCases:
         assert variable_bounds(cons, 2, 0) == (2, None)
         assert variable_bounds(cons, 2, 1) == (None, None)
         assert check_against_reference(cons, 2) == [2, 0]
+
+
+# ----------------------------------------------------- lattice-point counts
+
+def ref_count(cons, nvars, b):
+    """Integer points of the box [-b, b]^nvars that satisfy every row."""
+    return sum(1 for p in product(range(-b, b + 1), repeat=nvars)
+               if satisfies(p, cons))
+
+
+@st.composite
+def boxed_systems(draw):
+    """(rows, nvars, b): up to 4 free rows and maybe an equality pair in
+    <= 3 variables, always with the box rows -b <= x_i <= b."""
+    nvars = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(NUMBERS, min_size=nvars, max_size=nvars), NUMBERS)
+    rows = [tuple(r) for r in draw(st.lists(row, max_size=4))]
+    if draw(st.booleans()):
+        coeffs, rhs = draw(row)
+        rows += equality_constraints(coeffs, rhs)
+    b = draw(st.integers(0, 5))
+    for i in range(nvars):
+        unit = [int(i == j) for j in range(nvars)]
+        rows += [(unit, -b), ([-u for u in unit], -b)]
+    return rows, nvars, b
+
+
+class TestCountLatticePoints:
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_systems())
+    def test_matches_box_then_filter(self, system):
+        rows, nvars, b = system
+        assert count_lattice_points(rows, nvars) == ref_count(rows, nvars, b)
+
+    def test_infeasible(self):
+        cons = [make_constraint([1, 1], 3), make_constraint([-1, 0], -1),
+                make_constraint([0, -1], -1)]
+        assert count_lattice_points(cons, 2) == 0
+
+    def test_single_point(self):
+        # 1 <= x <= 1, y = 2 - x
+        cons = ([make_constraint([1, 0], 1), make_constraint([-1, 0], -1)]
+                + equality_constraints([1, 1], 2))
+        assert count_lattice_points(cons, 2) == 1
+
+    def test_equality_pair(self):
+        # x + 2y = 3 with x, y >= 0: the points (3, 0) and (1, 1)
+        cons = (equality_constraints([1, 2], 3)
+                + [make_constraint([1, 0], 0), make_constraint([0, 1], 0)])
+        assert count_lattice_points(cons, 2) == 2
+
+    def test_fractional_bounds(self):
+        # 1/2 <= x <= 7/2, 0 <= 3y <= x: x in {1, 2, 3}, y in [0, x/3]
+        cons = [make_constraint([2, 0], 1), make_constraint([-2, 0], -7),
+                make_constraint([0, 3], 0), make_constraint([1, -3], 0)]
+        assert count_lattice_points(cons, 2) == 4
+
+    def test_unbounded_in_one_coordinate(self):
+        # 0 <= x <= 3 with y >= 0 only
+        cons = [make_constraint([1, 0], 0), make_constraint([-1, 0], -3),
+                make_constraint([0, 1], 0)]
+        assert count_lattice_points(cons, 2) is None
+        # a line with no lattice points is unbounded all the same
+        cons = equality_constraints([2, 0], 1)
+        assert count_lattice_points(cons, 2) is None

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpush import (IntMatrix, LatticeError, cone_is_smooth, coset_reduce,
+from toricpush import (IntMatrix, LatticeError, cone_is_smooth,
                        coset_representatives, smith_normal_form)
 from toricpush.lattice import inverse_unimodular, kernel_basis, solve_diophantine
 
@@ -77,6 +77,15 @@ class TestSmithNormalForm:
         for d in res.invariant_factors():
             prod *= d
         assert prod == abs(a.det())
+
+
+def coset_reduce(F: IntMatrix, x) -> tuple[int, ...]:
+    """Reference: the canonical representative of x mod F(Z^n), reduced
+    coordinatewise modulo the invariant factors in U-coordinates."""
+    snf = smith_normal_form(F)
+    y = snf.U.mul_vector(x)
+    y = tuple(yi % d for yi, d in zip(y, snf.invariant_factors()))
+    return inverse_unimodular(snf.U).mul_vector(y)
 
 
 class TestCosetRepresentatives:

@@ -76,6 +76,27 @@ class TestVerifyDecomposition:
         assert not report.passed
         assert any("degree" in v for v in report.violations)
 
+    def test_summand_multiplicity_is_checked(self):
+        # same distinct classes as ((-1,), (-1,), (0,)), another multiset
+        e = multiplication_endo(P1, 3)
+        dec = decompose_pushforward(e, (0, 0))
+        assert dec.summands == ((-1,), (-1,), (0,))
+        bad = Decomposition(summands=((-1,), (0,), (0,)),
+                            witness_divisors=dec.witness_divisors,
+                            cosets=dec.cosets)
+        report = verify_decomposition(e, (0, 0), bad, box=1)
+        assert not report.passed
+        assert ("twist (0,): h0(D + f*E) = 1 but summands give 2"
+                in report.violations)
+
+    def test_check_count_on_p1_to_the_fourth(self):
+        fan = product_fan(product_fan(P1, P1), product_fan(P1, P1))
+        e = multiplication_endo(fan, 2)
+        coeffs = (0,) * fan.nrays
+        report = verify_decomposition(e, coeffs,
+                                      decompose_pushforward(e, coeffs), box=1)
+        assert report.passed and report.checks == 98
+
     def test_identity_endo(self):
         ident = multiplication_endo(P2, 1)
         dec = decompose_pushforward(ident, (2, -1, 0))
