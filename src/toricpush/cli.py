@@ -25,14 +25,6 @@ def _read(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
-def _load_fan(path: str):
-    doc = parse_fan(_read(path))
-    try:
-        return validate_fan(doc.dim, doc.rays, doc.cones, name=doc.name)
-    except ToricError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _load_endo(fan, spec: str):
     if spec.startswith("mul:"):
         try:
@@ -44,170 +36,148 @@ def _load_endo(fan, spec: str):
     if len(doc.matrix) != fan.dim:
         raise InputError("endomorphism matrix is %dx%d but fan has dim %d"
                          % (len(doc.matrix), len(doc.matrix), fan.dim))
-    try:
-        return endos.build_endo(fan, IntMatrix.from_rows(doc.matrix))
-    except ToricError as exc:
-        raise InputError(str(exc)) from exc
+    return endos.build_endo(fan, IntMatrix.from_rows(doc.matrix))
 
 
-def _parse_ints(text: str, what: str, expected: int):
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InputError("%s must be comma-separated integers" % what) from None
-    if len(values) != expected:
-        raise InputError("%s needs %d entries, got %d"
-                         % (what, expected, len(values)))
-    return values
+def _load(args, inputs) -> argparse.Namespace:
+    """Read the fan and each of the subcommand's other inputs, once each."""
+    doc = parse_fan(_read(args.fan))
+    fan, report = validate_fan(doc.dim, doc.rays, doc.cones, name=doc.name)
+    loaded = argparse.Namespace(fan=fan, report=report)
+    if "endo" in inputs:
+        loaded.endo = _load_endo(fan, args.endo)
+    if "divisor" in inputs:
+        try:
+            loaded.divisor = tuple(int(x) for x in args.divisor.split(","))
+        except ValueError:
+            raise InputError("--divisor must be comma-separated "
+                             "integers") from None
+        if len(loaded.divisor) != fan.nrays:
+            raise InputError("--divisor needs %d entries, got %d"
+                             % (fan.nrays, len(loaded.divisor)))
+    if "box" in inputs:
+        if args.box < 0:
+            raise InputError("--box must be >= 0, got %d" % args.box)
+        loaded.box = args.box
+    return loaded
 
 
-def _box(args) -> int:
-    if args.box < 0:
-        raise InputError("--box must be >= 0, got %d" % args.box)
-    return args.box
+# Each command maps the loaded inputs x to (human text, JSON payload), plus
+# an exit code where it can differ from EXIT_OK.
+
+def cmd_validate(x):
+    words = [("smooth" if x.report.smooth else "not smooth"),
+             ("complete" if x.report.complete else "not complete")]
+    return " ".join(words), {"smooth": x.report.smooth,
+                             "complete": x.report.complete,
+                             "projective": x.report.projective,
+                             "rays": [list(r) for r in x.fan.rays]}
 
 
-def _emit(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+def cmd_h0(x):
+    value = divisors.h0(x.fan, x.divisor)
+    return str(value), {"h0": value}
 
 
-def cmd_validate(args) -> int:
-    fan, report = _load_fan(args.fan)
-    words = [("smooth" if report.smooth else "not smooth"),
-             ("complete" if report.complete else "not complete")]
-    _emit(args, " ".join(words),
-          {"smooth": report.smooth, "complete": report.complete,
-           "projective": report.projective, "rays": [list(r) for r in fan.rays]})
-    return EXIT_OK
+def cmd_positivity(x):
+    verdict = divisors.positivity(x.fan, x.divisor).value
+    return verdict, {"positivity": verdict}
 
 
-def cmd_h0(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    value = divisors.h0(fan, d)
-    _emit(args, str(value), {"h0": value})
-    return EXIT_OK
+def cmd_endo_check(x):
+    pb = endos.pullback_matrix(x.endo, divisors.class_group(x.fan))
+    payload = {"degree": endos.degree(x.endo), "pi": list(x.endo.pi),
+               "mults": list(x.endo.mults),
+               "pullback_matrix": [list(r) for r in pb.entries]}
+    return ("degree %(degree)d; pi=%(pi)s; mults=%(mults)s; "
+            "pullback=%(pullback_matrix)s" % payload), payload
 
 
-def cmd_positivity(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    verdict = divisors.positivity(fan, d).value
-    _emit(args, verdict, {"positivity": verdict})
-    return EXIT_OK
+def cmd_intamp(x):
+    yes, cert = endos.is_int_amplified(x.endo, divisors.class_group(x.fan))
+    if not yes:
+        return "no", {"int_amplified": False, "certificate": None}
+    return ("yes, certificate H=(%s)" % ",".join(map(str, cert)),
+            {"int_amplified": True, "certificate": list(cert)})
 
 
-def cmd_endo_check(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    pic = divisors.class_group(fan)
-    pb = endos.pullback_matrix(endo, pic)
-    human = ("degree %d; pi=%s; mults=%s; pullback=%s"
-             % (endos.degree(endo), list(endo.pi), list(endo.mults),
-                [list(r) for r in pb.entries]))
-    _emit(args, human,
-          {"degree": endos.degree(endo), "pi": list(endo.pi),
-           "mults": list(endo.mults),
-           "pullback_matrix": [list(r) for r in pb.entries]})
-    return EXIT_OK
+def _decomposition(x):
+    """f_* O(D) and its JSON payload."""
+    dec = pushforward.decompose_pushforward(x.endo, x.divisor)
+    return dec, {"summands": [list(s) for s in dec.summands],
+                 "witness_divisors": [list(w) for w in dec.witness_divisors],
+                 "cosets": [list(u) for u in dec.cosets]}
 
 
-def cmd_intamp(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    pic = divisors.class_group(fan)
-    yes, cert = endos.is_int_amplified(endo, pic)
-    if yes:
-        _emit(args, "yes, certificate H=(%s)" % ",".join(str(c) for c in cert),
-              {"int_amplified": True, "certificate": list(cert)})
-    else:
-        _emit(args, "no", {"int_amplified": False, "certificate": None})
-    return EXIT_OK
+def cmd_pushforward(x):
+    dec, payload = _decomposition(x)
+    rows = zip(dec.cosets, dec.summands, dec.witness_divisors)
+    table = ["coset           class           witness"]
+    table += ["%-15s %-15s %s" % tuple(",".join(map(str, v)) for v in row)
+              for row in rows]
+    return "\n".join(table), payload
 
 
-def _decomposition_payload(dec):
-    return {"summands": [list(s) for s in dec.summands],
-            "witness_divisors": [list(w) for w in dec.witness_divisors],
-            "cosets": [list(u) for u in dec.cosets]}
-
-
-def _decomposition_table(dec) -> str:
-    lines = ["coset           class           witness"]
-    for u, s, w in zip(dec.cosets, dec.summands, dec.witness_divisors):
-        lines.append("%-15s %-15s %s"
-                     % (",".join(map(str, u)), ",".join(map(str, s)),
-                        ",".join(map(str, w))))
-    return "\n".join(lines)
-
-
-def cmd_pushforward(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    dec = pushforward.decompose_pushforward(endo, d)
-    _emit(args, _decomposition_table(dec), _decomposition_payload(dec))
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    dec = pushforward.decompose_pushforward(endo, d)
-    report = pushforward.verify_decomposition(endo, d, dec, box=_box(args))
-    payload = dict(_decomposition_payload(dec),
-                   passed=report.passed, checks=report.checks,
+def cmd_verify(x):
+    dec, payload = _decomposition(x)
+    report = pushforward.verify_decomposition(x.endo, x.divisor, dec,
+                                              box=x.box)
+    payload.update(passed=report.passed, checks=report.checks,
                    violations=report.violations)
     if report.passed:
-        _emit(args, "pass (%d checks)" % report.checks, payload)
-        return EXIT_OK
-    _emit(args, "FAIL\n" + "\n".join(report.violations), payload)
-    return EXIT_VERIFICATION
+        return "pass (%d checks)" % report.checks, payload, EXIT_OK
+    return ("FAIL\n" + "\n".join(report.violations), payload,
+            EXIT_VERIFICATION)
 
 
-def cmd_cox_shifts(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    d = _parse_ints(args.divisor, "--divisor", fan.nrays)
-    shifts = cox.module_shifts(endo, d, box=_box(args))
-    human = "\n".join(",".join(map(str, s)) for s in shifts.shifts)
-    _emit(args, human, {"shifts": [list(s) for s in shifts.shifts]})
-    return EXIT_OK
+def cmd_cox_shifts(x):
+    shifts = cox.module_shifts(x.endo, x.divisor, box=x.box).shifts
+    return ("\n".join(",".join(map(str, s)) for s in shifts),
+            {"shifts": [list(s) for s in shifts]})
 
 
-def cmd_contracting(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    phi = cox.induced_cox_endo(endo, cox.cox_ring(fan))
-    e = cox.contracting_exponent(phi)
-    _emit(args, "none" if e is None else str(e), {"contracting_exponent": e})
-    return EXIT_OK
+def cmd_contracting(x):
+    e = cox.contracting_exponent(
+        cox.induced_cox_endo(x.endo, cox.cox_ring(x.fan)))
+    return "none" if e is None else str(e), {"contracting_exponent": e}
 
 
-def cmd_coset_count(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    pic = divisors.class_group(fan)
-    reps = cox.pic_coset_decomposition(endo, pic)
+def cmd_coset_count(x):
+    reps = cox.pic_coset_decomposition(x.endo, divisors.class_group(x.fan))
     human = "%d\n%s" % (len(reps),
                         "\n".join(",".join(map(str, r)) for r in reps))
-    _emit(args, human,
-          {"count": len(reps), "representatives": [list(r) for r in reps]})
-    return EXIT_OK
+    return human, {"count": len(reps),
+                   "representatives": [list(r) for r in reps]}
 
 
-def cmd_rank_check(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    endo = _load_endo(fan, args.endo)
-    pic = divisors.class_group(fan)
-    ring = cox.cox_ring(fan)
-    numbers = cox.rank_bookkeeping(endo, ring, pic)
-    _emit(args, "%(product_of_multiplicities)d = %(degree)d x %(pic_index)d"
-          % numbers, numbers)
-    return EXIT_OK
+def cmd_rank_check(x):
+    pic = divisors.class_group(x.fan)
+    numbers = cox.rank_bookkeeping(x.endo, cox.cox_ring(x.fan), pic)
+    return ("%(product_of_multiplicities)d = %(degree)d x %(pic_index)d"
+            % numbers), numbers
+
+
+# subcommand -> (command, the inputs it takes besides the fan)
+COMMANDS = {
+    "validate": (cmd_validate, ()),
+    "h0": (cmd_h0, ("divisor",)),
+    "positivity": (cmd_positivity, ("divisor",)),
+    "endo-check": (cmd_endo_check, ("endo",)),
+    "intamp": (cmd_intamp, ("endo",)),
+    "pushforward": (cmd_pushforward, ("endo", "divisor")),
+    "verify": (cmd_verify, ("endo", "divisor", "box")),
+    "cox-shifts": (cmd_cox_shifts, ("endo", "divisor", "box")),
+    "contracting": (cmd_contracting, ("endo",)),
+    "coset-count": (cmd_coset_count, ("endo",)),
+    "rank-check": (cmd_rank_check, ("endo",)),
+}
+
+_OPTIONS = {
+    "endo": dict(required=True, help="path to a .endo.json file, or mul:q"),
+    "divisor": dict(required=True, help="comma-separated ray coefficients"),
+    "box": dict(type=int, default=2,
+                help="Pic-coordinate twist box for verification"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,47 +186,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pushforward decompositions of line bundles under finite "
                     "toric endomorphisms, with exact verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, endo=False, divisor=False, box=False):
+    for name, (_, inputs) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("fan", help="path to a .fan.json file")
-        if endo:
-            p.add_argument("--endo", required=True,
-                           help="path to a .endo.json file, or mul:q")
-        if divisor:
-            p.add_argument("--divisor", required=True,
-                           help="comma-separated ray coefficients")
-        if box:
-            p.add_argument("--box", type=int, default=2,
-                           help="Pic-coordinate twist box for verification")
+        for option in inputs:
+            p.add_argument("--" + option, **_OPTIONS[option])
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.set_defaults(func=func)
-
-    add("validate", cmd_validate)
-    add("h0", cmd_h0, divisor=True)
-    add("positivity", cmd_positivity, divisor=True)
-    add("endo-check", cmd_endo_check, endo=True)
-    add("intamp", cmd_intamp, endo=True)
-    add("pushforward", cmd_pushforward, endo=True, divisor=True)
-    add("verify", cmd_verify, endo=True, divisor=True, box=True)
-    add("cox-shifts", cmd_cox_shifts, endo=True, divisor=True, box=True)
-    add("contracting", cmd_contracting, endo=True)
-    add("coset-count", cmd_coset_count, endo=True)
-    add("rank-check", cmd_rank_check, endo=True)
     return parser
 
 
 def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
+    command, inputs = COMMANDS[args.command]
     try:
-        return args.func(args)
+        human, payload, *code = command(_load(args, inputs))
     except VerificationError as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION
     except ToricError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    print(json.dumps(payload, sort_keys=True) if args.json else human)
+    return code[0] if code else EXIT_OK
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ from itertools import combinations
 
 from .errors import FanError
 from .feasibility import equality_constraints, is_feasible, make_constraint
-from .errors import LatticeError
 from .lattice import IntMatrix, cone_is_smooth, is_primitive, smith_normal_form
 
 
@@ -39,22 +38,25 @@ def _check_structure(dim, rays, max_cones):
     if dim < 1:
         raise FanError("dimension must be positive")
     rays = tuple(tuple(int(e) for e in r) for r in rays)
-    for r in rays:
+    for i, r in enumerate(rays):
         if len(r) != dim:
-            raise FanError("ray has wrong dimension")
+            raise FanError("ray %d has length %d, expected dim=%d"
+                           % (i, len(r), dim))
         if not is_primitive(r):
             raise FanError("ray not primitive: %s" % (r,))
     if len(set(rays)) != len(rays):
         raise FanError("duplicate ray")
     cones = []
-    for c in max_cones:
-        c = tuple(sorted(int(i) for i in c))
+    for i, c in enumerate(max_cones):
+        c = tuple(int(j) for j in c)
+        for j in c:
+            if not 0 <= j < len(rays):
+                raise FanError("cone %d: ray index %d out of range" % (i, j))
+        c = tuple(sorted(c))
         if len(set(c)) != len(c):
             raise FanError("repeated ray index in cone %s" % (c,))
         if not c:
             raise FanError("empty maximal cone")
-        if any(i < 0 or i >= len(rays) for i in c):
-            raise FanError("cone index out of range: %s" % (c,))
         if len(c) > dim:
             raise FanError("cone %s has more than dim rays (not simplicial)" % (c,))
         cones.append(c)
@@ -130,11 +132,7 @@ def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
     fan = Fan(dim=dim, rays=rays, max_cones=cones, name=name)
     smooth = True
     for c in cones:
-        try:
-            ok = cone_is_smooth(fan.cone_rays(c))
-        except LatticeError as exc:
-            raise FanError(str(exc)) from exc
-        if not ok:
+        if not cone_is_smooth(fan.cone_rays(c)):
             # dependent rays never define a simplicial cone
             rs = fan.cone_rays(c)
             if smith_normal_form(IntMatrix.from_rows(rs)).rank() < len(rs):

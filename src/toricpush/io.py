@@ -52,31 +52,12 @@ def parse_fan(text: str) -> FanDocument:
         raise InputError("rays and cones must be lists")
     rays = tuple(_int_vector(r, "ray %d" % i)
                  for i, r in enumerate(data["rays"]))
-    for i, r in enumerate(rays):
-        if len(r) != dim:
-            raise InputError("ray %d has length %d, expected dim=%d"
-                             % (i, len(r), dim))
-    if len(set(rays)) != len(rays):
-        raise InputError("duplicate ray")
     cones = tuple(_int_vector(c, "cone %d" % i)
                   for i, c in enumerate(data["cones"]))
-    for i, c in enumerate(cones):
-        for idx in c:
-            if idx < 0 or idx >= len(rays):
-                raise InputError("cone %d: ray index %d out of range" % (i, idx))
     name = data.get("name", "")
     if not isinstance(name, str):
         raise InputError("name must be a string")
     return FanDocument(dim=dim, rays=rays, cones=cones, name=name)
-
-
-def emit_fan(doc: FanDocument) -> str:
-    data = {"dim": doc.dim,
-            "rays": [list(r) for r in doc.rays],
-            "cones": [list(c) for c in doc.cones]}
-    if doc.name:
-        data["name"] = doc.name
-    return json.dumps(data)
 
 
 def parse_endo(text: str) -> EndoDocument:
@@ -91,7 +72,3 @@ def parse_endo(text: str) -> EndoDocument:
     if any(len(r) != n for r in rows):
         raise InputError("matrix must be square")
     return EndoDocument(matrix=rows)
-
-
-def emit_endo(doc: EndoDocument) -> str:
-    return json.dumps({"matrix": [list(r) for r in doc.matrix]})

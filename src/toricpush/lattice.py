@@ -101,11 +101,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def is_identity(self) -> bool:
-        return (self.nrows == self.ncols
-                and all(self.entries[i][j] == (1 if i == j else 0)
-                        for i in range(self.nrows) for j in range(self.ncols)))
-
 
 @dataclass(frozen=True)
 class SnfResult:

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .divisors import class_group, h0_class
-from .endos import (ToricEndomorphism, compose, degree, pullback_divisor,
-                    pullback_matrix)
+from .endos import ToricEndomorphism, compose, degree, pullback_matrix
 from .lattice import coset_representatives
 
 

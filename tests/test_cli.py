@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import FIXTURE_DIR
+from toricpush import pushforward
 from toricpush.cli import run_command
 from toricpush.errors import InputError
-from toricpush.io import emit_endo, emit_fan, parse_endo, parse_fan
+from toricpush.io import parse_endo, parse_fan
 
 P2 = str(FIXTURE_DIR / "p2.fan.json")
 P1 = str(FIXTURE_DIR / "p1.fan.json")
@@ -13,56 +15,127 @@ P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
 
 
+def _validate_text(tmp_path, capsys, text):
+    path = tmp_path / "bad.fan.json"
+    path.write_text(text)
+    code = run_command(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 class TestParsing:
     def test_round_trip(self):
         for name in ("p1", "p2", "p3", "p1xp1", "hirzebruch1"):
             text = (FIXTURE_DIR / ("%s.fan.json" % name)).read_text()
+            data = json.loads(text)
             doc = parse_fan(text)
-            assert parse_fan(emit_fan(doc)) == doc
+            assert doc.dim == data["dim"]
+            assert doc.rays == tuple(map(tuple, data["rays"]))
+            assert doc.cones == tuple(map(tuple, data["cones"]))
+            assert doc.name == data["name"]
 
     def test_endo_round_trip(self):
         doc = parse_endo((FIXTURE_DIR / "swap2.endo.json").read_text())
         assert doc.matrix == ((0, 1), (2, 0))
-        assert parse_endo(emit_endo(doc)) == doc
 
     def test_syntax_error_has_position(self):
         with pytest.raises(InputError, match=r"line \d+, column \d+"):
             parse_fan('{"dim": 2, "rays": [[1,0],')
 
-    def test_mixed_ray_lengths(self):
-        with pytest.raises(InputError, match="length"):
-            parse_fan('{"dim": 2, "rays": [[1,0],[1]], "cones": [[0,1]]}')
+    def test_mixed_ray_lengths(self, tmp_path, capsys):
+        assert _validate_text(tmp_path, capsys, (
+            '{"dim": 2, "rays": [[1,0],[1]], "cones": [[0,1]]}')) == (
+            2, "error: ray 1 has length 1, expected dim=2\n")
 
-    def test_cone_index_out_of_range(self):
-        with pytest.raises(InputError, match="out of range"):
-            parse_fan('{"dim": 2, "rays": [[1,0],[0,1]], "cones": [[0,7]]}')
+    def test_cone_index_out_of_range(self, tmp_path, capsys):
+        assert _validate_text(tmp_path, capsys, (
+            '{"dim": 2, "rays": [[1,0],[0,1]], "cones": [[0,1],[7,0]]}')) == (
+            2, "error: cone 1: ray index 7 out of range\n")
 
-    def test_duplicate_ray(self):
-        with pytest.raises(InputError, match="duplicate"):
-            parse_fan('{"dim": 1, "rays": [[1],[1]], "cones": [[0]]}')
+    def test_duplicate_ray(self, tmp_path, capsys):
+        assert _validate_text(tmp_path, capsys, (
+            '{"dim": 1, "rays": [[1],[1]], "cones": [[0]]}')) == (
+            2, "error: duplicate ray\n")
 
     def test_non_integer_entries(self):
         with pytest.raises(InputError, match="integers"):
             parse_fan('{"dim": 1, "rays": [[1.5]], "cones": [[0]]}')
 
 
+# stdout and exit code of every subcommand, human and --json
+EXACT_OUTPUT = {
+    "validate": (["validate", P2], "smooth complete\n"),
+    "validate-json": (
+        ["validate", P1, "--json"],
+        '{"complete": true, "projective": "assumed", "rays": [[1], [-1]], '
+        '"smooth": true}\n'),
+    "h0": (["h0", P2, "--divisor", "2,0,0"], "6\n"),
+    "h0-json": (["h0", P2, "--divisor", "2,0,0", "--json"], '{"h0": 6}\n'),
+    "positivity": (["positivity", P2, "--divisor", "1,0,0"], "ample\n"),
+    "positivity-json": (["positivity", P2, "--divisor", "0,0,0", "--json"],
+                        '{"positivity": "nef-not-ample"}\n'),
+    "endo-check": (
+        ["endo-check", P2, "--endo", "mul:2"],
+        "degree 4; pi=[0, 1, 2]; mults=[2, 2, 2]; pullback=[[2]]\n"),
+    "endo-check-json": (
+        ["endo-check", P1XP1, "--endo", SWAP, "--json"],
+        '{"degree": 2, "mults": [2, 2, 1, 1], "pi": [2, 3, 0, 1], '
+        '"pullback_matrix": [[0, 2], [1, 0]]}\n'),
+    "intamp": (["intamp", P1XP1, "--endo", SWAP],
+               "yes, certificate H=(3,2)\n"),
+    "intamp-json": (["intamp", P2, "--endo", "mul:1", "--json"],
+                    '{"certificate": null, "int_amplified": false}\n'),
+    "pushforward": (
+        ["pushforward", P1, "--endo", "mul:3", "--divisor", "1,0"],
+        "coset           class           witness\n"
+        "1               -1              0,-1\n"
+        "0               0               0,0\n"
+        "2               0               1,-1\n"),
+    "pushforward-json": (
+        ["pushforward", P1XP1, "--endo", SWAP, "--divisor", "0,0,0,0",
+         "--json"],
+        '{"cosets": [[1, 0], [0, 0]], "summands": [[0, -1], [0, 0]], '
+        '"witness_divisors": [[0, 0, 0, -1], [0, 0, 0, 0]]}\n'),
+    "verify": (["verify", P2, "--endo", "mul:2", "--divisor", "1,0,0",
+                "--box", "1"], "pass (4 checks)\n"),
+    "verify-json": (
+        ["verify", P1, "--endo", "mul:2", "--divisor", "1,0", "--box", "1",
+         "--json"],
+        '{"checks": 4, "cosets": [[0], [1]], "passed": true, '
+        '"summands": [[0], [0]], "violations": [], '
+        '"witness_divisors": [[0, 0], [1, -1]]}\n'),
+    "cox-shifts": (["cox-shifts", P1, "--endo", "mul:3", "--divisor", "1,0"],
+                   "-1\n0\n0\n"),
+    "cox-shifts-json": (
+        ["cox-shifts", P1XP1, "--endo", SWAP, "--divisor", "0,0,0,0",
+         "--json"],
+        '{"shifts": [[0, -1], [0, 0]]}\n'),
+    "contracting": (["contracting", P1XP1, "--endo", SWAP], "2\n"),
+    "contracting-json": (["contracting", P2, "--endo", "mul:1", "--json"],
+                         '{"contracting_exponent": null}\n'),
+    "coset-count": (["coset-count", P2, "--endo", "mul:3"], "3\n0\n1\n2\n"),
+    "coset-count-json": (
+        ["coset-count", P1XP1, "--endo", SWAP, "--json"],
+        '{"count": 2, "representatives": [[0, 0], [1, 0]]}\n'),
+    "rank-check": (["rank-check", P2, "--endo", "mul:2"], "8 = 4 x 2\n"),
+    "rank-check-json": (
+        ["rank-check", P1XP1, "--endo", SWAP, "--json"],
+        '{"degree": 2, "pic_index": 2, "product_of_multiplicities": 4}\n'),
+}
+
+
 class TestCommands:
-    def test_validate(self, capsys):
-        assert run_command(["validate", P2]) == 0
-        assert capsys.readouterr().out.strip() == "smooth complete"
+    @pytest.mark.parametrize("case", sorted(EXACT_OUTPUT))
+    def test_exact_output(self, case, capsys):
+        argv, stdout = EXACT_OUTPUT[case]
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_validate_json(self, capsys):
         assert run_command(["validate", P2, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["smooth"] and data["complete"]
-
-    def test_h0(self, capsys):
-        assert run_command(["h0", P2, "--divisor", "2,0,0"]) == 0
-        assert capsys.readouterr().out.strip() == "6"
-
-    def test_positivity(self, capsys):
-        assert run_command(["positivity", P2, "--divisor", "1,0,0"]) == 0
-        assert capsys.readouterr().out.strip() == "ample"
 
     def test_endo_check(self, capsys):
         assert run_command(["endo-check", P2, "--endo", "mul:2", "--json"]) == 0
@@ -103,18 +176,10 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert sorted(map(tuple, data["shifts"])) == [(-1,), (0,)]
 
-    def test_contracting(self, capsys):
-        assert run_command(["contracting", P1XP1, "--endo", SWAP]) == 0
-        assert capsys.readouterr().out.strip() == "2"
-
     def test_coset_count(self, capsys):
         assert run_command(["coset-count", P2, "--endo", "mul:3",
                             "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 3
-
-    def test_rank_check(self, capsys):
-        assert run_command(["rank-check", P2, "--endo", "mul:2"]) == 0
-        assert capsys.readouterr().out.strip() == "8 = 4 x 2"
 
     def test_deterministic_output(self, capsys):
         run_command(["pushforward", P1XP1, "--endo", SWAP,
@@ -160,6 +225,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "--box must be >= 0" in captured.err
         assert captured.out == ""
+
+    def test_failed_verification(self, monkeypatch, capsys):
+        # P1 mul:3 on O is (-1) + (-1) + (0); one (-1) turned into (0) fails
+        real = pushforward.decompose_pushforward
+
+        def corrupted(endo, coeffs):
+            return dataclasses.replace(real(endo, coeffs),
+                                       summands=((-1,), (0,), (0,)))
+
+        monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
+        assert run_command(["verify", P1, "--endo", "mul:3",
+                            "--divisor", "0,0", "--box", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL\n"
+            "twist (0,): h0(D + f*E) = 1 but summands give 2\n"
+            "twist (1,): h0(D + f*E) = 4 but summands give 5\n"
+            "trivial summand count 2 (expected exactly 1)\n")
 
     def test_bad_mul_shorthand(self, capsys):
         assert run_command(["intamp", P2, "--endo", "mul:x"]) == 2
