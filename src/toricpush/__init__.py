@@ -2,8 +2,8 @@
 finite toric endomorphisms, with Cox-ring machinery and independent
 verification oracles."""
 
-from .cox import (CoxEndomorphism, CoxRing, ShiftList, contracting_exponent,
-                  cox_ring, graded_dimension, induced_cox_endo, module_shifts,
+from .cox import (CoxEndomorphism, CoxRing, contracting_exponent, cox_ring,
+                  graded_dimension, induced_cox_endo, module_shifts,
                   pic_coset_decomposition, rank_bookkeeping)
 from .divisors import (PicLattice, Positivity, class_group, h0, h0_class,
                        positivity)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoxEndomorphism", "CoxRing", "Decomposition", "EndoError", "Fan",
     "FanError", "FanReport", "InputError", "IntMatrix", "LatticeError",
-    "PicLattice", "Positivity", "ShiftList", "SnfResult", "ToricEndomorphism",
+    "PicLattice", "Positivity", "SnfResult", "ToricEndomorphism",
     "ToricError", "VerificationError", "VerificationReport", "build_endo",
     "class_group", "compose", "cone_is_smooth", "contracting_exponent",
     "coset_representatives", "cox_ring",

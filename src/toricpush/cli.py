@@ -33,9 +33,6 @@ def _load_endo(fan, spec: str):
             raise InputError("bad multiplication shorthand %r" % spec) from None
         return endos.multiplication_endo(fan, q)
     doc = parse_endo(_read(spec))
-    if len(doc.matrix) != fan.dim:
-        raise InputError("endomorphism matrix is %dx%d but fan has dim %d"
-                         % (len(doc.matrix), len(doc.matrix), fan.dim))
     return endos.build_endo(fan, IntMatrix.from_rows(doc.matrix))
 
 
@@ -131,7 +128,7 @@ def cmd_verify(x):
 
 
 def cmd_cox_shifts(x):
-    shifts = cox.module_shifts(x.endo, x.divisor, box=x.box).shifts
+    shifts = cox.module_shifts(x.endo, x.divisor, box=x.box)
     return ("\n".join(",".join(map(str, s)) for s in shifts),
             {"shifts": [list(s) for s in shifts]})
 

@@ -6,17 +6,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
-from .divisors import PicLattice, class_group, h0_class
+from .divisors import PicLattice, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, VerificationError
 from .fans import Fan
-from .feasibility import is_feasible, make_constraint, variable_bounds
+from .feasibility import is_feasible, variable_bounds
 from .lattice import (IntMatrix, coset_representatives, kernel_basis,
                       solve_diophantine)
-from .pushforward import decompose_pushforward
+from .pushforward import _twist_sums, decompose_pushforward
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class CoxEndomorphism:
     endo: ToricEndomorphism
     sources: tuple[int, ...]
     exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ShiftList:
-    shifts: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +72,7 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
         return 1 if all(e >= 0 for e in e0) else 0
     # count integer t with e0 + K t >= 0 (a bounded polytope for complete fans)
     nt = len(kernel)
-    cons = [make_constraint([kernel[j][rho] for j in range(nt)], -e0[rho])
+    cons = [([kernel[j][rho] for j in range(nt)], -e0[rho])
             for rho in range(ring.fan.nrays)]
     if not is_feasible(cons, nt):
         return 0
@@ -149,33 +144,26 @@ def pic_coset_decomposition(endo: ToricEndomorphism,
     return coset_representatives(pb)
 
 
-def module_shifts(endo: ToricEndomorphism, coeffs, box: int = 2) -> ShiftList:
+def module_shifts(endo: ToricEndomorphism, coeffs,
+                  box: int = 2) -> tuple[tuple[int, ...], ...]:
     """Shifts of the graded pushforward module of O(M), verified degreewise.
 
     The shift multiset comes from the floor-formula decomposition; the graded
     dimension identity dim(E_M)_mu = sum_i dim R_{lambda_i + mu} is then
     checked exactly for every mu in the given Pic-coordinate box (box >= 0,
-    so at least mu = 0 is checked).
+    so at least mu = 0 is checked), counting monomials of the Cox ring rather
+    than section-polytope points.
     """
-    if box < 0:
-        raise ValueError("twist box must be >= 0")
-    fan = endo.fan
-    pic = class_group(fan)
-    ring = cox_ring(fan)
     coeffs = tuple(int(a) for a in coeffs)
     shifts = decompose_pushforward(endo, coeffs).summands
-    m_class = pic.class_of(coeffs)
-    pb = pullback_matrix(endo, pic)
-    for mu in product(range(-box, box + 1), repeat=pic.rank):
-        lhs = h0_class(fan, tuple(a + b for a, b in
-                                  zip(m_class, pb.mul_vector(mu))))
-        rhs = sum(graded_dimension(ring, tuple(a + b for a, b in zip(lam, mu)))
-                  for lam in shifts)
+    for mu, lhs, rhs in _twist_sums(endo, coeffs, shifts,
+                                    partial(graded_dimension,
+                                            cox_ring(endo.fan)), box):
         if lhs != rhs:
             raise VerificationError(
                 "graded dimension mismatch at mu=%s: %d != %d (bug or "
                 "counterexample)" % (mu, lhs, rhs))
-    return ShiftList(shifts=shifts)
+    return shifts
 
 
 def rank_bookkeeping(endo: ToricEndomorphism, ring: CoxRing,

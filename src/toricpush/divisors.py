@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from .errors import FanError, LatticeError
 from .fans import Fan
-from .feasibility import count_lattice_points, make_constraint
+from .feasibility import count_lattice_points
 from .lattice import (IntMatrix, inverse_rational, inverse_unimodular,
                       smith_normal_form)
 
@@ -57,18 +57,14 @@ def class_group(fan: Fan) -> PicLattice:
     return PicLattice(fan=fan, rank=rank, to_class_mat=to_class, lift_mat=lift)
 
 
-def _section_polytope_constraints(fan: Fan, coeffs):
-    # <m, v_rho> >= -a_rho for every ray
-    return [make_constraint(ray, -a) for ray, a in zip(fan.rays, coeffs)]
-
-
 def h0(fan: Fan, coeffs) -> int:
     """Number of global sections: lattice points of the section polytope."""
     coeffs = tuple(int(a) for a in coeffs)
     if len(coeffs) != fan.nrays:
         raise FanError("divisor needs one coefficient per ray")
-    count = count_lattice_points(_section_polytope_constraints(fan, coeffs),
-                                 fan.dim)
+    # the section polytope: <m, v_rho> >= -a_rho for every ray
+    count = count_lattice_points(
+        [(ray, -a) for ray, a in zip(fan.rays, coeffs)], fan.dim)
     if count is None:
         raise FanError("section polytope unbounded; fan is not complete")
     return count

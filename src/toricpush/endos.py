@@ -4,13 +4,12 @@ action on the Picard lattice, and the int-amplified decision."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .divisors import PicLattice, Positivity, kleiman_forms, positivity
 from .errors import EndoError
 from .fans import Fan
-from .feasibility import feasible_point, is_feasible, make_constraint
+from .feasibility import feasible_point, is_feasible
 from .lattice import IntMatrix, kernel_basis
 
 
@@ -34,28 +33,24 @@ class ToricEndomorphism:
 def build_endo(fan: Fan, matrix: IntMatrix) -> ToricEndomorphism:
     """Derive ray permutation and multiplicities from F; reject incompatible maps."""
     if matrix.nrows != fan.dim or matrix.ncols != fan.dim:
-        raise EndoError("endomorphism matrix must be %dx%d" % (fan.dim, fan.dim))
+        raise EndoError("endomorphism matrix is %dx%d but fan has dim %d"
+                        % (matrix.nrows, matrix.ncols, fan.dim))
     if matrix.det() == 0:
         raise EndoError("not finite: matrix is singular")
+    index = {w: j for j, w in enumerate(fan.rays)}
     pi = []
     mults = []
-    for rho, v in enumerate(fan.rays):
+    for v in fan.rays:
+        # rays are primitive, so F v = c * w forces c = gcd(F v) (> 0: F is
+        # nonsingular) and w = F v / c
         image = matrix.mul_vector(v)
-        target = None
-        for j, w in enumerate(fan.rays):
-            # image == c * w for a positive integer c?
-            nz = next((i for i in range(fan.dim) if w[i] != 0), None)
-            if nz is None or w[nz] == 0 or image[nz] % w[nz] != 0:
-                continue
-            c = image[nz] // w[nz]
-            if c > 0 and all(image[i] == c * w[i] for i in range(fan.dim)):
-                target = (j, c)
-                break
-        if target is None:
+        c = gcd(*image)
+        j = index.get(tuple(x // c for x in image))
+        if j is None:
             raise EndoError("not ray-compatible: F maps ray %s off the fan's rays"
                             % (v,))
-        pi.append(target[0])
-        mults.append(target[1])
+        pi.append(j)
+        mults.append(c)
     if sorted(pi) != list(range(fan.nrays)):
         raise EndoError("not ray-compatible: ray images collide")
     cone_sets = {frozenset(c) for c in fan.max_cones}
@@ -106,14 +101,10 @@ def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
 
 def _strict_class_constraints(fan: Fan, pic: PicLattice, transform: IntMatrix):
     """Kleiman forms composed with h -> lift(transform @ h), margins >= 1."""
-    cons = []
     comp = pic.lift_mat @ transform  # nrays x rank
-    for form in kleiman_forms(fan):
-        coeffs = [sum(Fraction(form[i]) * comp.entries[i][j]
-                      for i in range(fan.nrays))
-                  for j in range(pic.rank)]
-        cons.append(make_constraint(coeffs, 1))
-    return cons
+    return [([sum(form[i] * comp.entries[i][j] for i in range(fan.nrays))
+              for j in range(pic.rank)], 1)
+            for form in kleiman_forms(fan)]
 
 
 def is_int_amplified(endo: ToricEndomorphism,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import FanError
-from .feasibility import equality_constraints, is_feasible, make_constraint
+from .feasibility import is_feasible
 from .lattice import IntMatrix, cone_is_smooth, is_primitive, smith_normal_form
 
 
@@ -82,15 +82,12 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     r1, r2 = fan.cone_rays(c1), fan.cone_rays(c2)
     nvars = len(r1) + len(r2)
     cons = []
-    for coord in range(fan.dim):
+    for coord in range(fan.dim):  # sum a_i r1_i = sum b_j r2_j, as >= and <=
         coeffs = [r[coord] for r in r1] + [-r[coord] for r in r2]
-        cons.extend(equality_constraints(coeffs, 0))
+        cons += [(coeffs, 0), ([-c for c in coeffs], 0)]
     for j in range(nvars):
-        unit = [0] * nvars
-        unit[j] = 1
-        cons.append(make_constraint(unit, 0))
-    margin = [int(idx not in common) for idx in (*c1, *c2)]
-    cons.append(make_constraint(margin, 1))
+        cons.append(([int(i == j) for i in range(nvars)], 0))
+    cons.append(([int(idx not in common) for idx in (*c1, *c2)], 1))
     return not is_feasible(cons, nvars)
 
 

@@ -1,20 +1,22 @@
 """Exact linear feasibility: Fourier-Motzkin (FM) elimination on integer rows.
 
-A constraint is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs.
-Rows may be given with ints or Fractions; each is scaled once to integers by
-the lcm of its denominators.  Unpruned FM grows doubly exponentially (P^5
-took about 20 s to validate), so after every elimination step each row is
-divided by the gcd of its entries, only the tightest of parallel rows (same
-primitive coefficients) is kept, rows 0 >= r <= 0 are dropped, and a row
-0 >= r > 0 ends the elimination as infeasible (Imbert; Schrijver, Theory of
-Linear and Integer Programming, 12.2).  Pruning drops only redundant rows,
-so every projected polyhedron, and with it the feasible_point witness
-(midpoints of the exact bound intervals), is exactly the unpruned one.
+A row is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs, with
+ints or Fractions as entries (coeffs any sequence).  _projections scales
+each row once to integers by the lcm of its denominators; no caller does.
+Unpruned FM grows doubly exponentially (P^5 took about 20 s to validate), so
+after every elimination step each row is divided by the gcd of its entries,
+only the tightest of parallel rows (same primitive coefficients) is kept,
+rows 0 >= r <= 0 are dropped, and a row 0 >= r > 0 ends the elimination as
+infeasible (Imbert; Schrijver, Theory of Linear and Integer Programming,
+12.2).  Pruning drops only redundant rows, so every projected polyhedron,
+and with it the feasible_point witness (midpoints of the exact bound
+intervals), is exactly the unpruned one.
 
-The chain also counts lattice points (count_lattice_points): the projection
-that keeps x_0..x_k bounds x_k over each integer prefix x_0..x_{k-1} by
-integer ceil/floor division, so the walk visits only prefixes of points of
-the polyhedron's projections and counts the last coordinate as hi - lo + 1.
+All three walkers read the chain the same way (_level): the projection that
+keeps x_0..x_k bounds x_k over a prefix x_0..x_{k-1}.  feasible_point and
+variable_bounds take exact Fraction bounds; count_lattice_points takes
+integer ceil/floor bounds, so it visits only prefixes of points of the
+polyhedron's projections and counts the last coordinate as hi - lo + 1.
 """
 
 from __future__ import annotations
@@ -23,18 +25,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Constraint = tuple[tuple[int, ...], int]
+Constraint = tuple[tuple[int, ...], int]  # an integer row, as FM keeps it
 
 
-def make_constraint(coeffs, rhs) -> Constraint:
+def _integer_row(coeffs, rhs) -> Constraint:
     """The row coeffs . x >= rhs with integer entries (same half-space)."""
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return tuple(int(c * den) for c in coeffs), int(rhs * den)
-
-
-def equality_constraints(coeffs, rhs) -> list[Constraint]:
-    c = make_constraint(coeffs, rhs)
-    return [c, (tuple(-x for x in c[0]), -c[1])]
 
 
 def _prune(rows) -> list[Constraint] | None:
@@ -80,7 +77,7 @@ def _eliminate(rows: list[Constraint], k: int):
 def _projections(cons, nvars: int):
     """Yield S_0, ..., S_nvars, where S_j is the system after eliminating
     x_{nvars-1}, ..., x_{nvars-j}; an infeasible system ends with None."""
-    rows = _prune(make_constraint(c, r) for c, r in cons)
+    rows = _prune(_integer_row(c, r) for c, r in cons)
     yield rows
     for k in range(nvars - 1, -1, -1):
         if rows is None:
@@ -89,24 +86,29 @@ def _projections(cons, nvars: int):
         yield rows
 
 
-def _interval(rows: list[Constraint], k: int, x: list[Fraction]):
-    """Exact (min, max) of x_k over rows in x_0..x_k with x_0..x_{k-1} = x;
-    None = unbounded."""
-    lo = hi = None
+def _level(rows: list[Constraint], k: int):
+    """The rows of a projection in x_0..x_k that bound x_k, split into lower
+    and upper bounds, each as (coeffs of x_0..x_{k-1}, rhs, c_k); rows free
+    of x_k were enforced on the prefix one level up."""
+    lower, upper = [], []
     for coeffs, rhs in rows:
         ck = coeffs[k]
-        if ck == 0:
-            continue
-        rest = sum((coeffs[j] * x[j] for j in range(k)), Fraction(0))
-        bound = (rhs - rest) / ck
-        if ck > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
+        if ck:
+            (lower if ck > 0 else upper).append((coeffs[:k], rhs, ck))
+    return lower, upper
+
+
+def _exact_bounds(level, x) -> tuple[Fraction | None, Fraction | None]:
+    """Exact (min, max) of x_k with x_0..x_{k-1} = x; None = unbounded."""
+    lower, upper = level
+    lo = max((Fraction(r - sum(map(mul, c, x)), ck) for c, r, ck in lower),
+             default=None)
+    hi = min((Fraction(r - sum(map(mul, c, x)), ck) for c, r, ck in upper),
+             default=None)
     return lo, hi
 
 
-def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
+def feasible_point(cons, nvars: int) -> list[Fraction] | None:
     """A rational point satisfying every constraint, or None if infeasible.
 
     The point is chosen deterministically (midpoints of the FM bound
@@ -118,7 +120,7 @@ def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
     x: list[Fraction] = []
     for k in range(nvars):
         # systems[nvars - 1 - k] involves variables 0..k only
-        lo, hi = _interval(systems[nvars - 1 - k], k, x)
+        lo, hi = _exact_bounds(_level(systems[nvars - 1 - k], k), x)
         if lo is None and hi is None:
             x.append(Fraction(0))
         elif lo is None:
@@ -130,13 +132,13 @@ def feasible_point(cons: list[Constraint], nvars: int) -> list[Fraction] | None:
     return x
 
 
-def is_feasible(cons: list[Constraint], nvars: int) -> bool:
+def is_feasible(cons, nvars: int) -> bool:
     for rows in _projections(cons, nvars):  # one projection alive at a time
         pass
     return rows is not None
 
 
-def variable_bounds(cons: list[Constraint], nvars: int,
+def variable_bounds(cons, nvars: int,
                     i: int) -> tuple[Fraction | None, Fraction | None]:
     """Exact (min, max) of x_i over the feasible region; None = unbounded.
 
@@ -147,28 +149,20 @@ def variable_bounds(cons: list[Constraint], nvars: int,
         [((c[i], *c[:i], *c[i + 1:]), r) for c, r in cons], nvars))
     if systems[-1] is None:
         raise ValueError("variable_bounds of an infeasible system")
-    return _interval(systems[nvars - 1], 0, [])
+    return _exact_bounds(_level(systems[nvars - 1], 0), ())
 
 
-def count_lattice_points(cons: list[Constraint], nvars: int) -> int | None:
+def count_lattice_points(cons, nvars: int) -> int | None:
     """Number of integer points satisfying every constraint; None if the
     region is nonempty and unbounded."""
     systems = list(_projections(cons, nvars))
     if systems[-1] is None:
         return 0
-    levels = []  # per x_k: rows (coeffs of x_0..x_{k-1}, rhs, c_k) by sign
-    for k in range(nvars):
-        lower, upper = [], []
-        for coeffs, rhs in systems[nvars - 1 - k]:
-            if coeffs[k]:
-                (lower if coeffs[k] > 0 else upper).append(
-                    (coeffs[:k], rhs, coeffs[k]))
-        if not lower or not upper:  # x_k unbounded over every prefix
-            return None
-        levels.append((lower, upper))
+    levels = [_level(systems[nvars - 1 - k], k) for k in range(nvars)]
+    if not all(lower and upper for lower, upper in levels):
+        return None  # some x_k is unbounded over every prefix
 
     def count(prefix, k):
-        # rows free of x_k were enforced on the prefix one level up
         lower, upper = levels[k]
         lo = max(-((sum(map(mul, c, prefix)) - r) // ck)
                  for c, r, ck in lower)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .divisors import class_group, h0_class
@@ -59,17 +60,35 @@ class VerificationReport:
     violations: list[str] = field(default_factory=list)
 
 
+def _twist_sums(endo: ToricEndomorphism, coeffs, summands, count, box: int):
+    """The projection formula twist by twist: yield (E, h0(D + f*E),
+    sum_i count(lambda_i + E)) for every class E in the Pic-coordinate box
+    [-box, box]^rank, where D has ray coefficients coeffs and lambda_i runs
+    over the summand classes.  The box must be >= 0, so that at least the
+    zero twist is checked."""
+    if box < 0:
+        raise ValueError("twist box must be >= 0")
+    fan = endo.fan
+    pic = class_group(fan)
+    d_class = pic.class_of(coeffs)
+    pb = pullback_matrix(endo, pic)
+    distinct = Counter(summands)  # mul:q gives q^n summands, few classes
+    for twist in product(range(-box, box + 1), repeat=pic.rank):
+        lhs = h0_class(fan, tuple(a + b for a, b in
+                                  zip(d_class, pb.mul_vector(twist))))
+        rhs = sum(mult * count(tuple(a + b for a, b in zip(lam, twist)))
+                  for lam, mult in distinct.items())
+        yield twist, lhs, rhs
+
+
 def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
                          box: int = 2) -> VerificationReport:
     """Independent oracle for a claimed decomposition of f_* O(D).
 
     Checks rank = deg f, the projection-formula dimension identity
     h0(D + f*E) = sum_i h0(lift(lambda_i) + lift(E)) for every class E in the
-    box, and (for trivial D) the single-trivial-summand law.  The box must
-    be >= 0, so that at least the zero twist is checked.
+    box (box >= 0), and (for trivial D) the single-trivial-summand law.
     """
-    if box < 0:
-        raise ValueError("twist box must be >= 0")
     fan = endo.fan
     pic = class_group(fan)
     coeffs = tuple(int(a) for a in coeffs)
@@ -82,16 +101,8 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
         report.violations.append(
             "rank %d does not equal degree %d" % (len(dec.summands), d))
 
-    d_class = pic.class_of(coeffs)
-    pb = pullback_matrix(endo, pic)
-    distinct = Counter(dec.summands)  # mul:q gives q^n summands, few classes
-    for twist in product(range(-box, box + 1), repeat=pic.rank):
-        lhs_class = tuple(a + b for a, b in
-                          zip(d_class, pb.mul_vector(twist)))
-        lhs = h0_class(fan, lhs_class)
-        rhs = sum(mult * h0_class(fan, tuple(a + b for a, b in
-                                             zip(lam, twist)))
-                  for lam, mult in distinct.items())
+    for twist, lhs, rhs in _twist_sums(endo, coeffs, dec.summands,
+                                       partial(h0_class, fan), box):
         report.checks += 1
         if lhs != rhs:
             report.passed = False
@@ -99,7 +110,7 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
                 "twist %s: h0(D + f*E) = %d but summands give %d"
                 % (twist, lhs, rhs))
 
-    if d_class == pic.zero():
+    if pic.class_of(coeffs) == pic.zero():
         trivial = sum(1 for lam in dec.summands if lam == pic.zero())
         report.checks += 1
         if trivial != 1:

@@ -146,7 +146,7 @@ def test_criterion_6_cox_ring_bridge():
         for coeffs in ((0,) * fan.nrays, first_ray, mixed):
             shifts = module_shifts(endo, coeffs, box=2)  # raises on mismatch
             dec = decompose_pushforward(endo, coeffs)
-            if sorted(shifts.shifts) != sorted(dec.summands):
+            if sorted(shifts) != sorted(dec.summands):
                 ok = False
     report("6 Cox-ring bridge", ok)
 

@@ -213,6 +213,15 @@ class TestExitCodes:
         assert run_command(["endo-check", P2, "--endo", str(endo)]) == 2
         assert "ray-compatible" in capsys.readouterr().err
 
+    def test_wrong_size_endo(self, tmp_path, capsys):
+        endo = tmp_path / "big.endo.json"
+        endo.write_text('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+        assert run_command(["endo-check", P2, "--endo", str(endo)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: endomorphism matrix is 3x3 but fan "
+                                "has dim 2\n")
+        assert captured.out == ""
+
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2
         assert "entries" in capsys.readouterr().err

@@ -129,23 +129,22 @@ class TestModuleShifts:
     def test_p1_structure_sheaf(self):
         shifts = module_shifts(multiplication_endo(P1, 2), (0, 0), box=3)
         dec = decompose_pushforward(multiplication_endo(P1, 2), (0, 0))
-        assert sorted(shifts.shifts) == sorted(dec.summands)
+        assert sorted(shifts) == sorted(dec.summands)
 
     def test_p2_hyperplane(self):
         e = multiplication_endo(P2, 2)
         shifts = module_shifts(e, (1, 0, 0))
-        assert sorted(shifts.shifts) \
+        assert sorted(shifts) \
             == sorted(decompose_pushforward(e, (1, 0, 0)).summands)
 
     def test_identity(self):
         ident = multiplication_endo(P2, 1)
         pic = class_group(P2)
-        assert module_shifts(ident, (2, 0, -1)).shifts \
-            == (pic.class_of((2, 0, -1)),)
+        assert module_shifts(ident, (2, 0, -1)) == (pic.class_of((2, 0, -1)),)
 
     def test_swap(self):
         shifts = module_shifts(SWAP, (0, 0, 0, 0))
-        assert sorted(shifts.shifts) == sorted(
+        assert sorted(shifts) == sorted(
             decompose_pushforward(SWAP, (0, 0, 0, 0)).summands)
 
     def test_negative_box_rejected(self):

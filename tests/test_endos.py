@@ -50,6 +50,11 @@ class TestBuildEndo:
         with pytest.raises(EndoError, match="not ray-compatible"):
             build_endo(P2, IntMatrix.from_rows([[1, 0], [0, 2]]))
 
+    def test_wrong_shape(self):
+        with pytest.raises(EndoError, match="^endomorphism matrix is 2x3 "
+                                            "but fan has dim 2$"):
+            build_endo(P2, IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
     def test_not_finite(self):
         with pytest.raises(EndoError, match="not finite"):
             build_endo(P2, IntMatrix.from_rows([[1, 1], [1, 1]]))

@@ -8,8 +8,7 @@ from conftest import FIXTURE_DIR
 from toricpush import (Fan, FanError, IntMatrix, hirzebruch, product_fan,
                        projective_space, validate_fan)
 from toricpush.fans import _cones_intersect_properly
-from toricpush.feasibility import (equality_constraints, is_feasible,
-                                   make_constraint)
+from toricpush.feasibility import is_feasible
 from toricpush.io import parse_fan
 
 
@@ -165,6 +164,12 @@ class TestInvariances:
         assert not complete_rank2_oracle(rays, cones)
 
 
+def equality_rows(coeffs, rhs):
+    """coeffs . x = rhs as the pair of rows coeffs . x >= rhs and
+    -coeffs . x >= -rhs."""
+    return [(coeffs, rhs), ([-c for c in coeffs], -rhs)]
+
+
 def per_ray_overlap_check(fan, c1, c2):
     """The overlap check as one feasibility problem per non-shared ray: the
     intersection is proper iff no point of it has that ray's coefficient
@@ -174,15 +179,14 @@ def per_ray_overlap_check(fan, c1, c2):
     k1, nvars = len(r1), len(r1) + len(r2)
     base = []
     for coord in range(fan.dim):
-        base.extend(equality_constraints(
+        base.extend(equality_rows(
             [r[coord] for r in r1] + [-r[coord] for r in r2], 0))
     for j in range(nvars):
-        base.append(make_constraint([int(i == j) for i in range(nvars)], 0))
+        base.append(([int(i == j) for i in range(nvars)], 0))
     strict = ([i for i, idx in enumerate(c1) if idx not in common]
               + [k1 + j for j, idx in enumerate(c2) if idx not in common])
     return not any(
-        is_feasible(base + [make_constraint([int(i == pos)
-                                             for i in range(nvars)], 1)],
+        is_feasible(base + [([int(i == pos) for i in range(nvars)], 1)],
                     nvars)
         for pos in strict)
 

@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpush.feasibility import (count_lattice_points,
-                                   equality_constraints, feasible_point,
-                                   is_feasible, make_constraint,
-                                   variable_bounds)
+from toricpush.feasibility import (count_lattice_points, feasible_point,
+                                   is_feasible, variable_bounds)
 
 
 # ---------------------------------------------------------------- reference
@@ -93,6 +91,12 @@ def ref_variable_bounds(cons, nvars, i):
 
 # --------------------------------------------------------------- generators
 
+def equality_rows(coeffs, rhs):
+    """coeffs . x = rhs as the pair of rows coeffs . x >= rhs and
+    -coeffs . x >= -rhs."""
+    return [(coeffs, rhs), ([-c for c in coeffs], -rhs)]
+
+
 NUMBERS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 
 
@@ -106,7 +110,7 @@ def systems(draw):
     rows = [tuple(r) for r in draw(st.lists(row, max_size=4))]
     if draw(st.booleans()):
         coeffs, rhs = draw(row)
-        rows += equality_constraints(coeffs, rhs)
+        rows += equality_rows(coeffs, rhs)
     if nvars <= 3 and draw(st.booleans()):
         b = draw(st.integers(0, 3))
         for i in range(nvars):
@@ -142,6 +146,33 @@ class TestAgainstUnprunedFM:
                     == ref_variable_bounds(cons, nvars, i))
 
 
+POSITIVE = st.fractions(min_value=Fraction(1, 12), max_value=12,
+                        max_denominator=12)
+
+
+def solve_all(cons, nvars):
+    """Every answer the engine gives about one system."""
+    feasible = is_feasible(cons, nvars)
+    return (feasible, feasible_point(cons, nvars),
+            [variable_bounds(cons, nvars, i) for i in range(nvars)]
+            if feasible else None,
+            count_lattice_points(cons, nvars))
+
+
+class TestRowScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(systems(), st.data())
+    def test_positive_row_scaling_is_invisible(self, system, data):
+        # the engine scales each row to integers itself; a row times a
+        # positive rational is the same half-space
+        cons, nvars = system
+        factors = data.draw(st.lists(POSITIVE, min_size=len(cons),
+                                     max_size=len(cons)))
+        scaled = [([t * c for c in coeffs], t * rhs)
+                  for (coeffs, rhs), t in zip(cons, factors)]
+        assert solve_all(scaled, nvars) == solve_all(cons, nvars)
+
+
 def check_against_reference(cons, nvars):
     point = feasible_point(cons, nvars)
     assert point == ref_feasible_point(cons, nvars)
@@ -154,55 +185,45 @@ def check_against_reference(cons, nvars):
 
 
 class TestFixedCases:
-    def test_rows_scaled_to_integers(self):
-        assert (make_constraint([Fraction(1, 2), Fraction(-1, 3)],
-                                Fraction(1, 6)) == ((3, -2), 1))
-        assert make_constraint([2, 4], 6) == ((2, 4), 6)
-
     def test_parallel_rows_keep_the_tightest(self):
         # x >= 1, 2x >= 5, 3x >= 2, -2x >= -20: the binding row is 2x >= 5
-        cons = [make_constraint([1], 1), make_constraint([2], 5),
-                make_constraint([3], 2), make_constraint([-2], -20)]
+        cons = [([1], 1), ([2], 5), ([3], 2), ([-2], -20)]
         assert variable_bounds(cons, 1, 0) == (Fraction(5, 2), 10)
         assert check_against_reference(cons, 1) == [Fraction(25, 4)]
 
     def test_parallel_rows_in_a_projection(self):
         # eliminating y leaves x >= 1 and x >= 3/2 (parallel); x <= 2
-        cons = [make_constraint([1, 1], 2), make_constraint([1, -1], 0),
-                make_constraint([2, 0], 3), make_constraint([-1, 0], -2)]
+        cons = [([1, 1], 2), ([1, -1], 0), ([2, 0], 3), ([-1, 0], -2)]
         assert variable_bounds(cons, 2, 0) == (Fraction(3, 2), 2)
         check_against_reference(cons, 2)
 
     def test_zero_row_with_positive_rhs_is_infeasible(self):
-        cons = [make_constraint([1, 0], 0), make_constraint([0, 0], 1)]
+        cons = [([1, 0], 0), ([0, 0], 1)]
         assert not is_feasible(cons, 2)
         assert check_against_reference(cons, 2) is None
         with pytest.raises(ValueError, match="infeasible"):
             variable_bounds(cons, 2, 0)
 
     def test_zero_row_with_nonpositive_rhs_is_dropped(self):
-        cons = [make_constraint([1], 0), make_constraint([0], -1),
-                make_constraint([0], 0), make_constraint([-1], -4)]
+        cons = [([1], 0), ([0], -1), ([0], 0), ([-1], -4)]
         assert check_against_reference(cons, 1) == [2]
 
     def test_contradiction_found_in_projection(self):
         # x + y >= 3 with x <= 1 and y <= 1
-        cons = [make_constraint([1, 1], 3), make_constraint([-1, 0], -1),
-                make_constraint([0, -1], -1)]
+        cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]
         assert not is_feasible(cons, 2)
         assert check_against_reference(cons, 2) is None
 
     def test_equality_pair(self):
         # x + 2y = 3 with x, y >= 0
-        cons = (equality_constraints([1, 2], 3)
-                + [make_constraint([1, 0], 0), make_constraint([0, 1], 0)])
+        cons = equality_rows([1, 2], 3) + [([1, 0], 0), ([0, 1], 0)]
         assert variable_bounds(cons, 2, 1) == (0, Fraction(3, 2))
         assert variable_bounds(cons, 2, 0) == (0, 3)
         point = check_against_reference(cons, 2)
         assert point[0] + 2 * point[1] == 3
 
     def test_unbounded_coordinates(self):
-        cons = [make_constraint([1, 0], 2)]
+        cons = [([1, 0], 2)]
         assert variable_bounds(cons, 2, 0) == (2, None)
         assert variable_bounds(cons, 2, 1) == (None, None)
         assert check_against_reference(cons, 2) == [2, 0]
@@ -225,7 +246,7 @@ def boxed_systems(draw):
     rows = [tuple(r) for r in draw(st.lists(row, max_size=4))]
     if draw(st.booleans()):
         coeffs, rhs = draw(row)
-        rows += equality_constraints(coeffs, rhs)
+        rows += equality_rows(coeffs, rhs)
     b = draw(st.integers(0, 5))
     for i in range(nvars):
         unit = [int(i == j) for j in range(nvars)]
@@ -241,33 +262,28 @@ class TestCountLatticePoints:
         assert count_lattice_points(rows, nvars) == ref_count(rows, nvars, b)
 
     def test_infeasible(self):
-        cons = [make_constraint([1, 1], 3), make_constraint([-1, 0], -1),
-                make_constraint([0, -1], -1)]
+        cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]
         assert count_lattice_points(cons, 2) == 0
 
     def test_single_point(self):
         # 1 <= x <= 1, y = 2 - x
-        cons = ([make_constraint([1, 0], 1), make_constraint([-1, 0], -1)]
-                + equality_constraints([1, 1], 2))
+        cons = [([1, 0], 1), ([-1, 0], -1)] + equality_rows([1, 1], 2)
         assert count_lattice_points(cons, 2) == 1
 
     def test_equality_pair(self):
         # x + 2y = 3 with x, y >= 0: the points (3, 0) and (1, 1)
-        cons = (equality_constraints([1, 2], 3)
-                + [make_constraint([1, 0], 0), make_constraint([0, 1], 0)])
+        cons = equality_rows([1, 2], 3) + [([1, 0], 0), ([0, 1], 0)]
         assert count_lattice_points(cons, 2) == 2
 
     def test_fractional_bounds(self):
         # 1/2 <= x <= 7/2, 0 <= 3y <= x: x in {1, 2, 3}, y in [0, x/3]
-        cons = [make_constraint([2, 0], 1), make_constraint([-2, 0], -7),
-                make_constraint([0, 3], 0), make_constraint([1, -3], 0)]
+        cons = [([2, 0], 1), ([-2, 0], -7), ([0, 3], 0), ([1, -3], 0)]
         assert count_lattice_points(cons, 2) == 4
 
     def test_unbounded_in_one_coordinate(self):
         # 0 <= x <= 3 with y >= 0 only
-        cons = [make_constraint([1, 0], 0), make_constraint([-1, 0], -3),
-                make_constraint([0, 1], 0)]
+        cons = [([1, 0], 0), ([-1, 0], -3), ([0, 1], 0)]
         assert count_lattice_points(cons, 2) is None
         # a line with no lattice points is unbounded all the same
-        cons = equality_constraints([2, 0], 1)
+        cons = equality_rows([2, 0], 1)
         assert count_lattice_points(cons, 2) is None
