@@ -8,8 +8,8 @@ from .cox import (CoxEndomorphism, CoxRing, contracting_exponent, cox_ring,
 from .divisors import (PicLattice, Positivity, class_group, h0, h0_class,
                        positivity)
 from .endos import (ToricEndomorphism, build_endo, compose, degree,
-                    fixed_classes, is_int_amplified, multiplication_endo,
-                    pullback_divisor, pullback_matrix)
+                    is_int_amplified, multiplication_endo, pullback_divisor,
+                    pullback_matrix)
 from .errors import (EndoError, FanError, InputError, LatticeError,
                      ToricError, VerificationError)
 from .fans import (Fan, FanReport, hirzebruch, product_fan, projective_space,
@@ -29,7 +29,7 @@ __all__ = [
     "ToricError", "VerificationError", "VerificationReport", "build_endo",
     "class_group", "compose", "cone_is_smooth", "contracting_exponent",
     "coset_representatives", "cox_ring",
-    "decompose_pushforward", "degree", "fixed_classes", "graded_dimension",
+    "decompose_pushforward", "degree", "graded_dimension",
     "h0", "h0_class", "hirzebruch", "induced_cox_endo", "is_int_amplified",
     "iterate_coherence", "module_shifts", "multiplication_endo",
     "pic_coset_decomposition", "positivity", "product_fan",

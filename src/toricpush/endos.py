@@ -10,7 +10,7 @@ from .divisors import PicLattice, Positivity, kleiman_forms, positivity
 from .errors import EndoError
 from .fans import Fan
 from .feasibility import feasible_point, is_feasible
-from .lattice import IntMatrix, kernel_basis
+from .lattice import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,3 @@ def is_int_amplified(endo: ToricEndomorphism,
             or positivity(endo.fan, pic.lift(fstar_minus)) is not Positivity.AMPLE):
         raise EndoError("certificate re-check failed (internal error)")
     return True, cert
-
-
-def fixed_classes(endo: ToricEndomorphism, pic: PicLattice) -> list[tuple[int, ...]]:
-    """Integer basis of ker(f* - id) on the Picard lattice."""
-    pb = pullback_matrix(endo, pic)
-    return kernel_basis(pb - IntMatrix.identity(pic.rank))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import add, mul
 
 from .errors import LatticeError
 
@@ -230,20 +230,38 @@ def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(inv)
 
 
-def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
-    """Canonical representatives of Z^n / F(Z^n) for nonsingular square F.
+def walk_cosets(F: IntMatrix, forms=()):
+    """Canonical representatives u of Z^n / F(Z^n), F nonsingular, streamed.
 
-    With U F V = S, the box reps prod_i [0, S_ii) in U-coordinates are pulled
-    back through U^{-1}; this makes the choice reproducible byte-for-byte.
+    With U F V = S, u = U^{-1} w for w in prod_i range(S_ii) in
+    itertools.product order (mixed radix, last axis fastest), so the choice
+    is reproducible byte-for-byte.  Each (row, offset) in the sequence forms
+    puts offset + <row, u> in front of u.  One precomputed step per axis (a
+    column of U^{-1} led by its pairings) keeps them all, so a coset costs
+    one vector addition, and no coset is kept once passed.
     """
-    if F.nrows != F.ncols:
-        raise LatticeError("not a finite-index sublattice")
     snf = smith_normal_form(F)
-    diag = snf.invariant_factors()
-    if any(d == 0 for d in diag):
+    radices = snf.invariant_factors()
+    if F.nrows != F.ncols or 0 in radices:
         raise LatticeError("not a finite-index sublattice")
-    uinv = inverse_unimodular(snf.U)
-    return [uinv.mul_vector(w) for w in product(*[range(d) for d in diag])]
+    walk = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
+    for col, d in zip(zip(*inverse_unimodular(snf.U).entries), radices):
+        step = tuple(sum(map(mul, row, col)) for row, _ in forms) + col
+        walk = _axis(walk, step, d)
+    return walk
+
+
+def _axis(prefixes, step, d):
+    # every prefix followed by its d - 1 successors along one axis
+    for vec in prefixes:
+        for _ in range(d):
+            yield vec
+            vec = tuple(map(add, vec, step))
+
+
+def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
+    """The walk_cosets representatives of Z^n / F(Z^n), as a list."""
+    return list(walk_cosets(F))
 
 
 def is_primitive(v) -> bool:

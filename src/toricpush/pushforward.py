@@ -6,11 +6,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import groupby, product
+from operator import floordiv, mul
 
 from .divisors import class_group, h0_class
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
-from .lattice import coset_representatives
+from .lattice import walk_cosets
 
 
 @dataclass(frozen=True)
@@ -31,22 +32,22 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
 
     Coset representatives u run over Z^n / F^T Z^n; the summand witness for u
     has coefficient floor((a_rho + <u, v_rho>) / c_rho) at the ray pi(rho).
+    One mixed-radix walk of the coset box carries every a_rho + <u, v_rho>
+    along with u, and equal summand classes share one tuple.
     """
     fan = endo.fan
     coeffs = tuple(int(a) for a in coeffs)
-    pic = class_group(fan)
-    pi_inv = endo.pi_inverse
-    reps = coset_representatives(endo.matrix.transpose())
-    entries = []
-    for u in reps:
-        witness = []
-        for rho_prime in range(fan.nrays):
-            rho = pi_inv[rho_prime]
-            v = fan.rays[rho]
-            num = coeffs[rho] + sum(ui * vi for ui, vi in zip(u, v))
-            witness.append(num // endo.mults[rho])  # floor: mults are > 0
-        witness = tuple(witness)
-        entries.append((pic.class_of(witness), witness, u))
+    rows = class_group(fan).to_class_mat.entries
+    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    mults = [endo.mults[rho] for rho in endo.pi_inverse]
+    nrays = len(mults)
+    classes, entries = {}, []
+    for vec in walk_cosets(endo.matrix.transpose(), forms):
+        # vec is (a_rho + <u, v_rho> in pi_inverse order) + u, and map stops
+        # where u begins; floor, as mults are > 0
+        witness = tuple(map(floordiv, vec, mults))
+        cls = tuple([sum(map(mul, row, witness)) for row in rows])
+        entries.append((classes.setdefault(cls, cls), witness, vec[nrays:]))
     entries.sort()
     return Decomposition(summands=tuple(e[0] for e in entries),
                          witness_divisors=tuple(e[1] for e in entries),
@@ -110,21 +111,25 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
                 "twist %s: h0(D + f*E) = %d but summands give %d"
                 % (twist, lhs, rhs))
 
-    if pic.class_of(coeffs) == pic.zero():
-        trivial = sum(1 for lam in dec.summands if lam == pic.zero())
+    zero = pic.zero()
+    if pic.class_of(coeffs) == zero:
+        trivial = dec.summands.count(zero)
         report.checks += 1
         if trivial != 1:
             report.passed = False
             report.violations.append(
                 "trivial summand count %d (expected exactly 1)" % trivial)
-        for lam in dec.summands:
-            if lam == pic.zero():
+        # one h0 per run of equal classes (sorted summands: one run per
+        # class), checked and reported once per summand
+        for lam, run in groupby(dec.summands):
+            mult = len(list(run))
+            if lam == zero:
                 continue
-            report.checks += 1
+            report.checks += mult
             if h0_class(fan, lam) != 0:
                 report.passed = False
-                report.violations.append(
-                    "non-trivial summand %s has h0 > 0" % (lam,))
+                report.violations += (
+                    ["non-trivial summand %s has h0 > 0" % (lam,)] * mult)
     return report
 
 
@@ -142,12 +147,15 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
         iterate = compose(iterate, endo)
     direct = sorted(decompose_pushforward(iterate, coeffs).summands)
 
-    classes = [pic.class_of(coeffs)]
+    # mul:q gives q^n summands but few classes: push each class once
+    classes = Counter([pic.class_of(coeffs)])
     for _ in range(k):
-        classes = [lam
-                   for cls in classes
-                   for lam in decompose_pushforward(endo, pic.lift(cls)).summands]
-    stepped = sorted(classes)
+        pushed = Counter()
+        for cls, mult in classes.items():
+            for lam in decompose_pushforward(endo, pic.lift(cls)).summands:
+                pushed[lam] += mult
+        classes = pushed
+    stepped = sorted(classes.elements())
 
     report = VerificationReport(passed=direct == stepped, checks=1)
     if not report.passed:

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from toricpush import (IntMatrix, build_endo, hirzebruch, multiplication_endo,
-                       product_fan, projective_space)
+                       product_fan, projective_space, smith_normal_form)
+from toricpush.lattice import inverse_unimodular
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fans"
 
@@ -37,6 +38,15 @@ def corpus_pairs():
                           multiplication_endo(fan, q)))
     pairs.append(("P1xP1/swap", fans["P1xP1"], swap_endo(fans["P1xP1"])))
     return pairs
+
+
+def box_cosets(F):
+    """Reference for Z^n / F(Z^n): U^{-1} w for w in the SNF box, one matrix
+    product per coset, in itertools.product order."""
+    snf = smith_normal_form(F)
+    uinv = inverse_unimodular(snf.U)
+    return [uinv.mul_vector(w)
+            for w in product(*[range(d) for d in snf.invariant_factors()])]
 
 
 def sample_divisors(fan, bound=2, limit=200, seed=0):

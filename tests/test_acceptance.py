@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from conftest import corpus_fans, corpus_pairs, sample_divisors, swap_endo
-from toricpush import (class_group, contracting_exponent, cox_ring,
-                       decompose_pushforward, degree, fixed_classes,
+from toricpush import (IntMatrix, class_group, contracting_exponent,
+                       cox_ring, decompose_pushforward, degree,
                        graded_dimension, h0, h0_class, induced_cox_endo,
                        is_int_amplified, iterate_coherence, module_shifts,
                        multiplication_endo, pic_coset_decomposition,
                        positivity, Positivity, pullback_matrix,
                        rank_bookkeeping, verify_decomposition)
+from toricpush.lattice import kernel_basis
 
 FANS = corpus_fans()
 PAIRS = corpus_pairs()
@@ -131,7 +132,10 @@ def test_criterion_5_int_amplified_decisions():
             ok = False
     for label, fan, endo in PAIRS:
         pic = class_group(fan)
-        if is_int_amplified(endo, pic)[0] and fixed_classes(endo, pic) != []:
+        # an int-amplified f* has no eigenvalue 1: ker(f* - id) on Pic is 0
+        fixed = kernel_basis(pullback_matrix(endo, pic)
+                             - IntMatrix.identity(pic.rank))
+        if is_int_amplified(endo, pic)[0] and fixed != []:
             ok = False
     report("5 int-amplified decisions", ok)
 

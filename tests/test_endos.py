@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from toricpush import (EndoError, IntMatrix, build_endo, class_group, compose,
-                       degree, fixed_classes, is_int_amplified,
-                       multiplication_endo, positivity, Positivity,
-                       product_fan, projective_space, pullback_divisor,
-                       pullback_matrix, validate_fan)
+                       degree, is_int_amplified, multiplication_endo,
+                       positivity, Positivity, product_fan, projective_space,
+                       pullback_divisor, pullback_matrix, validate_fan)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -181,24 +180,3 @@ class TestIntAmplified:
         for endo in (SWAP, multiplication_endo(P1XP1, 2)):
             assert is_int_amplified(endo, pic)[0]
             assert is_int_amplified(compose(endo, endo), pic)[0]
-
-
-class TestFixedClasses:
-    def test_multiplication_has_none(self):
-        pic = class_group(P2)
-        assert fixed_classes(multiplication_endo(P2, 2), pic) == []
-
-    def test_identity_fixes_everything(self):
-        pic = class_group(P1XP1)
-        basis = fixed_classes(multiplication_endo(P1XP1, 1), pic)
-        assert len(basis) == pic.rank
-
-    def test_swap_has_none(self):
-        pic = class_group(P1XP1)
-        assert fixed_classes(SWAP, pic) == []
-
-    def test_int_amplified_implies_no_fixed_classes(self, pairs):
-        for label, fan, endo in pairs:
-            pic = class_group(fan)
-            if is_int_amplified(endo, pic)[0]:
-                assert fixed_classes(endo, pic) == [], label

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import box_cosets
 from toricpush import (IntMatrix, LatticeError, cone_is_smooth,
                        coset_representatives, smith_normal_form)
 from toricpush.lattice import inverse_unimodular, kernel_basis, solve_diophantine
@@ -112,6 +113,17 @@ class TestCosetRepresentatives:
     def test_singular_rejected(self):
         with pytest.raises(LatticeError, match="finite-index"):
             coset_representatives(mat([[1, 1], [2, 2]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_walk_matches_box_products(self, rows):
+        # the mixed-radix walk gives exactly the per-coset products U^{-1} w,
+        # list and order alike
+        f = mat(rows)
+        assume(f.det() != 0)
+        assert coset_representatives(f) == box_cosets(f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),

@@ -3,7 +3,10 @@ from itertools import product
 
 import pytest
 
-from toricpush import (Decomposition, IntMatrix, build_endo, class_group,
+import toricpush.pushforward as pushforward
+from conftest import box_cosets
+from toricpush import (Decomposition, EndoError, IntMatrix, VerificationReport,
+                       build_endo, class_group, compose,
                        decompose_pushforward, degree, h0_class, hirzebruch,
                        iterate_coherence, multiplication_endo, product_fan,
                        projective_space, pullback_divisor, pullback_matrix,
@@ -13,6 +16,50 @@ P1 = projective_space(1)
 P2 = projective_space(2)
 P1XP1 = product_fan(P1, P1)
 SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
+
+
+def reference_decompose(endo, coeffs):
+    """The floor formula coset by coset: the box cosets, then one n-term sum
+    per ray and one class_of product per coset, sorted as the library sorts."""
+    fan = endo.fan
+    pic = class_group(fan)
+    entries = []
+    for u in box_cosets(endo.matrix.transpose()):
+        witness = tuple(
+            (coeffs[rho] + sum(a * b for a, b in zip(u, fan.rays[rho])))
+            // endo.mults[rho] for rho in endo.pi_inverse)
+        entries.append((pic.class_of(witness), witness, u))
+    entries.sort()
+    return Decomposition(summands=tuple(e[0] for e in entries),
+                         witness_divisors=tuple(e[1] for e in entries),
+                         cosets=tuple(e[2] for e in entries))
+
+
+def reference_iterate(endo, coeffs, k):
+    """iterate_coherence with the stepped side expanded as a flat list, one
+    decomposition per summand (through the module, so a patch applies)."""
+    pic = class_group(endo.fan)
+    iterate = endo
+    for _ in range(k - 1):
+        iterate = compose(iterate, endo)
+    direct = sorted(pushforward.decompose_pushforward(iterate, coeffs).summands)
+    classes = [pic.class_of(coeffs)]
+    for _ in range(k):
+        classes = [lam for cls in classes for lam in
+                   pushforward.decompose_pushforward(endo, pic.lift(cls)).summands]
+    stepped = sorted(classes)
+    report = VerificationReport(passed=direct == stepped, checks=1)
+    if not report.passed:
+        report.violations.append(
+            "multiset mismatch: direct %s vs stepped %s" % (direct, stepped))
+    return report
+
+
+def sample_coeffs(fan):
+    """Zero, D_0 and a mixed-sign divisor."""
+    n = fan.nrays
+    return [(0,) * n, (1,) + (0,) * (n - 1),
+            tuple((-1) ** i * (i + 1) for i in range(n))]
 
 
 def ray_class(fan, rho):
@@ -53,7 +100,54 @@ class TestGoldenDecompositions:
         assert verify_decomposition(SWAP, (0, 0, 0, 0), dec, box=2).passed
 
 
+class TestDecomposeDifferential:
+    """decompose_pushforward against the coset-by-coset floor formula,
+    compared by value (summand classes are shared tuples, so pickled bytes
+    may differ while every entry is equal)."""
+
+    @pytest.mark.parametrize("fan", [P1XP1, hirzebruch(1), hirzebruch(2), P2],
+                             ids=["P1xP1", "F1", "F2", "P2"])
+    def test_every_small_endo_on_surfaces(self, fan):
+        accepted = 0
+        for entries in product(range(-2, 3), repeat=4):
+            try:
+                endo = build_endo(fan, IntMatrix.from_rows(
+                    [entries[:2], entries[2:]]))
+            except EndoError:
+                continue
+            accepted += 1
+            for coeffs in sample_coeffs(fan):
+                assert (decompose_pushforward(endo, coeffs)
+                        == reference_decompose(endo, coeffs)), (entries, coeffs)
+        assert accepted > 0
+
+    @pytest.mark.parametrize("fan", [projective_space(3),
+                                     product_fan(hirzebruch(1), P1)],
+                             ids=["P3", "F1xP1"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_multiplication_in_dimension_three(self, fan, q):
+        endo = multiplication_endo(fan, q)
+        for coeffs in sample_coeffs(fan):
+            assert (decompose_pushforward(endo, coeffs)
+                    == reference_decompose(endo, coeffs)), coeffs
+
+
 class TestVerifyDecomposition:
+    def test_trivial_law_reports_each_summand(self):
+        # one h0 per run of equal classes, but checks and violations still
+        # come summand by summand, in order, even for unsorted summands
+        e = multiplication_endo(P1, 2)
+        g = ray_class(P1, 0)
+        two_g = tuple(2 * x for x in g)
+        dec = Decomposition(summands=(g, g, (0,), two_g, g),
+                            witness_divisors=((0, 0),) * 5,
+                            cosets=((0,),) * 5)
+        rep = verify_decomposition(e, (0, 0), dec, box=0)
+        assert rep.checks == 1 + 1 + 1 + 4
+        assert rep.violations[-4:] == [
+            "non-trivial summand %s has h0 > 0" % (lam,)
+            for lam in (g, g, two_g, g)]
+
     def test_corrupted_decomposition_is_caught(self):
         e = multiplication_endo(P2, 2)
         dec = decompose_pushforward(e, (1, 0, 0))
@@ -218,3 +312,34 @@ class TestIterateCoherence:
 
     def test_third_iterate(self):
         assert iterate_coherence(multiplication_endo(P1, 2), (1, 0), k=3).passed
+
+    @pytest.mark.parametrize("endo, coeffs, k", [
+        (SWAP, (1, -1, 0, 2), 3),
+        (multiplication_endo(P2, 3), (1, 0, 0), 2),
+    ], ids=["swap-k3", "P2-mul3"])
+    def test_class_counts_match_list_expansion(self, endo, coeffs, k):
+        assert vars(iterate_coherence(endo, coeffs, k)) == vars(
+            reference_iterate(endo, coeffs, k))
+
+    def test_violation_text(self, monkeypatch):
+        # corrupt one summand of every single-step decomposition (mul:2),
+        # leaving the direct one (mul:4) alone
+        step = multiplication_endo(P1, 2)
+        decompose = pushforward.decompose_pushforward
+
+        def corrupted(endo, coeffs):
+            dec = decompose(endo, coeffs)
+            if endo != step:
+                return dec
+            first = tuple(x + 1 for x in dec.summands[0])
+            return Decomposition(summands=(first,) + dec.summands[1:],
+                                 witness_divisors=dec.witness_divisors,
+                                 cosets=dec.cosets)
+
+        monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
+        rep = iterate_coherence(step, (0, 0), k=2)
+        assert not rep.passed and rep.checks == 1
+        assert rep.violations == [
+            "multiset mismatch: direct [(-1,), (-1,), (-1,), (0,)] "
+            "vs stepped [(0,), (0,), (0,), (0,)]"]
+        assert vars(rep) == vars(reference_iterate(step, (0, 0), 2))
