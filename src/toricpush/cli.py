@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import cox, divisors, endos, pushforward
@@ -177,7 +178,16 @@ _OPTIONS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared.
+
+    Sharing is safe because parsing keeps no state between calls: each
+    parse_args call returns a fresh Namespace, no option has a mutable
+    default, and nothing calls set_defaults.  Help and usage text is
+    formatted when printed, so it follows the terminal width of that
+    moment.  Callers must not mutate the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="toricpush",
         description="Pushforward decompositions of line bundles under finite "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 
-from .divisors import PicLattice, class_group
+from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, VerificationError
 from .fans import Fan
@@ -154,7 +154,7 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
     so at least mu = 0 is checked), counting monomials of the Cox ring rather
     than section-polytope points.
     """
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(endo.fan, coeffs)
     shifts = decompose_pushforward(endo, coeffs).summands
     for mu, lhs, rhs in _twist_sums(endo, coeffs, shifts,
                                     partial(graded_dimension,

@@ -57,11 +57,17 @@ def class_group(fan: Fan) -> PicLattice:
     return PicLattice(fan=fan, rank=rank, to_class_mat=to_class, lift_mat=lift)
 
 
-def h0(fan: Fan, coeffs) -> int:
-    """Number of global sections: lattice points of the section polytope."""
+def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
+    """A divisor's ray coefficients as ints, checked to be one per ray."""
     coeffs = tuple(int(a) for a in coeffs)
     if len(coeffs) != fan.nrays:
         raise FanError("divisor needs one coefficient per ray")
+    return coeffs
+
+
+def h0(fan: Fan, coeffs) -> int:
+    """Number of global sections: lattice points of the section polytope."""
+    coeffs = _coefficients(fan, coeffs)
     # the section polytope: <m, v_rho> >= -a_rho for every ray
     count = count_lattice_points(
         [(ray, -a) for ray, a in zip(fan.rays, coeffs)], fan.dim)
@@ -114,7 +120,7 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[Fraction, ...], ...]:
 
 def positivity(fan: Fan, coeffs) -> Positivity:
     """Toric Kleiman criterion for nefness and ampleness."""
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(fan, coeffs)
     values = [sum(c * a for c, a in zip(form, coeffs))
               for form in kleiman_forms(fan)]
     if all(v > 0 for v in values):

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .divisors import PicLattice, Positivity, kleiman_forms, positivity
+from .divisors import (PicLattice, Positivity, _coefficients, kleiman_forms,
+                       positivity)
 from .errors import EndoError
 from .fans import Fan
 from .feasibility import feasible_point, is_feasible
@@ -82,7 +83,7 @@ def compose(e1: ToricEndomorphism, e2: ToricEndomorphism) -> ToricEndomorphism:
 
 def pullback_divisor(endo: ToricEndomorphism, coeffs) -> tuple[int, ...]:
     """Divisor-level pullback: f* sends D_{rho'} to c_rho D_rho, rho = pi^{-1}(rho')."""
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(endo.fan, coeffs)
     return tuple(endo.mults[rho] * coeffs[endo.pi[rho]]
                  for rho in range(endo.fan.nrays))
 

@@ -9,7 +9,7 @@ from functools import partial
 from itertools import groupby, product
 from operator import floordiv, mul
 
-from .divisors import class_group, h0_class
+from .divisors import _coefficients, class_group, h0_class
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
 from .lattice import walk_cosets
 
@@ -36,7 +36,7 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
     along with u, and equal summand classes share one tuple.
     """
     fan = endo.fan
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(fan, coeffs)
     rows = class_group(fan).to_class_mat.entries
     forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
     mults = [endo.mults[rho] for rho in endo.pi_inverse]
@@ -92,7 +92,7 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
     """
     fan = endo.fan
     pic = class_group(fan)
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(fan, coeffs)
     report = VerificationReport(passed=True, checks=0)
 
     d = degree(endo)
@@ -140,7 +140,7 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
         raise ValueError("iteration order must be >= 2")
     fan = endo.fan
     pic = class_group(fan)
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = _coefficients(fan, coeffs)
 
     iterate = endo
     for _ in range(k - 1):

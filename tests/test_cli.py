@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from toricpush import pushforward
-from toricpush.cli import run_command
+from toricpush.cli import build_parser, run_command
 from toricpush.errors import InputError
 from toricpush.io import parse_endo, parse_fan
 
@@ -188,6 +188,75 @@ class TestCommands:
         run_command(["pushforward", P1XP1, "--endo", SWAP,
                      "--divisor", "1,2,3,4", "--json"])
         assert capsys.readouterr().out == first
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    try:
+        code = run_command(argv)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+HELP_80 = """\
+usage: toricpush [-h]
+                 {validate,h0,positivity,endo-check,intamp,pushforward,verify,cox-shifts,contracting,coset-count,rank-check}
+                 ...
+
+Pushforward decompositions of line bundles under finite toric endomorphisms,
+with exact verification.
+
+positional arguments:
+  {validate,h0,positivity,endo-check,intamp,pushforward,verify,cox-shifts,contracting,coset-count,rank-check}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestSharedParser:
+    """build_parser is built once per process; no call may leave state in it
+    that changes a later call."""
+
+    OTHER_CALLS = {
+        "help": ["--help"],
+        "verify-help": ["verify", "--help"],
+        "unknown-subcommand": ["frobenius", P2],
+        "verify-without-endo": ["verify", P2, "--divisor", "1,0,0"],
+        "negative-box": ["verify", P2, "--endo", "mul:2", "--divisor",
+                         "1,0,0", "--box", "-1"],
+    }
+
+    def test_calls_do_not_interact(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        rows, others = sorted(EXACT_OUTPUT), sorted(self.OTHER_CALLS)
+        calls = ([EXACT_OUTPUT[case][0] for case in rows]
+                 + [self.OTHER_CALLS[case] for case in others])
+        first = [_outcome(argv, capsys) for argv in calls]
+        again = [_outcome(argv, capsys) for argv in reversed(calls)]
+        assert again[::-1] == first
+        assert build_parser.cache_info().misses == 1
+
+        assert first[:len(rows)] == [(0, EXACT_OUTPUT[case][1], "")
+                                     for case in rows]
+        outcomes = dict(zip(others, first[len(rows):]))
+        assert outcomes["help"] == (0, HELP_80, "")
+        code, out, err = outcomes["verify-help"]
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: toricpush verify [-h] --endo ENDO")
+        for case in ("unknown-subcommand", "verify-without-endo"):
+            code, out, err = outcomes[case]
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: toricpush")
+        assert ("invalid choice: 'frobenius'"
+                in outcomes["unknown-subcommand"][2])
+        assert ("the following arguments are required: --endo"
+                in outcomes["verify-without-endo"][2])
+        assert outcomes["negative-box"] == (
+            2, "", "error: --box must be >= 0, got -1\n")
 
 
 class TestExitCodes:

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
-from toricpush import (FanError, Positivity, class_group, h0, hirzebruch,
-                       positivity, product_fan, projective_space,
-                       validate_fan)
+from toricpush import (FanError, Positivity, class_group,
+                       decompose_pushforward, h0, hirzebruch,
+                       multiplication_endo, positivity, product_fan,
+                       projective_space, pullback_divisor,
+                       verify_decomposition, validate_fan)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -172,3 +174,26 @@ class TestPositivity:
             values = [h0(fan, tuple(k * a for a in coeffs))
                       for k in range(1, 5)]
             assert all(x < y for x, y in zip(values, values[1:]))
+
+
+# P2 has three rays; a divisor with fewer or more coefficients used to be
+# read as if padded with zeros, cut to three entries, or indexed out of range
+MUL2 = multiplication_endo(P2, 2)
+DIVISOR_CALLS = {
+    "h0": lambda d: h0(P2, d),
+    "positivity": lambda d: positivity(P2, d),
+    "pullback_divisor": lambda d: pullback_divisor(MUL2, d),
+    "decompose_pushforward": lambda d: decompose_pushforward(MUL2, d),
+    "verify_decomposition": lambda d: verify_decomposition(
+        MUL2, d, decompose_pushforward(MUL2, (0, 0, 0))),
+}
+
+
+class TestDivisorLength:
+    @pytest.mark.parametrize("divisor", [(1,), (0,), (1, 0, 0, 5),
+                                         (0, 0, 0, 7)])
+    @pytest.mark.parametrize("function", sorted(DIVISOR_CALLS))
+    def test_wrong_length_rejected(self, function, divisor):
+        with pytest.raises(FanError,
+                           match="^divisor needs one coefficient per ray$"):
+            DIVISOR_CALLS[function](divisor)

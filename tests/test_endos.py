@@ -1,37 +1,94 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from toricpush import (EndoError, IntMatrix, build_endo, class_group, compose,
-                       degree, is_int_amplified, multiplication_endo,
-                       positivity, Positivity, product_fan, projective_space,
-                       pullback_divisor, pullback_matrix, validate_fan)
+                       degree, hirzebruch, is_int_amplified,
+                       multiplication_endo, positivity, Positivity,
+                       product_fan, projective_space, pullback_divisor,
+                       pullback_matrix, validate_fan)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
 P1XP1 = product_fan(P1, P1)
 SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
+F1 = hirzebruch(1)
+# fan -> entry bound of the exhaustive eigenvalue cross-check; every Picard
+# rank from 1 to 3 occurs
+ORACLE_FANS = {
+    "P1xP1": (P1XP1, 3),
+    "F1": (F1, 3),
+    "F2": (hirzebruch(2), 3),
+    "P2": (P2, 3),
+    "P1^3": (product_fan(P1XP1, P1), 1),
+    "P2xP1": (product_fan(P2, P1), 1),
+    "F1xP1": (product_fan(F1, P1), 1),
+}
+
+
+def characteristic_polynomial(matrix):
+    """Coefficients c_0, ..., c_n (c_n = 1) of det(xI - A), low degree
+    first, by the Faddeev-LeVerrier recursion over Fraction:
+    M_k = A M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(A M_k) / k."""
+    a = [[Fraction(x) for x in row] for row in matrix.entries]
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n))
+              + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        trace = sum(a[i][l] * m[l][i] for i in range(n) for l in range(n))
+        coeffs[n - k] = -trace / k
+    return coeffs
+
+
+def roots_inside_unit_disk(coeffs):
+    """Whether every root of sum_k coeffs[k] x^k lies in |x| < 1, decided
+    exactly by the Schur-Cohn-Jury reduction: with a_0 and a_m the constant
+    and leading coefficients, the roots are inside iff |a_0| < |a_m| and
+    (a_m f(x) - a_0 x^m f(1/x)) / x, of degree m - 1, has its roots
+    inside."""
+    f = list(coeffs)
+    while len(f) > 1:
+        a0, am = f[0], f[-1]
+        if abs(a0) >= abs(am):
+            return False
+        f = [am * f[k] - a0 * f[-1 - k] for k in range(1, len(f))]
+    return True
 
 
 def all_roots_outside_unit_disk(pullback):
-    """Eigenvalue characterization of int-amplified at Picard rank <= 2,
-    decided exactly via the Jury stability conditions on the reversed
-    characteristic polynomial."""
-    r = pullback.nrows
-    if r == 1:
-        return abs(pullback.entries[0][0]) > 1
-    if r == 2:
-        tr = pullback.entries[0][0] + pullback.entries[1][1]
-        det = pullback.det()
-        if det == 0:
-            return False
-        # roots of x^2 - tr x + det outside the closed disk iff the reversed
-        # polynomial x^2 - (tr/det) x + 1/det has both roots strictly inside:
-        # |1/det| < 1 and |tr/det| < 1 + 1/det
-        a0 = Fraction(1, det)
-        a1 = Fraction(-tr, det)
-        return abs(a0) < 1 and abs(a1) < 1 + a0
-    raise ValueError("cross-check only implemented for rank <= 2")
+    """Meng's eigenvalue characterization of int-amplified, at any Picard
+    rank: every eigenvalue of f* has modulus > 1, i.e. every root of the
+    reversed characteristic polynomial x^n p(1/x) has modulus < 1.  A zero
+    eigenvalue makes that polynomial's leading coefficient 0, which the
+    first reduction step rejects."""
+    return roots_inside_unit_disk(characteristic_polynomial(pullback)[::-1])
+
+
+def companion(*coeffs):
+    """Integer companion matrix of the monic x^n + c_{n-1} x^{n-1} + ... + c_0,
+    given c_0, ..., c_{n-1}."""
+    n = len(coeffs)
+    return IntMatrix.from_rows(
+        [[int(j == i - 1) for j in range(n - 1)] + [-coeffs[i]]
+         for i in range(n)])
+
+
+def accepted_endos(fan, bound):
+    """Every matrix with entries in [-bound, bound] that build_endo accepts."""
+    n = fan.dim
+    out = []
+    for entries in product(range(-bound, bound + 1), repeat=n * n):
+        matrix = IntMatrix.from_rows([entries[i:i + n]
+                                      for i in range(0, n * n, n)])
+        try:
+            out.append(build_endo(fan, matrix))
+        except EndoError:
+            pass
+    return out
 
 
 class TestBuildEndo:
@@ -141,6 +198,31 @@ class TestPullback:
                         == pb.mul_vector(pic.class_of(coeffs)))
 
 
+class TestEigenvalueOracle:
+    def test_characteristic_polynomial(self):
+        # companion matrices return the polynomial they were built from
+        for coeffs in [(5,), (2, -3), (-1, 0, 4), (7, -2, 0, 1, -6)]:
+            assert characteristic_polynomial(companion(*coeffs)) == [
+                *coeffs, 1]
+        assert characteristic_polynomial(SWAP.matrix) == [-2, 0, 1]
+
+    @pytest.mark.parametrize("coeffs, outside", [
+        ((-2,), True),              # x - 2
+        ((1,), False),              # x + 1: on the circle
+        ((2, 1), True),             # x^2 + x + 2: |roots| = sqrt 2
+        ((1, -3), False),           # x^2 - 3x + 1: roots 2.62 and 0.38
+        ((-2, 0, 0), True),         # x^3 - 2: |roots| = 2^(1/3)
+        ((-1, -1, 0), False),       # x^3 - x - 1: complex pair |.| 0.87
+        ((30, -11, -4), True),      # (x - 2)(x + 3)(x - 5)
+        ((6, -7, 0), False),        # (x - 2)(x + 3)(x - 1)
+        ((0, 4, 0), False),         # x (x^2 + 4): a zero eigenvalue
+        ((36, 0, 13, 0), True),     # (x^2 + 4)(x^2 + 9)
+        ((4, 0, 5, 0), False),      # (x^2 + 4)(x^2 + 1): roots +-i
+    ])
+    def test_roots_outside_unit_disk(self, coeffs, outside):
+        assert all_roots_outside_unit_disk(companion(*coeffs)) is outside
+
+
 class TestIntAmplified:
     def test_p2_multiplication(self):
         pic = class_group(P2)
@@ -169,6 +251,27 @@ class TestIntAmplified:
         endo = multiplication_endo(fan, q)
         yes, _ = is_int_amplified(endo, pic)
         assert yes == all_roots_outside_unit_disk(pullback_matrix(endo, pic))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FANS))
+    def test_eigenvalue_cross_check_exhaustive(self, name):
+        # entries in [-1, 1] on a 3-dimensional fan force every
+        # multiplicity to 1, so there the endomorphisms are also taken after
+        # 2 * identity and after doubling the first two coordinates
+        fan, bound = ORACLE_FANS[name]
+        pic = class_group(fan)
+        endos = accepted_endos(fan, bound)
+        if fan.dim == 3:
+            doubled = [multiplication_endo(fan, 2),
+                       build_endo(fan, IntMatrix.from_rows(
+                           [[2, 0, 0], [0, 2, 0], [0, 0, 1]]))]
+            endos += [compose(e, d) for e in endos for d in doubled]
+        verdicts = set()
+        for endo in endos:
+            yes, _ = is_int_amplified(endo, pic)
+            assert yes == all_roots_outside_unit_disk(
+                pullback_matrix(endo, pic)), endo.matrix
+            verdicts.add(yes)
+        assert verdicts == {True, False}
 
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
