@@ -11,11 +11,10 @@ from itertools import product
 
 from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
-from .errors import EndoError, VerificationError
+from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
 from .feasibility import is_feasible, variable_bounds
-from .lattice import (IntMatrix, coset_representatives, kernel_basis,
-                      solve_diophantine)
+from .lattice import coset_representatives, kernel_basis, solve_diophantine
 from .pushforward import _twist_sums, decompose_pushforward
 
 
@@ -41,17 +40,9 @@ class CoxEndomorphism:
 @lru_cache(maxsize=None)
 def cox_ring(fan: Fan) -> CoxRing:
     pic = class_group(fan)
-    degrees = []
-    for rho in range(fan.nrays):
-        unit = [0] * fan.nrays
-        unit[rho] = 1
-        degrees.append(pic.class_of(unit))
-    return CoxRing(fan=fan, pic=pic, degrees=tuple(degrees))
-
-
-@lru_cache(maxsize=None)
-def _degree_matrix(ring: CoxRing) -> IntMatrix:
-    return IntMatrix.from_rows(list(zip(*ring.degrees)))  # rank x nrays
+    # the class of D_rho is column rho of the class projection
+    return CoxRing(fan=fan, pic=pic,
+                   degrees=tuple(zip(*pic.to_class_mat.entries)))
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +54,7 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     divisors.h0; the two are cross-checked in the test suite.
     """
     cls = tuple(int(c) for c in cls)
-    deg = _degree_matrix(ring)
+    deg = ring.pic.to_class_mat  # rank x nrays, column rho = deg(x_rho)
     e0 = solve_diophantine(deg, cls)
     if e0 is None:
         return 0
@@ -80,8 +71,8 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     for i in range(nt):
         lo, hi = variable_bounds(cons, nt, i)
         if lo is None or hi is None:
-            raise VerificationError("graded piece is infinite-dimensional; "
-                                    "fan is not complete")
+            raise FanError("graded piece is infinite-dimensional; "
+                           "fan is not complete")
         box.append(range(math.ceil(lo), math.floor(hi) + 1))
     count = 0
     for t in product(*box):
@@ -95,53 +86,44 @@ def induced_cox_endo(endo: ToricEndomorphism, ring: CoxRing) -> CoxEndomorphism:
     """phi sends x_{rho'} to x_{pi^{-1}(rho')} raised to c_{pi^{-1}(rho')}."""
     if ring.fan != endo.fan:
         raise EndoError("ring and endomorphism live on different fans")
-    pi_inv = endo.pi_inverse
-    sources = tuple(pi_inv[rp] for rp in range(endo.fan.nrays))
+    # deg phi(x) = f* deg x holds by construction (pullback_divisor), and
+    # exponents are >= 1, so phi(x) has degree zero iff some x has
+    if ring.pic.zero() in ring.degrees:
+        raise EndoError("variable maps into degree zero; "
+                        "phi^{-1}(m) = m fails")
+    sources = endo.pi_inverse
     exponents = tuple(endo.mults[s] for s in sources)
-    pb = pullback_matrix(endo, ring.pic)
-    zero = ring.pic.zero()
-    for rp in range(endo.fan.nrays):
-        image_degree = tuple(exponents[rp] * d for d in ring.degrees[sources[rp]])
-        if image_degree != pb.mul_vector(ring.degrees[rp]):
-            raise EndoError("grading incompatibility for variable %d" % rp)
-        if image_degree == zero:
-            raise EndoError("variable maps into degree zero; "
-                            "phi^{-1}(m) = m fails")
     return CoxEndomorphism(ring=ring, endo=endo, sources=sources,
                            exponents=exponents)
 
 
 def contracting_exponent(phi: CoxEndomorphism) -> int | None:
-    """Least e with phi^e(x) in m^2 for every variable x, searched up to the
-    number of rays; None iff some ray orbit has all multiplicities 1.
+    """Least e with phi^e(x) in m^2 for every variable x; None iff some ray
+    orbit has all multiplicities 1.
 
-    phi^e(x_rho) is a pure power, so membership in m^2 is just "accumulated
-    exponent >= 2".
+    phi^e(x_rho) is a pure power whose exponent is the product of the first
+    e exponents met along rho's orbit.  They are all >= 1, so the product
+    reaches 2 exactly at the first exponent >= 2, and the answer is the
+    longest walk to one; an orbit is a cycle of at most nrays rays.
     """
     nrays = phi.ring.fan.nrays
-    for e in range(1, nrays + 1):
-        ok = True
-        for rho in range(nrays):
-            acc = 1
-            cur = rho
-            for _ in range(e):
-                acc *= phi.exponents[cur]
-                cur = phi.sources[cur]
-            if acc < 2:
-                ok = False
+    longest = 0
+    for rho in range(nrays):
+        cur = rho
+        for e in range(1, nrays + 1):
+            if phi.exponents[cur] >= 2:
                 break
-        if ok:
-            return e
-    return None
+            cur = phi.sources[cur]
+        else:
+            return None
+        longest = max(longest, e)
+    return longest
 
 
 def pic_coset_decomposition(endo: ToricEndomorphism,
                             pic: PicLattice) -> list[tuple[int, ...]]:
     """Canonical representatives of Pic(X) / f* Pic(X)."""
-    pb = pullback_matrix(endo, pic)
-    if pb.det() == 0:
-        raise EndoError("f* not injective on Pic")
-    return coset_representatives(pb)
+    return coset_representatives(pullback_matrix(endo, pic))
 
 
 def module_shifts(endo: ToricEndomorphism, coeffs,

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FanError, LatticeError
-from .fans import Fan
+from .fans import Fan, _is_complete
 from .feasibility import count_lattice_points
 from .lattice import (IntMatrix, inverse_rational, inverse_unimodular,
                       smith_normal_form)
@@ -95,11 +95,11 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[Fraction, ...], ...]:
     Each form sends a divisor's coefficients to <m_sigma, v_rho> + a_rho;
     the divisor is nef iff all values are >= 0 and ample iff all are > 0.
     """
+    if not _is_complete(fan):
+        raise FanError("positivity needs a complete fan")
     forms = []
     n, k = fan.dim, fan.nrays
     for cone in fan.max_cones:
-        if len(cone) != n:
-            raise FanError("positivity needs a complete fan")
         # m_sigma solves <m, v_rho> = -a_rho on the cone, so it is
         # -R^{-1} a_cone for the cone's ray matrix R (rows are rays)
         try:

@@ -1,11 +1,13 @@
 import random
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from toricpush import (IntMatrix, build_endo, hirzebruch, multiplication_endo,
-                       product_fan, projective_space, smith_normal_form)
+from toricpush import (EndoError, IntMatrix, build_endo, compose, hirzebruch,
+                       multiplication_endo, product_fan, projective_space,
+                       smith_normal_form, validate_fan)
 from toricpush.lattice import inverse_unimodular
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fans"
@@ -38,6 +40,63 @@ def corpus_pairs():
                           multiplication_endo(fan, q)))
     pairs.append(("P1xP1/swap", fans["P1xP1"], swap_endo(fans["P1xP1"])))
     return pairs
+
+
+# fan -> entry bound of the exhaustive endomorphism set; every Picard rank
+# from 1 to 3 occurs
+_P1, _P2, _F1 = projective_space(1), projective_space(2), hirzebruch(1)
+ORACLE_FANS = {
+    "P1xP1": (product_fan(_P1, _P1), 3),
+    "F1": (_F1, 3),
+    "F2": (hirzebruch(2), 3),
+    "P2": (_P2, 3),
+    "P1^3": (product_fan(product_fan(_P1, _P1), _P1), 1),
+    "P2xP1": (product_fan(_P2, _P1), 1),
+    "F1xP1": (product_fan(_F1, _P1), 1),
+}
+
+# the upper half-plane fan: smooth, not complete, Picard rank 1
+HALF_PLANE = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]],
+              "cones": [[0, 1], [1, 2]]}
+
+
+def half_plane_fan():
+    fan, report = validate_fan(HALF_PLANE["dim"], HALF_PLANE["rays"],
+                               HALF_PLANE["cones"])
+    assert report.smooth and not report.complete
+    return fan
+
+
+def accepted_endos(fan, bound):
+    """Every matrix with entries in [-bound, bound] that build_endo accepts."""
+    n = fan.dim
+    out = []
+    for entries in product(range(-bound, bound + 1), repeat=n * n):
+        matrix = IntMatrix.from_rows([entries[i:i + n]
+                                      for i in range(0, n * n, n)])
+        try:
+            out.append(build_endo(fan, matrix))
+        except EndoError:
+            pass
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_endos(name):
+    """The exhaustive endomorphism set on ORACLE_FANS[name], built once.
+
+    Entries in [-1, 1] on a 3-dimensional fan force every multiplicity to
+    1, so there each accepted matrix is also taken after 2 * identity and
+    after doubling the first two coordinates.
+    """
+    fan, bound = ORACLE_FANS[name]
+    endos = accepted_endos(fan, bound)
+    if fan.dim == 3:
+        doubled = [multiplication_endo(fan, 2),
+                   build_endo(fan, IntMatrix.from_rows(
+                       [[2, 0, 0], [0, 2, 0], [0, 0, 1]]))]
+        endos += [compose(e, d) for e in endos for d in doubled]
+    return tuple(endos)
 
 
 def box_cosets(F):

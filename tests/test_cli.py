@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, HALF_PLANE
 from toricpush import pushforward
 from toricpush.cli import build_parser, run_command
 from toricpush.errors import InputError
@@ -290,6 +290,18 @@ class TestExitCodes:
         assert captured.err == ("error: endomorphism matrix is 3x3 but fan "
                                 "has dim 2\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("option", [["--endo", "mul:2"],
+                                        ["--divisor", "1,1,1"]])
+    def test_non_complete_fan(self, option, tmp_path, capsys):
+        # every cone is full-dimensional, but the fan is not complete
+        fan = tmp_path / "half.fan.json"
+        fan.write_text(json.dumps(HALF_PLANE))
+        command = "intamp" if option[0] == "--endo" else "positivity"
+        assert run_command([command, str(fan), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: positivity needs a complete fan\n"
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

@@ -2,19 +2,48 @@ from itertools import product
 
 import pytest
 
-from toricpush import (EndoError, IntMatrix, VerificationError, build_endo,
-                       class_group, contracting_exponent, cox_ring,
+from conftest import ORACLE_FANS, half_plane_fan, oracle_endos
+from toricpush import (EndoError, FanError, IntMatrix, VerificationError,
+                       build_endo, class_group, contracting_exponent, cox_ring,
                        decompose_pushforward, graded_dimension, h0,
                        hirzebruch, induced_cox_endo, is_int_amplified,
                        module_shifts, multiplication_endo,
                        pic_coset_decomposition, product_fan, projective_space,
-                       rank_bookkeeping)
+                       pullback_matrix, rank_bookkeeping)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
 P1XP1 = product_fan(P1, P1)
 F1 = hirzebruch(1)
 SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
+
+
+def induced_cases(pairs):
+    """(label, endo) for the corpus pairs and the exhaustive endomorphism
+    set, on which induced_cox_endo's unchecked identities are asserted."""
+    yield from ((label, endo) for label, _, endo in pairs)
+    for name in sorted(ORACLE_FANS):
+        yield from ((name, endo) for endo in oracle_endos(name))
+
+
+def cubic_contracting_exponent(phi):
+    """The direct search: the least e <= nrays for which the product of the
+    first e exponents along every ray's orbit is >= 2, else None."""
+    nrays = phi.ring.fan.nrays
+    for e in range(1, nrays + 1):
+        ok = True
+        for rho in range(nrays):
+            acc = 1
+            cur = rho
+            for _ in range(e):
+                acc *= phi.exponents[cur]
+                cur = phi.sources[cur]
+            if acc < 2:
+                ok = False
+                break
+        if ok:
+            return e
+    return None
 
 
 class TestCoxRing:
@@ -54,6 +83,11 @@ class TestCoxRing:
         for cls in product(range(-3, 4), repeat=pic.rank):
             assert graded_dimension(ring, cls) == h0(fan, pic.lift(cls))
 
+    def test_non_complete_fan_rejected(self):
+        # an infinite graded piece is an input error, as it is for h0
+        with pytest.raises(FanError, match="fan is not complete"):
+            graded_dimension(cox_ring(half_plane_fan()), (0,))
+
 
 class TestInducedEndo:
     def test_multiplication_is_power_map(self):
@@ -73,12 +107,13 @@ class TestInducedEndo:
         assert phi.exponents == (1, 1, 1, 1)
 
     def test_grading_compatibility(self, pairs):
-        from toricpush import pullback_matrix
-        for label, fan, endo in pairs:
-            ring = cox_ring(fan)
+        # induced_cox_endo checks neither identity at run time
+        for label, endo in induced_cases(pairs):
+            ring = cox_ring(endo.fan)
             phi = induced_cox_endo(endo, ring)
+            assert phi.sources == endo.pi_inverse, label
             pb = pullback_matrix(endo, ring.pic)
-            for rp in range(fan.nrays):
+            for rp in range(endo.fan.nrays):
                 image_degree = tuple(phi.exponents[rp] * d
                                      for d in ring.degrees[phi.sources[rp]])
                 assert image_degree == pb.mul_vector(ring.degrees[rp]), label
@@ -86,6 +121,12 @@ class TestInducedEndo:
     def test_mismatched_fan_rejected(self):
         with pytest.raises(EndoError):
             induced_cox_endo(multiplication_endo(P2, 2), cox_ring(P1XP1))
+
+    def test_degree_zero_variable_rejected(self):
+        # the half-plane fan's ray (0, 1) is principal: D_1 = div(chi^(0,1))
+        fan = half_plane_fan()
+        with pytest.raises(EndoError, match="degree zero"):
+            induced_cox_endo(multiplication_endo(fan, 2), cox_ring(fan))
 
 
 class TestContracting:
@@ -101,6 +142,22 @@ class TestContracting:
     def test_swap_needs_two_steps(self):
         phi = induced_cox_endo(SWAP, cox_ring(P1XP1))
         assert contracting_exponent(phi) == 2
+
+    def test_three_cycle_needs_three_steps(self):
+        # F cycles the axes of P1^3 and doubles one: from x_rho the walk
+        # meets two exponents 1 before a 2, so only phi^3 lands in m^2
+        fan = product_fan(P1XP1, P1)
+        endo = build_endo(fan, IntMatrix.from_rows(
+            [[0, 0, 2], [1, 0, 0], [0, 1, 0]]))
+        phi = induced_cox_endo(endo, cox_ring(fan))
+        assert contracting_exponent(phi) == 3
+        assert cubic_contracting_exponent(phi) == 3
+
+    def test_matches_cubic_search(self, pairs):
+        for label, endo in induced_cases(pairs):
+            phi = induced_cox_endo(endo, cox_ring(endo.fan))
+            assert (contracting_exponent(phi)
+                    == cubic_contracting_exponent(phi)), label
 
     def test_finite_whenever_int_amplified(self, pairs):
         for label, fan, endo in pairs:

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import half_plane_fan
 from toricpush import (FanError, Positivity, class_group,
                        decompose_pushforward, h0, hirzebruch,
                        multiplication_endo, positivity, product_fan,
@@ -137,6 +138,13 @@ class TestPositivity:
 
     def test_negative_hyperplane(self):
         assert positivity(P2, (-1, 0, 0)) is Positivity.NOT_NEF
+
+    def test_non_complete_fan_rejected(self):
+        # every maximal cone of the half-plane fan is full-dimensional, so
+        # only the completeness test refuses it
+        with pytest.raises(FanError,
+                           match="^positivity needs a complete fan$"):
+            positivity(half_plane_fan(), (1, 1, 1))
 
     def test_hirzebruch_fiber_is_nef_not_ample(self):
         # the fiber class of F1: pullback of a point from the base P1

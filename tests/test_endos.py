@@ -1,30 +1,18 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from toricpush import (EndoError, IntMatrix, build_endo, class_group, compose,
-                       degree, hirzebruch, is_int_amplified,
-                       multiplication_endo, positivity, Positivity,
-                       product_fan, projective_space, pullback_divisor,
-                       pullback_matrix, validate_fan)
+import toricpush.endos as endos_module
+from conftest import ORACLE_FANS, half_plane_fan, oracle_endos
+from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
+                       compose, degree, is_int_amplified, multiplication_endo,
+                       positivity, Positivity, product_fan, projective_space,
+                       pullback_divisor, pullback_matrix, validate_fan)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
 P1XP1 = product_fan(P1, P1)
 SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
-F1 = hirzebruch(1)
-# fan -> entry bound of the exhaustive eigenvalue cross-check; every Picard
-# rank from 1 to 3 occurs
-ORACLE_FANS = {
-    "P1xP1": (P1XP1, 3),
-    "F1": (F1, 3),
-    "F2": (hirzebruch(2), 3),
-    "P2": (P2, 3),
-    "P1^3": (product_fan(P1XP1, P1), 1),
-    "P2xP1": (product_fan(P2, P1), 1),
-    "F1xP1": (product_fan(F1, P1), 1),
-}
 
 
 def characteristic_polynomial(matrix):
@@ -75,20 +63,6 @@ def companion(*coeffs):
     return IntMatrix.from_rows(
         [[int(j == i - 1) for j in range(n - 1)] + [-coeffs[i]]
          for i in range(n)])
-
-
-def accepted_endos(fan, bound):
-    """Every matrix with entries in [-bound, bound] that build_endo accepts."""
-    n = fan.dim
-    out = []
-    for entries in product(range(-bound, bound + 1), repeat=n * n):
-        matrix = IntMatrix.from_rows([entries[i:i + n]
-                                      for i in range(0, n * n, n)])
-        try:
-            out.append(build_endo(fan, matrix))
-        except EndoError:
-            pass
-    return out
 
 
 class TestBuildEndo:
@@ -254,24 +228,45 @@ class TestIntAmplified:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FANS))
     def test_eigenvalue_cross_check_exhaustive(self, name):
-        # entries in [-1, 1] on a 3-dimensional fan force every
-        # multiplicity to 1, so there the endomorphisms are also taken after
-        # 2 * identity and after doubling the first two coordinates
-        fan, bound = ORACLE_FANS[name]
+        # is_int_amplified does not re-check its certificate: H and f*H - H
+        # are ample by construction, and this is where that is checked
+        fan = ORACLE_FANS[name][0]
         pic = class_group(fan)
-        endos = accepted_endos(fan, bound)
-        if fan.dim == 3:
-            doubled = [multiplication_endo(fan, 2),
-                       build_endo(fan, IntMatrix.from_rows(
-                           [[2, 0, 0], [0, 2, 0], [0, 0, 1]]))]
-            endos += [compose(e, d) for e in endos for d in doubled]
         verdicts = set()
-        for endo in endos:
-            yes, _ = is_int_amplified(endo, pic)
-            assert yes == all_roots_outside_unit_disk(
-                pullback_matrix(endo, pic)), endo.matrix
+        for endo in oracle_endos(name):
+            yes, cert = is_int_amplified(endo, pic)
+            pb = pullback_matrix(endo, pic)
+            assert yes == all_roots_outside_unit_disk(pb), endo.matrix
+            if yes:
+                diff = tuple(a - b for a, b in zip(pb.mul_vector(cert), cert))
+                assert positivity(fan, pic.lift(cert)) is Positivity.AMPLE
+                assert positivity(fan, pic.lift(diff)) is Positivity.AMPLE
             verdicts.add(yes)
         assert verdicts == {True, False}
+
+    def test_exhaustive_set_size(self):
+        assert sum(len(oracle_endos(name)) for name in ORACLE_FANS) == 292
+
+    @pytest.mark.parametrize("endo, solves", [
+        (SWAP, (1, 0)), (multiplication_endo(P2, 3), (1, 0)),
+        (multiplication_endo(P1XP1, 1), (1, 1))])
+    def test_one_solve_unless_no(self, endo, solves, monkeypatch):
+        # (feasible_point calls, is_feasible calls): a "yes" is one solve;
+        # only a "no" solves the ample system alone
+        calls = []
+        for name in ("feasible_point", "is_feasible"):
+            real = getattr(endos_module, name)
+            monkeypatch.setattr(endos_module, name,
+                                lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        is_int_amplified(endo, class_group(endo.fan))
+        assert (calls.count("feasible_point"),
+                calls.count("is_feasible")) == solves
+
+    def test_non_complete_fan_rejected(self):
+        fan = half_plane_fan()
+        with pytest.raises(FanError, match="^positivity needs a complete fan$"):
+            is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
 
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
