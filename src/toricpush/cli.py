@@ -38,9 +38,13 @@ def _load_endo(fan, spec: str):
 
 
 def _load(args, inputs) -> argparse.Namespace:
-    """Read the fan and each of the subcommand's other inputs, once each."""
+    """Read the fan and each of the subcommand's other inputs, once each.
+    Only validate answers on a fan that is not complete: the paper's
+    statements are about projective, hence complete, varieties."""
     doc = parse_fan(_read(args.fan))
     fan, report = validate_fan(doc.dim, doc.rays, doc.cones, name=doc.name)
+    if not report.complete and args.command != "validate":
+        raise InputError("%s needs a complete fan" % args.command)
     loaded = argparse.Namespace(fan=fan, report=report)
     if "endo" in inputs:
         loaded.endo = _load_endo(fan, args.endo)

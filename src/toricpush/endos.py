@@ -100,11 +100,17 @@ def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
 
 
 def _strict_class_constraints(fan: Fan, pic: PicLattice, transform: IntMatrix):
-    """Kleiman forms composed with h -> lift(transform @ h), margins >= 1."""
+    """Kleiman forms composed with h -> lift(transform @ h), margins >= 1,
+    as integer rows: a form with denominators of lcm d becomes d * form . h
+    >= d, the same half-space."""
     comp = pic.lift_mat @ transform  # nrays x rank
-    return [([sum(form[i] * comp.entries[i][j] for i in range(fan.nrays))
-              for j in range(pic.rank)], 1)
-            for form in kleiman_forms(fan)]
+    rows = []
+    for form in kleiman_forms(fan):
+        coeffs = [sum(form[i] * comp.entries[i][j] for i in range(fan.nrays))
+                  for j in range(pic.rank)]
+        d = lcm(*(c.denominator for c in coeffs))
+        rows.append(([int(c * d) for c in coeffs], d))
+    return rows
 
 
 def is_int_amplified(endo: ToricEndomorphism,

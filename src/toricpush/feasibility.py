@@ -1,12 +1,14 @@
 """Exact linear feasibility: Fourier-Motzkin (FM) elimination on integer rows.
 
 A row is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs, with
-ints or Fractions as entries (coeffs any sequence).  _projections scales
-each row once to integers by the lcm of its denominators; no caller does.
-Unpruned FM grows doubly exponentially (P^5 took about 20 s to validate), so
-after every elimination step each row is divided by the gcd of its entries,
-only the tightest of parallel rows (same primitive coefficients) is kept,
-rows 0 >= r <= 0 are dropped, and a row 0 >= r > 0 ends the elimination as
+int entries (coeffs any sequence).  Rows are never rescaled here: a caller
+with rational rows scales each one to integers itself (only the Kleiman
+rows of endos._strict_class_constraints are rational), and a Fraction
+coefficient raises TypeError in math.gcd.  Unpruned FM grows doubly
+exponentially (P^5 took about 20 s to validate), so after every
+elimination step each row is divided by the gcd of its entries, only the
+tightest of parallel rows (same primitive coefficients) is kept, rows
+0 >= r <= 0 are dropped, and a row 0 >= r > 0 ends the elimination as
 infeasible (Imbert; Schrijver, Theory of Linear and Integer Programming,
 12.2).  Pruning drops only redundant rows, so every projected polyhedron,
 and with it the feasible_point witness (midpoints of the exact bound
@@ -22,16 +24,10 @@ polyhedron's projections and counts the last coordinate as hi - lo + 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 Constraint = tuple[tuple[int, ...], int]  # an integer row, as FM keeps it
-
-
-def _integer_row(coeffs, rhs) -> Constraint:
-    """The row coeffs . x >= rhs with integer entries (same half-space)."""
-    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs), int(rhs * den)
 
 
 def _prune(rows) -> list[Constraint] | None:
@@ -77,7 +73,7 @@ def _eliminate(rows: list[Constraint], k: int):
 def _projections(cons, nvars: int):
     """Yield S_0, ..., S_nvars, where S_j is the system after eliminating
     x_{nvars-1}, ..., x_{nvars-j}; an infeasible system ends with None."""
-    rows = _prune(_integer_row(c, r) for c, r in cons)
+    rows = _prune((tuple(c), r) for c, r in cons)
     yield rows
     for k in range(nvars - 1, -1, -1):
         if rows is None:

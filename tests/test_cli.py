@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, HALF_PLANE
 from toricpush import pushforward
-from toricpush.cli import build_parser, run_command
+from toricpush.cli import COMMANDS, build_parser, run_command
 from toricpush.errors import InputError
 from toricpush.io import parse_endo, parse_fan
 
@@ -13,6 +13,10 @@ P2 = str(FIXTURE_DIR / "p2.fan.json")
 P1 = str(FIXTURE_DIR / "p1.fan.json")
 P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
+
+# two opposite quadrants: smooth, every cone full-dimensional, not complete
+QUADRANTS = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+             "cones": [[0, 1], [2, 3]]}
 
 
 def _validate_text(tmp_path, capsys, text):
@@ -301,7 +305,22 @@ class TestExitCodes:
         assert run_command([command, str(fan), *option]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: positivity needs a complete fan\n"
+        assert captured.err == "error: %s needs a complete fan\n" % command
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"validate"}))
+    def test_every_subcommand_refuses_a_non_complete_fan(self, command,
+                                                         tmp_path, capsys):
+        fan = tmp_path / "quadrants.fan.json"
+        fan.write_text(json.dumps(QUADRANTS))
+        options = {"endo": ["--endo", "mul:2"],
+                   "divisor": ["--divisor", "1,1,1,1"], "box": []}
+        argv = [command, str(fan)]
+        for name in COMMANDS[command][1]:
+            argv += options[name]
+        assert _outcome(argv, capsys) == (
+            2, "", "error: %s needs a complete fan\n" % command)
+        assert _outcome(["validate", str(fan)], capsys) == (
+            0, "smooth not complete\n", "")
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

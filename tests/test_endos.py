@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 import toricpush.endos as endos_module
-from conftest import ORACLE_FANS, half_plane_fan, oracle_endos
+from conftest import (FIXTURE_DIR, ORACLE_FANS, corpus_fans, corpus_pairs,
+                      half_plane_fan, oracle_endos)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, multiplication_endo,
                        positivity, Positivity, product_fan, projective_space,
                        pullback_divisor, pullback_matrix, validate_fan)
+from toricpush.cli import run_command
+from toricpush.divisors import kleiman_forms
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -268,6 +271,18 @@ class TestIntAmplified:
         with pytest.raises(FanError, match="^positivity needs a complete fan$"):
             is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
 
+    def test_no_ample_class(self, monkeypatch, capsys):
+        # a form and its negative: no class is strictly positive on both
+        form = (Fraction(1, 2), Fraction(0), Fraction(-1), Fraction(0))
+        monkeypatch.setattr(endos_module, "kleiman_forms",
+                            lambda fan: (form, tuple(-a for a in form)))
+        message = "no ample class found; fan may be non-projective"
+        with pytest.raises(EndoError, match="^%s$" % message):
+            is_int_amplified(SWAP, class_group(P1XP1))
+        fixture = FIXTURE_DIR / "p1xp1.fan.json"
+        assert run_command(["intamp", str(fixture), "--endo", "mul:2"]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
         yes, _ = is_int_amplified(SWAP, pic)
@@ -278,3 +293,49 @@ class TestIntAmplified:
         for endo in (SWAP, multiplication_endo(P1XP1, 2)):
             assert is_int_amplified(endo, pic)[0]
             assert is_int_amplified(compose(endo, endo), pic)[0]
+
+
+class TestStrictClassConstraints:
+    @pytest.mark.parametrize("kind, name", [
+        *(("corpus", name) for name in sorted(corpus_fans())),
+        *(("oracle", name) for name in sorted(ORACLE_FANS))])
+    def test_integer_multiples_of_the_kleiman_rows(self, kind, name):
+        # the engine takes integer rows only; each strict Kleiman row
+        # form . lift(T h) >= 1, for T the identity and each f* - id of the
+        # corpus pairs or the exhaustive oracle set, is scaled to integers
+        # where it is built
+        if kind == "oracle":
+            fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
+        else:
+            fan = corpus_fans()[name]
+            endos = [e for _, f, e in corpus_pairs() if f == fan]
+        pic = class_group(fan)
+        ident = IntMatrix.identity(pic.rank)
+        forms = kleiman_forms(fan)
+        for transform in [ident] + [pullback_matrix(e, pic) - ident
+                                    for e in endos]:
+            rows = endos_module._strict_class_constraints(fan, pic, transform)
+            assert len(rows) == len(forms)
+            columns = transform.transpose().entries
+            for (coeffs, rhs), form in zip(rows, forms):
+                exact = [sum(a * b for a, b in zip(form, pic.lift(col)))
+                         for col in columns]
+                assert all(type(x) is int for x in (*coeffs, rhs))
+                assert rhs >= 1
+                assert list(coeffs) == [rhs * x for x in exact]
+
+    def test_rational_forms_scaled_by_their_lcm(self, monkeypatch):
+        # on a smooth fan every Kleiman form is integral (each cone's ray
+        # matrix is unimodular), so the rows above all have rhs 1; with the
+        # forms divided by 6, form . h >= 1 becomes form . h >= 6: the
+        # verdict stays and the certificate is 6 times SWAP's (3, 2)
+        pic = class_group(P1XP1)
+        ident = IntMatrix.identity(pic.rank)
+        before = endos_module._strict_class_constraints(P1XP1, pic, ident)
+        forms = tuple(tuple(a / 6 for a in form)
+                      for form in kleiman_forms(P1XP1))
+        monkeypatch.setattr(endos_module, "kleiman_forms", lambda fan: forms)
+        after = endos_module._strict_class_constraints(P1XP1, pic, ident)
+        assert all(rhs == 1 for _, rhs in before)
+        assert after == [(coeffs, 6) for coeffs, _ in before]
+        assert is_int_amplified(SWAP, pic) == (True, (18, 12))

@@ -1,9 +1,14 @@
 """Differential tests of the integer Fourier-Motzkin engine against a plain,
 unpruned Fraction FM kept here as the reference, and of the lattice-point
-counter against a box-then-filter count."""
+counter against a box-then-filter count.
+
+The generators draw rational rows; the engine takes integer rows only, so
+each row is scaled by the lcm of its denominators (integer_rows) before the
+engine sees it, while the references run on the rational rows as drawn."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +96,18 @@ def ref_variable_bounds(cons, nvars, i):
 
 # --------------------------------------------------------------- generators
 
+def integer_rows(cons):
+    """Each rational row times the lcm of its denominators: the same
+    half-space with integer entries."""
+    out = []
+    for coeffs, rhs in cons:
+        entries = [Fraction(x) for x in (*coeffs, rhs)]
+        d = lcm(*(x.denominator for x in entries))
+        *scaled, r = [int(x * d) for x in entries]
+        out.append((scaled, r))
+    return out
+
+
 def equality_rows(coeffs, rhs):
     """coeffs . x = rhs as the pair of rows coeffs . x >= rhs and
     -coeffs . x >= -rhs."""
@@ -129,9 +146,10 @@ class TestAgainstUnprunedFM:
     @given(systems())
     def test_same_verdict_and_witness(self, system):
         cons, nvars = system
-        point = feasible_point(cons, nvars)
+        rows = integer_rows(cons)
+        point = feasible_point(rows, nvars)
         assert point == ref_feasible_point(cons, nvars)
-        assert is_feasible(cons, nvars) == (point is not None)
+        assert is_feasible(rows, nvars) == (point is not None)
         if point is not None:
             assert satisfies(point, cons)
 
@@ -139,15 +157,15 @@ class TestAgainstUnprunedFM:
     @given(systems())
     def test_same_bounds(self, system):
         cons, nvars = system
-        if not is_feasible(cons, nvars):
+        rows = integer_rows(cons)
+        if not is_feasible(rows, nvars):
             return
         for i in range(nvars):
-            assert (variable_bounds(cons, nvars, i)
+            assert (variable_bounds(rows, nvars, i)
                     == ref_variable_bounds(cons, nvars, i))
 
 
-POSITIVE = st.fractions(min_value=Fraction(1, 12), max_value=12,
-                        max_denominator=12)
+POSITIVE = st.integers(1, 12)
 
 
 def solve_all(cons, nvars):
@@ -163,14 +181,22 @@ class TestRowScaling:
     @settings(max_examples=200, deadline=None)
     @given(systems(), st.data())
     def test_positive_row_scaling_is_invisible(self, system, data):
-        # the engine scales each row to integers itself; a row times a
-        # positive rational is the same half-space
-        cons, nvars = system
+        # a row times a positive integer is the same half-space; pruning
+        # divides it back out
+        cons, nvars = integer_rows(system[0]), system[1]
         factors = data.draw(st.lists(POSITIVE, min_size=len(cons),
                                      max_size=len(cons)))
         scaled = [([t * c for c in coeffs], t * rhs)
                   for (coeffs, rhs), t in zip(cons, factors)]
         assert solve_all(scaled, nvars) == solve_all(cons, nvars)
+
+    @pytest.mark.parametrize("solve", [is_feasible, feasible_point,
+                                       count_lattice_points])
+    def test_fraction_row_raises(self, solve):
+        # x >= 1 together with x / 2 >= 1: rational rows are the caller's
+        # to scale
+        with pytest.raises(TypeError):
+            solve([([1], 1), ([Fraction(1, 2)], 1)], 1)
 
 
 def check_against_reference(cons, nvars):
@@ -259,7 +285,8 @@ class TestCountLatticePoints:
     @given(boxed_systems())
     def test_matches_box_then_filter(self, system):
         rows, nvars, b = system
-        assert count_lattice_points(rows, nvars) == ref_count(rows, nvars, b)
+        assert (count_lattice_points(integer_rows(rows), nvars)
+                == ref_count(rows, nvars, b))
 
     def test_infeasible(self):
         cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]

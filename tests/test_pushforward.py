@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -224,6 +225,18 @@ class TestVerifyDecomposition:
             assert len(dec.summands) == degree(endo)
 
 
+def assert_shift_law(endo, coeffs, twist):
+    """f_*(O(D) (x) f*L) = f_*O(D) (x) L: twisting D by f* lift(E) shifts
+    every summand class by E, as multisets."""
+    pic = class_group(endo.fan)
+    twisted = tuple(a + b for a, b in zip(
+        coeffs, pullback_divisor(endo, pic.lift(twist))))
+    base = decompose_pushforward(endo, coeffs).summands
+    shifted = decompose_pushforward(endo, twisted).summands
+    expected = [tuple(a + b for a, b in zip(s, twist)) for s in base]
+    assert Counter(shifted) == Counter(expected), (endo.matrix, coeffs, twist)
+
+
 class TestStructuralInvariants:
     def test_trivial_summand_law(self, pairs):
         for label, fan, endo in pairs:
@@ -243,14 +256,15 @@ class TestStructuralInvariants:
             for _ in range(6):
                 coeffs = tuple(rng.randint(-2, 2) for _ in range(fan.nrays))
                 twist = tuple(rng.randint(-2, 2) for _ in range(pic.rank))
-                # twisting D by f* lift(E) shifts every summand class by E
-                twisted = tuple(a + b for a, b in zip(
-                    coeffs, pullback_divisor(endo, pic.lift(twist))))
-                base = decompose_pushforward(endo, coeffs).summands
-                shifted = decompose_pushforward(endo, twisted).summands
-                expected = sorted(tuple(a + b for a, b in zip(s, twist))
-                                  for s in base)
-                assert sorted(shifted) == expected
+                assert_shift_law(endo, coeffs, twist)
+
+    def test_shift_law_on_the_corpus(self, pairs):
+        # O and D_0 on every corpus pair, each E in the Pic box [-2, 2]^rank
+        for _, fan, endo in pairs:
+            rank = class_group(fan).rank
+            for coeffs in ((0,) * fan.nrays, (1,) + (0,) * (fan.nrays - 1)):
+                for twist in product(range(-2, 3), repeat=rank):
+                    assert_shift_law(endo, coeffs, twist)
 
     def test_coset_representative_independence(self):
         for endo in (multiplication_endo(P2, 2), SWAP):
