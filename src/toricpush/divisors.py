@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import FanError, LatticeError
 from .fans import Fan, _is_complete
 from .feasibility import count_lattice_points
-from .lattice import (IntMatrix, inverse_rational, inverse_unimodular,
+from .lattice import (IntMatrix, inverse_unimodular, scaled_inverse,
                       smith_normal_form)
 
 
@@ -89,40 +89,40 @@ class Positivity(enum.Enum):
 
 
 @lru_cache(maxsize=None)
-def kleiman_forms(fan: Fan) -> tuple[tuple[Fraction, ...], ...]:
+def kleiman_forms(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Linear forms on ray-coefficient space, one per (max cone, outside ray).
 
-    Each form sends a divisor's coefficients to <m_sigma, v_rho> + a_rho;
-    the divisor is nef iff all values are >= 0 and ample iff all are > 0.
+    Each form, an integer pair (g, s) meaning g / s with s = |det| of the
+    cone's rays (1 on a smooth fan), sends a divisor's coefficients to
+    <m_sigma, v_rho> + a_rho; the divisor is nef iff all values are >= 0 and
+    ample iff all are > 0, so the sign of g . a alone decides (s > 0).
     """
     if not _is_complete(fan):
         raise FanError("positivity needs a complete fan")
     forms = []
-    n, k = fan.dim, fan.nrays
     for cone in fan.max_cones:
         # m_sigma solves <m, v_rho> = -a_rho on the cone, so it is
-        # -R^{-1} a_cone for the cone's ray matrix R (rows are rays)
+        # -R^{-1} a_cone = -rinv a_cone / s for R the cone's rays (as rows)
         try:
-            rinv = inverse_rational(IntMatrix.from_rows(fan.cone_rays(cone)))
+            rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
         except LatticeError:
             raise FanError("degenerate maximal cone %s" % (cone,)) from None
-        for rho in range(k):
+        pairings = rinv.transpose()
+        for rho in range(fan.nrays):
             if rho in cone:
                 continue
-            form = [Fraction(0)] * k
-            v = fan.rays[rho]
-            for pos, idx in enumerate(cone):
-                form[idx] -= sum(v[i] * rinv[i][pos] for i in range(n))
-            form[rho] += 1
-            forms.append(tuple(form))
+            form = [0] * fan.nrays
+            for idx, x in zip(cone, pairings.mul_vector(fan.rays[rho])):
+                form[idx] = -x
+            form[rho] = s
+            forms.append((tuple(form), s))
     return tuple(forms)
 
 
 def positivity(fan: Fan, coeffs) -> Positivity:
     """Toric Kleiman criterion for nefness and ampleness."""
     coeffs = _coefficients(fan, coeffs)
-    values = [sum(c * a for c, a in zip(form, coeffs))
-              for form in kleiman_forms(fan)]
+    values = [sum(map(mul, g, coeffs)) for g, _ in kleiman_forms(fan)]
     if all(v > 0 for v in values):
         return Positivity.AMPLE
     if all(v >= 0 for v in values):

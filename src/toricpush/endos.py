@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .divisors import PicLattice, _coefficients, kleiman_forms
 from .errors import EndoError
@@ -101,16 +102,11 @@ def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
 
 def _strict_class_constraints(fan: Fan, pic: PicLattice, transform: IntMatrix):
     """Kleiman forms composed with h -> lift(transform @ h), margins >= 1,
-    as integer rows: a form with denominators of lcm d becomes d * form . h
-    >= d, the same half-space."""
-    comp = pic.lift_mat @ transform  # nrays x rank
-    rows = []
-    for form in kleiman_forms(fan):
-        coeffs = [sum(form[i] * comp.entries[i][j] for i in range(fan.nrays))
-                  for j in range(pic.rank)]
-        d = lcm(*(c.denominator for c in coeffs))
-        rows.append(([int(c * d) for c in coeffs], d))
-    return rows
+    as integer rows: a form g / s gives g . lift(transform h) >= s, the
+    same half-space."""
+    columns = (pic.lift_mat @ transform).transpose().entries
+    return [([sum(map(mul, g, col)) for col in columns], s)
+            for g, s in kleiman_forms(fan)]
 
 
 def is_int_amplified(endo: ToricEndomorphism,
@@ -118,8 +114,8 @@ def is_int_amplified(endo: ToricEndomorphism,
     """Decide whether some ample H has f*H - H ample; returns a certificate.
 
     Both strict inequality systems are scale-invariant, so strictness is
-    normalized to margins >= 1 and decided in one exact rational
-    feasibility solve.  Clearing the witness's denominators scales every
+    normalized to margins >= 1 and decided in one exact feasibility solve
+    of integer rows.  Clearing the witness's denominators scales every
     margin by a positive integer, so H and f*H - H are ample by
     construction.  Only a "no" solves the ample system alone, to tell a fan
     with no ample class apart.

@@ -1,10 +1,9 @@
 """Exact linear feasibility: Fourier-Motzkin (FM) elimination on integer rows.
 
 A row is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs, with
-int entries (coeffs any sequence).  Rows are never rescaled here: a caller
-with rational rows scales each one to integers itself (only the Kleiman
-rows of endos._strict_class_constraints are rational), and a Fraction
-coefficient raises TypeError in math.gcd.  Unpruned FM grows doubly
+int entries (coeffs any sequence).  Every caller builds integer rows, and
+none is rescaled here: a Fraction coefficient raises TypeError in math.gcd.
+Rationals appear only in the bounds and witnesses.  Unpruned FM grows doubly
 exponentially (P^5 took about 20 s to validate), so after every
 elimination step each row is divided by the gcd of its entries, only the
 tightest of parallel rows (same primitive coefficients) is kept, rows

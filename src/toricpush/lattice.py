@@ -1,15 +1,14 @@
 """Exact integer linear algebra: Smith normal form, coset enumeration,
-smooth-cone tests.
+smooth-cone tests, and the one fraction-free inverse (scaled_inverse).
 
-Everything here works over arbitrary-precision Python ints; no floating
-point is used anywhere in the package.
+Everything here works over arbitrary-precision Python ints: no Fraction and
+no floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
 from .errors import LatticeError
@@ -201,33 +200,39 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                      IntMatrix.from_rows(v))
 
 
-def inverse_rational(M: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational inverse by Gauss-Jordan elimination."""
+def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:
+    """(X, d) with M^{-1} = X / d, X integral and d = |det M| > 0, by
+    fraction-free Gauss-Jordan on [M | I] (Bareiss, Math. Comp. 22, 1968):
+    each step's entries are minors, so every division by the last pivot is
+    exact, and the left block ends as det(P M) * I."""
     if M.nrows != M.ncols:
         raise LatticeError("inverse of a non-square matrix")
     n = M.nrows
-    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+    a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(M.entries)]
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             raise LatticeError("matrix is singular")
         a[k], a[piv] = a[piv], a[k]
         p = a[k][k]
-        a[k] = [x / p for x in a[k]]
         for i in range(n):
-            if i != k and a[i][k] != 0:
+            if i != k:
                 f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return (IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in a)),
+            sign * prev)
 
 
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    inv = inverse_rational(M)
-    if any(x.denominator != 1 for row in inv for x in row):
+    inv, d = scaled_inverse(M)
+    if d != 1:
         raise LatticeError("matrix is not unimodular")
-    return IntMatrix.from_rows(inv)
+    return inv
 
 
 def walk_cosets(F: IntMatrix, forms=()):

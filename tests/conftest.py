@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -65,6 +66,55 @@ def half_plane_fan():
                                HALF_PLANE["cones"])
     assert report.smooth and not report.complete
     return fan
+
+
+# simplicial, complete, not smooth: the weighted projective planes P(1,1,2)
+# (cone indices 1, 1, 2) and P(1,2,3) (1, 2, 3); the only inputs where a
+# Kleiman form g / s has s > 1
+WEIGHTED = {"P(1,1,2)": [[1, 0], [0, 1], [-1, -2]],
+            "P(1,2,3)": [[1, 0], [0, 1], [-2, -3]]}
+
+
+def weighted_plane(name):
+    fan, report = validate_fan(2, WEIGHTED[name], [[0, 1], [1, 2], [2, 0]])
+    assert report.complete and not report.smooth
+    return fan
+
+
+def fraction_inverse(rows):
+    """Reference inverse of a square integer matrix by Gauss-Jordan over
+    Fraction."""
+    n = len(rows)
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def fraction_kleiman_forms(fan):
+    """Reference Kleiman forms as Fraction tuples, in kleiman_forms order:
+    for each maximal cone and outside ray rho, a -> <m_sigma, v_rho> + a_rho
+    with m_sigma = -R^{-1} a_cone."""
+    forms = []
+    for cone in fan.max_cones:
+        rinv = fraction_inverse(fan.cone_rays(cone))
+        for rho in range(fan.nrays):
+            if rho in cone:
+                continue
+            form = [Fraction(0)] * fan.nrays
+            v = fan.rays[rho]
+            for pos, idx in enumerate(cone):
+                form[idx] -= sum(v[i] * rinv[i][pos] for i in range(fan.dim))
+            form[rho] += 1
+            forms.append(tuple(form))
+    return forms
 
 
 def accepted_endos(fan, bound):

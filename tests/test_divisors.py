@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from conftest import half_plane_fan
+from conftest import (WEIGHTED, fraction_kleiman_forms, half_plane_fan,
+                      weighted_plane)
 from toricpush import (FanError, Positivity, class_group,
                        decompose_pushforward, h0, hirzebruch,
                        multiplication_endo, positivity, product_fan,
@@ -152,6 +153,25 @@ class TestPositivity:
         fiber = ray_divisor(F1, 0)
         assert positivity(F1, fiber) is Positivity.NEF_NOT_AMPLE
         assert pic.class_of(fiber) != pic.zero()
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_non_smooth_against_fraction_forms(self, name):
+        # on a simplicial non-smooth fan the forms g / s have s > 1; the
+        # sign of g . a must give the Fraction reference's verdict
+        fan = weighted_plane(name)
+        forms = fraction_kleiman_forms(fan)
+        verdicts = set()
+        for d in product(range(-1, 2), repeat=fan.nrays):
+            values = [sum(c * a for c, a in zip(form, d)) for form in forms]
+            if all(v > 0 for v in values):
+                expected = Positivity.AMPLE
+            elif all(v >= 0 for v in values):
+                expected = Positivity.NEF_NOT_AMPLE
+            else:
+                expected = Positivity.NOT_NEF
+            assert positivity(fan, d) is expected, d
+            verdicts.add(expected)
+        assert verdicts == set(Positivity)
 
     @pytest.mark.parametrize("fan", [P1, P2, P1XP1, F1])
     def test_cone_closure_properties(self, fan):

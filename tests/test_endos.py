@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 import toricpush.endos as endos_module
-from conftest import (FIXTURE_DIR, ORACLE_FANS, corpus_fans, corpus_pairs,
-                      half_plane_fan, oracle_endos)
+from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, corpus_fans,
+                      corpus_pairs, fraction_kleiman_forms, half_plane_fan,
+                      oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, multiplication_endo,
                        positivity, Positivity, product_fan, projective_space,
@@ -273,15 +274,24 @@ class TestIntAmplified:
 
     def test_no_ample_class(self, monkeypatch, capsys):
         # a form and its negative: no class is strictly positive on both
-        form = (Fraction(1, 2), Fraction(0), Fraction(-1), Fraction(0))
-        monkeypatch.setattr(endos_module, "kleiman_forms",
-                            lambda fan: (form, tuple(-a for a in form)))
+        # (g, s) = ((1, 0, -2, 0), 2) is the form (1/2, 0, -1, 0)
+        forms = (((1, 0, -2, 0), 2), ((-1, 0, 2, 0), 2))
+        monkeypatch.setattr(endos_module, "kleiman_forms", lambda fan: forms)
         message = "no ample class found; fan may be non-projective"
         with pytest.raises(EndoError, match="^%s$" % message):
             is_int_amplified(SWAP, class_group(P1XP1))
         fixture = FIXTURE_DIR / "p1xp1.fan.json"
         assert run_command(["intamp", str(fixture), "--endo", "mul:2"]) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("name, q, expected", [
+        ("P(1,1,2)", 2, (True, (2,))), ("P(1,1,2)", 3, (True, (2,))),
+        ("P(1,2,3)", 2, (True, (3,))), ("P(1,2,3)", 3, (True, (3,)))])
+    def test_weighted_planes(self, name, q, expected):
+        # simplicial non-smooth fans, where some Kleiman form has s > 1
+        fan = weighted_plane(name)
+        assert is_int_amplified(multiplication_endo(fan, q),
+                                class_group(fan)) == expected
 
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
@@ -298,44 +308,52 @@ class TestIntAmplified:
 class TestStrictClassConstraints:
     @pytest.mark.parametrize("kind, name", [
         *(("corpus", name) for name in sorted(corpus_fans())),
-        *(("oracle", name) for name in sorted(ORACLE_FANS))])
+        *(("oracle", name) for name in sorted(ORACLE_FANS)),
+        *(("weighted", name) for name in sorted(WEIGHTED))])
     def test_integer_multiples_of_the_kleiman_rows(self, kind, name):
-        # the engine takes integer rows only; each strict Kleiman row
-        # form . lift(T h) >= 1, for T the identity and each f* - id of the
-        # corpus pairs or the exhaustive oracle set, is scaled to integers
-        # where it is built
+        # each Kleiman form (g, s) is s times the Fraction reference form,
+        # with s = 1 on every smooth fan; the engine takes integer rows
+        # only, and each strict row form . lift(T h) >= 1, for T the
+        # identity and each f* - id of the corpus pairs or the exhaustive
+        # oracle set, is (g . lift(T col) for each column of T, s)
         if kind == "oracle":
             fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
-        else:
+        elif kind == "corpus":
             fan = corpus_fans()[name]
             endos = [e for _, f, e in corpus_pairs() if f == fan]
+        else:
+            fan = weighted_plane(name)
+            endos = [multiplication_endo(fan, q) for q in (2, 3)]
+        forms = kleiman_forms(fan)
+        reference = fraction_kleiman_forms(fan)
+        assert len(forms) == len(reference)
+        for (g, s), form in zip(forms, reference):
+            assert all(type(x) is int for x in (*g, s))
+            assert s >= 1 and list(g) == [s * a for a in form]
+        if kind == "weighted":
+            assert max(s for _, s in forms) > 1
+        else:
+            assert {s for _, s in forms} == {1}
         pic = class_group(fan)
         ident = IntMatrix.identity(pic.rank)
-        forms = kleiman_forms(fan)
         for transform in [ident] + [pullback_matrix(e, pic) - ident
                                     for e in endos]:
             rows = endos_module._strict_class_constraints(fan, pic, transform)
-            assert len(rows) == len(forms)
             columns = transform.transpose().entries
-            for (coeffs, rhs), form in zip(rows, forms):
-                exact = [sum(a * b for a, b in zip(form, pic.lift(col)))
-                         for col in columns]
-                assert all(type(x) is int for x in (*coeffs, rhs))
-                assert rhs >= 1
-                assert list(coeffs) == [rhs * x for x in exact]
+            assert rows == [
+                ([sum(a * b for a, b in zip(g, pic.lift(col)))
+                  for col in columns], s) for g, s in forms]
 
-    def test_rational_forms_scaled_by_their_lcm(self, monkeypatch):
-        # on a smooth fan every Kleiman form is integral (each cone's ray
-        # matrix is unimodular), so the rows above all have rhs 1; with the
-        # forms divided by 6, form . h >= 1 becomes form . h >= 6: the
-        # verdict stays and the certificate is 6 times SWAP's (3, 2)
-        pic = class_group(P1XP1)
-        ident = IntMatrix.identity(pic.rank)
-        before = endos_module._strict_class_constraints(P1XP1, pic, ident)
-        forms = tuple(tuple(a / 6 for a in form)
-                      for form in kleiman_forms(P1XP1))
-        monkeypatch.setattr(endos_module, "kleiman_forms", lambda fan: forms)
-        after = endos_module._strict_class_constraints(P1XP1, pic, ident)
-        assert all(rhs == 1 for _, rhs in before)
-        assert after == [(coeffs, 6) for coeffs, _ in before]
-        assert is_int_amplified(SWAP, pic) == (True, (18, 12))
+    def test_non_smooth_cone_row(self):
+        # on P(1,1,2) the cone {(-1,-2), (1,0)} has index 2, so its form
+        # (1/2, 1, 1/2) is the pair ((1, 2, 1), 2) and its strict row reads
+        # g . lift(h) >= 2; verdict and certificate are those the
+        # lcm-scaled Fraction rows gave
+        fan = weighted_plane("P(1,1,2)")
+        assert kleiman_forms(fan)[-1] == ((1, 2, 1), 2)
+        pic = class_group(fan)
+        rows = endos_module._strict_class_constraints(
+            fan, pic, IntMatrix.identity(pic.rank))
+        assert rows[-1][1] == 2
+        assert is_int_amplified(multiplication_endo(fan, 2), pic) \
+            == (True, (2,))

@@ -3,9 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src"
-                             / "toricpush").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -34,3 +33,33 @@ def test_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """Top-level names of the absolute imports of a module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_module_detector():
+    assert imported_modules("from __future__ import annotations\n"
+                            "import os.path, fractions as fr\n"
+                            "from math import gcd\n"
+                            "from .fractions import x\n"
+                            "from . import lattice\n") \
+        == {"__future__", "os", "fractions", "math"}
+    assert "fractions" in imported_modules("from fractions import Fraction")
+
+
+# exact rational witnesses and bounds live only in the FM engine; every
+# other module works on integers
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_fractions_only_in_feasibility(path):
+    imports = imported_modules(path.read_text(encoding="utf-8"))
+    assert ("fractions" in imports) == (path.name == "feasibility.py")

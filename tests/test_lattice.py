@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from conftest import box_cosets
 from toricpush import (IntMatrix, LatticeError, cone_is_smooth,
                        coset_representatives, smith_normal_form)
-from toricpush.lattice import inverse_unimodular, kernel_basis, solve_diophantine
+from toricpush.lattice import (inverse_unimodular, kernel_basis, scaled_inverse,
+                               solve_diophantine)
 
 
 def mat(rows):
@@ -169,6 +170,58 @@ class TestConeIsSmooth:
         assert abs(g.det()) == 1
         moved = [g.mul_vector(r) for r in rays]
         assert cone_is_smooth(rays) == cone_is_smooth(moved)
+
+
+@st.composite
+def square_matrices(draw, max_n=5, entries=st.integers(-5, 5)):
+    n = draw(st.integers(1, max_n))
+    return mat([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices: row additions and sign flips."""
+    n = draw(st.integers(1, 5))
+    m = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 8))):
+        e = [list(row) for row in IntMatrix.identity(n).entries]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            e[i][i] = -1
+        else:
+            e[i][j] = draw(st.integers(-3, 3))
+        m = mat(e) @ m
+    return m
+
+
+class TestScaledInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_scaled_inverse(self, m):
+        det = m.det()
+        if det == 0:
+            with pytest.raises(LatticeError, match="^matrix is singular$"):
+                scaled_inverse(m)
+            return
+        x, d = scaled_inverse(m)
+        assert d == abs(det)
+        assert m @ x == IntMatrix.identity(m.nrows).scale(d)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(LatticeError):
+            scaled_inverse(mat([[1, 0, 0], [0, 1, 0]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_matrices())
+    def test_inverse_unimodular(self, m):
+        assert inverse_unimodular(m) @ m == IntMatrix.identity(m.nrows)
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 1], [-1, 1]],
+                                      [[0, 2, 0], [1, 0, 0], [0, 0, -1]]])
+    def test_inverse_unimodular_rejects_det_two(self, rows):
+        assert abs(mat(rows).det()) == 2
+        with pytest.raises(LatticeError, match="^matrix is not unimodular$"):
+            inverse_unimodular(mat(rows))
 
 
 class TestHelpers:
