@@ -14,8 +14,8 @@ from .errors import (EndoError, FanError, InputError, LatticeError,
                      ToricError, VerificationError)
 from .fans import (Fan, FanReport, hirzebruch, product_fan, projective_space,
                    validate_fan)
-from .lattice import (IntMatrix, SnfResult, cone_is_smooth,
-                      coset_representatives, smith_normal_form)
+from .lattice import (IntMatrix, SnfResult, coset_representatives,
+                      smith_normal_form)
 from .pushforward import (Decomposition, VerificationReport,
                           decompose_pushforward, iterate_coherence,
                           verify_decomposition)
@@ -27,7 +27,7 @@ __all__ = [
     "FanError", "FanReport", "InputError", "IntMatrix", "LatticeError",
     "PicLattice", "Positivity", "SnfResult", "ToricEndomorphism",
     "ToricError", "VerificationError", "VerificationReport", "build_endo",
-    "class_group", "compose", "cone_is_smooth", "contracting_exponent",
+    "class_group", "compose", "contracting_exponent",
     "coset_representatives", "cox_ring",
     "decompose_pushforward", "degree", "graded_dimension",
     "h0", "h0_class", "hirzebruch", "induced_cox_endo", "is_int_amplified",

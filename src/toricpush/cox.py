@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from operator import index
 
 from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
@@ -53,14 +54,12 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     This is an enumeration path independent of the section-polytope count in
     divisors.h0; the two are cross-checked in the test suite.
     """
-    cls = tuple(int(c) for c in cls)
+    cls = tuple(map(index, cls))
     deg = ring.pic.to_class_mat  # rank x nrays, column rho = deg(x_rho)
     e0 = solve_diophantine(deg, cls)
     if e0 is None:
         return 0
-    kernel = kernel_basis(deg)
-    if not kernel:
-        return 1 if all(e >= 0 for e in e0) else 0
+    kernel = kernel_basis(deg)  # n >= 1 vectors: deg has full rank nrays - n
     # count integer t with e0 + K t >= 0 (a bounded polytope for complete fans)
     nt = len(kernel)
     cons = [([kernel[j][rho] for j in range(nt)], -e0[rho])

@@ -5,13 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .errors import FanError, LatticeError
 from .fans import Fan, _is_complete
 from .feasibility import count_lattice_points
-from .lattice import (IntMatrix, inverse_unimodular, scaled_inverse,
-                      smith_normal_form)
+from .lattice import IntMatrix, scaled_inverse, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def class_group(fan: Fan) -> PicLattice:
     rank = k - n
     if rank < 1:
         raise FanError("Picard rank zero is not supported")
-    uinv = inverse_unimodular(snf.U)
+    uinv, _ = scaled_inverse(snf.U)  # U is unimodular, so X = U^{-1}
     to_class = IntMatrix.from_rows(snf.U.entries[n:])
     lift = IntMatrix.from_rows([row[n:] for row in uinv.entries])
     return PicLattice(fan=fan, rank=rank, to_class_mat=to_class, lift_mat=lift)
@@ -59,7 +58,7 @@ def class_group(fan: Fan) -> PicLattice:
 
 def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
     """A divisor's ray coefficients as ints, checked to be one per ray."""
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = tuple(map(index, coeffs))
     if len(coeffs) != fan.nrays:
         raise FanError("divisor needs one coefficient per ray")
     return coeffs

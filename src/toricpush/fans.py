@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import index
 
 from .errors import FanError
 from .feasibility import is_feasible
-from .lattice import IntMatrix, cone_is_smooth, is_primitive, smith_normal_form
+from .lattice import IntMatrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -37,18 +39,18 @@ class FanReport:
 def _check_structure(dim, rays, max_cones):
     if dim < 1:
         raise FanError("dimension must be positive")
-    rays = tuple(tuple(int(e) for e in r) for r in rays)
+    rays = tuple(tuple(map(index, r)) for r in rays)
     for i, r in enumerate(rays):
         if len(r) != dim:
             raise FanError("ray %d has length %d, expected dim=%d"
                            % (i, len(r), dim))
-        if not is_primitive(r):
+        if math.gcd(*r) != 1:
             raise FanError("ray not primitive: %s" % (r,))
     if len(set(rays)) != len(rays):
         raise FanError("duplicate ray")
     cones = []
     for i, c in enumerate(max_cones):
-        c = tuple(int(j) for j in c)
+        c = tuple(map(index, c))
         for j in c:
             if not 0 <= j < len(rays):
                 raise FanError("cone %d: ray index %d out of range" % (i, j))
@@ -129,12 +131,12 @@ def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
     fan = Fan(dim=dim, rays=rays, max_cones=cones, name=name)
     smooth = True
     for c in cones:
-        if not cone_is_smooth(fan.cone_rays(c)):
-            # dependent rays never define a simplicial cone
-            rs = fan.cone_rays(c)
-            if smith_normal_form(IntMatrix.from_rows(rs)).rank() < len(rs):
-                raise FanError("cone %s has linearly dependent rays" % (c,))
-            smooth = False
+        # primitive rays extend to a basis iff every invariant factor is 1
+        factors = smith_normal_form(
+            IntMatrix.from_rows(fan.cone_rays(c))).invariant_factors()
+        if 0 in factors:
+            raise FanError("cone %s has linearly dependent rays" % (c,))
+        smooth = smooth and all(d == 1 for d in factors)
     for c1, c2 in combinations(cones, 2):
         if not _cones_intersect_properly(fan, c1, c2):
             raise FanError("cones %s and %s overlap improperly" % (c1, c2))
@@ -148,9 +150,7 @@ def projective_space(n: int) -> Fan:
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays.append(tuple(-1 for _ in range(n)))
     cones = [tuple(sorted(set(range(n + 1)) - {i})) for i in range(n + 1)]
-    fan, report = validate_fan(n, rays, cones, name="P%d" % n)
-    assert report.smooth and report.complete
-    return fan
+    return validate_fan(n, rays, cones, name="P%d" % n)[0]
 
 
 def product_fan(f: Fan, g: Fan, name="") -> Fan:
@@ -160,10 +160,8 @@ def product_fan(f: Fan, g: Fan, name="") -> Fan:
     rays += [(0,) * f.dim + r for r in g.rays]
     cones = [tuple(c1) + tuple(f.nrays + i for i in c2)
              for c1 in f.max_cones for c2 in g.max_cones]
-    fan, report = validate_fan(dim, rays, cones,
-                               name=name or "%sx%s" % (f.name, g.name))
-    assert report.smooth and report.complete
-    return fan
+    return validate_fan(dim, rays, cones,
+                        name=name or "%sx%s" % (f.name, g.name))[0]
 
 
 def hirzebruch(a: int) -> Fan:
@@ -172,6 +170,4 @@ def hirzebruch(a: int) -> Fan:
         raise FanError("hirzebruch needs a >= 0")
     rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    fan, report = validate_fan(2, rays, cones, name="F%d" % a)
-    assert report.smooth and report.complete
-    return fan
+    return validate_fan(2, rays, cones, name="F%d" % a)[0]

@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Smith normal form, coset enumeration,
-smooth-cone tests, and the one fraction-free inverse (scaled_inverse).
+"""Exact integer linear algebra: Smith normal form, coset enumeration, and
+one fraction-free Gauss-Jordan elimination (_bareiss) behind both the
+determinant and the inverse (scaled_inverse).
 
 Everything here works over arbitrary-precision Python ints: no Fraction and
 no floating point.
@@ -7,7 +8,6 @@ no floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import add, mul
 
@@ -33,7 +33,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(e) for e in row) for row in rows))
+        return IntMatrix(tuple(tuple(row) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -77,28 +77,35 @@ class IntMatrix:
         return self + other.scale(-1)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant, by the fraction-free elimination of _bareiss."""
         if self.nrows != self.ncols:
             raise LatticeError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _bareiss(list(map(list, self.entries)), self.nrows)
+
+
+def _bareiss(a, n) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the
+    first n columns of the row lists a, in place: entries stay minors, so each
+    division by the last pivot is exact, and the left block ends as D * I with
+    D = +-det.  Returns the signed det of that block, or 0 if it is singular."""
+    sign = prev = 1
+    for k in range(n):
+        for piv in range(k, n):
+            if a[piv][k]:
+                break
+        else:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row = a[k]
+        p = row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+    return sign * prev
 
 
 @dataclass(frozen=True)
@@ -201,38 +208,18 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
 
 
 def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:
-    """(X, d) with M^{-1} = X / d, X integral and d = |det M| > 0, by
-    fraction-free Gauss-Jordan on [M | I] (Bareiss, Math. Comp. 22, 1968):
-    each step's entries are minors, so every division by the last pivot is
-    exact, and the left block ends as det(P M) * I."""
+    """(X, d) with M^{-1} = X / d, X integral and d = |det M| > 0: _bareiss
+    on [M | I] leaves [D I | D M^{-1}] with D = +-det M."""
     if M.nrows != M.ncols:
         raise LatticeError("inverse of a non-square matrix")
     n = M.nrows
     a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(M.entries)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
-        prev = p
-    sign = 1 if prev > 0 else -1
+    if not _bareiss(a, n):
+        raise LatticeError("matrix is singular")
+    sign = 1 if a[0][0] > 0 else -1
     return (IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in a)),
-            sign * prev)
-
-
-def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv, d = scaled_inverse(M)
-    if d != 1:
-        raise LatticeError("matrix is not unimodular")
-    return inv
+            sign * a[0][0])
 
 
 def walk_cosets(F: IntMatrix, forms=()):
@@ -250,7 +237,7 @@ def walk_cosets(F: IntMatrix, forms=()):
     if F.nrows != F.ncols or 0 in radices:
         raise LatticeError("not a finite-index sublattice")
     walk = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
-    for col, d in zip(zip(*inverse_unimodular(snf.U).entries), radices):
+    for col, d in zip(zip(*scaled_inverse(snf.U)[0].entries), radices):
         step = tuple(sum(map(mul, row, col)) for row, _ in forms) + col
         walk = _axis(walk, step, d)
     return walk
@@ -267,24 +254,6 @@ def _axis(prefixes, step, d):
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
     """The walk_cosets representatives of Z^n / F(Z^n), as a list."""
     return list(walk_cosets(F))
-
-
-def is_primitive(v) -> bool:
-    g = 0
-    for e in v:
-        g = math.gcd(g, abs(e))
-    return g == 1
-
-
-def cone_is_smooth(rays) -> bool:
-    """True iff the rays extend to a basis of the ambient lattice."""
-    rays = [tuple(int(e) for e in r) for r in rays]
-    for r in rays:
-        if not is_primitive(r):
-            raise LatticeError("ray not primitive")
-    snf = smith_normal_form(IntMatrix.from_rows(rays))
-    factors = snf.invariant_factors()
-    return snf.rank() == len(rays) and all(d == 1 for d in factors[:len(rays)])
 
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:

@@ -9,7 +9,7 @@ import pytest
 from toricpush import (EndoError, IntMatrix, build_endo, compose, hirzebruch,
                        multiplication_endo, product_fan, projective_space,
                        smith_normal_form, validate_fan)
-from toricpush.lattice import inverse_unimodular
+from toricpush.lattice import scaled_inverse
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fans"
 
@@ -153,7 +153,7 @@ def box_cosets(F):
     """Reference for Z^n / F(Z^n): U^{-1} w for w in the SNF box, one matrix
     product per coset, in itertools.product order."""
     snf = smith_normal_form(F)
-    uinv = inverse_unimodular(snf.U)
+    uinv, _ = scaled_inverse(snf.U)
     return [uinv.mul_vector(w)
             for w in product(*[range(d) for d in snf.invariant_factors()])]
 

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
 
 from conftest import FIXTURE_DIR
-from toricpush import (Fan, FanError, IntMatrix, hirzebruch, product_fan,
+from toricpush import (Fan, FanError, IntMatrix, LatticeError, cox_ring,
+                       graded_dimension, h0, hirzebruch, product_fan,
                        projective_space, validate_fan)
 from toricpush.fans import _cones_intersect_properly
 from toricpush.feasibility import is_feasible
@@ -70,6 +72,14 @@ class TestValidateFan:
         _, report = validate_fan(2, [(1, 0), (1, 2)], [(0, 1)])
         assert not report.smooth
 
+    @pytest.mark.parametrize("rays", [[(1, 0), (-1, 0)],
+                                      [(1, 0, 0), (0, 1, 0), (1, 1, 0)]],
+                             ids=["dim2", "dim3"])
+    def test_dependent_rays_rejected(self, rays):
+        with pytest.raises(FanError, match=r"^cone \(0, 1(, 2)?\) has "
+                           r"linearly dependent rays$"):
+            validate_fan(len(rays[0]), rays, [range(len(rays))])
+
     def test_duplicate_ray(self):
         with pytest.raises(FanError, match="duplicate"):
             validate_fan(2, [(1, 0), (1, 0)], [(0, 1)])
@@ -81,6 +91,23 @@ class TestValidateFan:
     def test_nested_cones_rejected(self):
         with pytest.raises(FanError, match="contained"):
             validate_fan(2, [(1, 0), (0, 1)], [(0, 1), (0,)])
+
+
+# exact input only: a float, str or Fraction is refused, never truncated
+@pytest.mark.parametrize("call, error", [
+    (lambda: validate_fan(1, [(1.7,), (-1,)], [(0,), (1,)]), TypeError),
+    (lambda: validate_fan(1, [(1,), (-1,)], [(0,), (1.5,)]), TypeError),
+    (lambda: h0(projective_space(2), (1.9, 0, 0)), TypeError),
+    (lambda: h0(projective_space(2), ("2", 0, 0)), TypeError),
+    (lambda: h0(projective_space(2), (Fraction(3, 2), 0, 0)), TypeError),
+    (lambda: graded_dimension(cox_ring(projective_space(2)), (2.9,)),
+     TypeError),
+    (lambda: IntMatrix.from_rows([[2.5, 0], [0, 2]]), LatticeError),
+], ids=["ray", "cone-index", "h0-float", "h0-str", "h0-fraction",
+        "graded-dimension", "from-rows"])
+def test_non_integer_input_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestStandardFans:

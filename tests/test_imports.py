@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import toricpush
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -63,3 +65,37 @@ def test_module_detector():
 def test_fractions_only_in_feasibility(path):
     imports = imported_modules(path.read_text(encoding="utf-8"))
     assert ("fractions" in imports) == (path.name == "feasibility.py")
+
+
+def dead_definitions(sources, exported=()):
+    """Top-level functions and classes of the given module sources that no
+    code reads outside their own definition and that are not exported."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = node.name
+                defined.add(own)
+            names = {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name)}
+            names |= {sub.attr for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute)}
+            read |= names - {own}
+    return sorted(defined - read - set(exported))
+
+
+def test_dead_detector():
+    assert dead_definitions(
+        ["def used(): pass\ndef _helper(): return _helper()\n"
+         "class Kept: pass\nclass Gone: pass\n",
+         "import m\nused()\nm.Kept\n"],
+        exported=["Gone"]) == ["_helper"]
+
+
+# no public function exists only for its own test
+def test_no_dead_definitions():
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))]
+    assert dead_definitions(sources, toricpush.__all__) == []

@@ -1,16 +1,29 @@
+import math
+from itertools import combinations, permutations
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_cosets
-from toricpush import (IntMatrix, LatticeError, cone_is_smooth,
-                       coset_representatives, smith_normal_form)
-from toricpush.lattice import (inverse_unimodular, kernel_basis, scaled_inverse,
-                               solve_diophantine)
+from toricpush import (FanError, IntMatrix, LatticeError,
+                       coset_representatives, smith_normal_form, validate_fan)
+from toricpush.lattice import kernel_basis, scaled_inverse, solve_diophantine
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def leibniz_det(rows):
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(
+            row[j] for row, j in zip(rows, perm))
+    return total
 
 
 def check_snf_invariants(a):
@@ -87,7 +100,7 @@ def coset_reduce(F: IntMatrix, x) -> tuple[int, ...]:
     snf = smith_normal_form(F)
     y = snf.U.mul_vector(x)
     y = tuple(yi % d for yi, d in zip(y, snf.invariant_factors()))
-    return inverse_unimodular(snf.U).mul_vector(y)
+    return scaled_inverse(snf.U)[0].mul_vector(y)
 
 
 class TestCosetRepresentatives:
@@ -144,19 +157,24 @@ class TestCosetRepresentatives:
                 assert solve_diophantine(f, diff) is None
 
 
+def one_cone_smooth(rays):
+    """validate_fan's smoothness verdict on the fan of one cone."""
+    return validate_fan(len(rays[0]), rays, [range(len(rays))])[1].smooth
+
+
 class TestConeIsSmooth:
     def test_standard_basis(self):
-        assert cone_is_smooth([(1, 0), (0, 1)])
+        assert one_cone_smooth([(1, 0), (0, 1)])
 
     def test_index_two_cone(self):
-        assert not cone_is_smooth([(1, 0), (1, 2)])
+        assert not one_cone_smooth([(1, 0), (1, 2)])
 
     def test_partial_basis_extends(self):
-        assert cone_is_smooth([(1, 0)])
+        assert one_cone_smooth([(1, 0)])
 
     def test_non_primitive_rejected(self):
-        with pytest.raises(LatticeError, match="not primitive"):
-            cone_is_smooth([(2, 0), (0, 1)])
+        with pytest.raises(FanError, match="ray not primitive"):
+            one_cone_smooth([(2, 0), (0, 1)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([[(1, 0), (0, 1)], [(1, 0), (1, 2)],
@@ -169,7 +187,7 @@ class TestConeIsSmooth:
         g = mat(change)
         assert abs(g.det()) == 1
         moved = [g.mul_vector(r) for r in rays]
-        assert cone_is_smooth(rays) == cone_is_smooth(moved)
+        assert one_cone_smooth(rays) == one_cone_smooth(moved)
 
 
 @st.composite
@@ -194,11 +212,22 @@ def unimodular_matrices(draw):
     return m
 
 
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(square_matrices(),
+                     square_matrices(entries=st.integers(-1, 1))))
+    @example(mat([[0]]))
+    @example(mat([[1, 2], [2, 4]]))
+    @example(mat([[0, 1, 2], [0, 3, 4], [5, 6, 7]]))
+    def test_matches_leibniz(self, m):
+        assert m.det() == leibniz_det(m.entries)
+
+
 class TestScaledInverse:
     @settings(max_examples=300, deadline=None)
     @given(square_matrices())
     def test_scaled_inverse(self, m):
-        det = m.det()
+        det = leibniz_det(m.entries)
         if det == 0:
             with pytest.raises(LatticeError, match="^matrix is singular$"):
                 scaled_inverse(m)
@@ -214,24 +243,23 @@ class TestScaledInverse:
     @settings(max_examples=100, deadline=None)
     @given(unimodular_matrices())
     def test_inverse_unimodular(self, m):
-        assert inverse_unimodular(m) @ m == IntMatrix.identity(m.nrows)
+        x, d = scaled_inverse(m)
+        assert d == 1
+        assert x @ m == IntMatrix.identity(m.nrows)
 
     @pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 1], [-1, 1]],
                                       [[0, 2, 0], [1, 0, 0], [0, 0, -1]]])
-    def test_inverse_unimodular_rejects_det_two(self, rows):
-        assert abs(mat(rows).det()) == 2
-        with pytest.raises(LatticeError, match="^matrix is not unimodular$"):
-            inverse_unimodular(mat(rows))
+    def test_det_two_scale(self, rows):
+        assert abs(leibniz_det(rows)) == 2
+        x, d = scaled_inverse(mat(rows))
+        assert d == 2
+        assert mat(rows) @ x == IntMatrix.identity(len(rows)).scale(2)
 
 
 class TestHelpers:
     def test_inverse_unimodular(self):
         m = mat([[1, 2], [1, 3]])
-        assert m @ inverse_unimodular(m) == IntMatrix.identity(2)
-
-    def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(LatticeError):
-            inverse_unimodular(mat([[2, 0], [0, 1]]))
+        assert scaled_inverse(m) == (mat([[3, -2], [-1, 1]]), 1)
 
     def test_kernel_basis(self):
         a = mat([[1, 1, 1]])
