@@ -104,24 +104,26 @@ def cmd_intamp(x):
 
 
 def _decomposition(x):
-    """f_* O(D) and its JSON payload."""
-    dec = pushforward.decompose_pushforward(x.endo, x.divisor)
-    return dec, {"summands": [list(s) for s in dec.summands],
-                 "witness_divisors": [list(w) for w in dec.witness_divisors],
-                 "cosets": [list(u) for u in dec.cosets]}
+    """f_* O(D) as its coset table and the table's JSON payload."""
+    table = pushforward.coset_table(x.endo, x.divisor)
+    summands, witnesses, cosets = zip(*table)
+    return table, {"summands": [list(s) for s in summands],
+                   "witness_divisors": [list(w) for w in witnesses],
+                   "cosets": [list(u) for u in cosets]}
 
 
 def cmd_pushforward(x):
-    dec, payload = _decomposition(x)
-    rows = zip(dec.cosets, dec.summands, dec.witness_divisors)
-    table = ["coset           class           witness"]
-    table += ["%-15s %-15s %s" % tuple(",".join(map(str, v)) for v in row)
-              for row in rows]
-    return "\n".join(table), payload
+    table, payload = _decomposition(x)
+    lines = ["coset           class           witness"]
+    lines += ["%-15s %-15s %s" % tuple(",".join(map(str, v))
+                                       for v in (u, cls, w))
+              for cls, w, u in table]
+    return "\n".join(lines), payload
 
 
 def cmd_verify(x):
-    dec, payload = _decomposition(x)
+    table, payload = _decomposition(x)
+    dec = pushforward.Decomposition(summands=tuple(row[0] for row in table))
     report = pushforward.verify_decomposition(x.endo, x.divisor, dec,
                                               box=x.box)
     payload.update(passed=report.passed, checks=report.checks,

@@ -8,14 +8,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from operator import index
 
 from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
 from .feasibility import is_feasible, variable_bounds
-from .lattice import coset_representatives, kernel_basis, solve_diophantine
+from .lattice import (as_ints, coset_representatives, kernel_basis,
+                      solve_diophantine)
 from .pushforward import _twist_sums, decompose_pushforward
 
 
@@ -46,15 +46,20 @@ def cox_ring(fan: Fan) -> CoxRing:
                    degrees=tuple(zip(*pic.to_class_mat.entries)))
 
 
-@lru_cache(maxsize=None)
 def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     """Number of monomials of degree cls: nonnegative exponent vectors e with
     sum_rho e_rho * deg(x_rho) = cls, counted by direct Diophantine enumeration.
 
     This is an enumeration path independent of the section-polytope count in
-    divisors.h0; the two are cross-checked in the test suite.
+    divisors.h0; the two are cross-checked in the test suite.  Counts are
+    cached per (ring, class); cls is checked before the cache is read, as a
+    bool or float class would compare equal to an int one there.
     """
-    cls = tuple(map(index, cls))
+    return _graded_dimension(ring, as_ints(cls))
+
+
+@lru_cache(maxsize=None)
+def _graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     deg = ring.pic.to_class_mat  # rank x nrays, column rho = deg(x_rho)
     e0 = solve_diophantine(deg, cls)
     if e0 is None:
@@ -79,6 +84,11 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
                for rho in range(ring.fan.nrays)):
             count += 1
     return count
+
+
+# the cache's handles, so that it can be inspected and cleared as before
+graded_dimension.cache_info = _graded_dimension.cache_info
+graded_dimension.cache_clear = _graded_dimension.cache_clear
 
 
 def induced_cox_endo(endo: ToricEndomorphism, ring: CoxRing) -> CoxEndomorphism:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, mul
+from operator import mul
 
 from .errors import FanError, LatticeError
 from .fans import Fan, _is_complete
 from .feasibility import count_lattice_points
-from .lattice import IntMatrix, scaled_inverse, smith_normal_form
+from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def class_group(fan: Fan) -> PicLattice:
 
 def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
     """A divisor's ray coefficients as ints, checked to be one per ray."""
-    coeffs = tuple(map(index, coeffs))
+    coeffs = as_ints(coeffs)
     if len(coeffs) != fan.nrays:
         raise FanError("divisor needs one coefficient per ray")
     return coeffs

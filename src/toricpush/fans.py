@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import index
 
 from .errors import FanError
 from .feasibility import is_feasible
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix, as_ints, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class FanReport:
 def _check_structure(dim, rays, max_cones):
     if dim < 1:
         raise FanError("dimension must be positive")
-    rays = tuple(tuple(map(index, r)) for r in rays)
+    rays = tuple(map(as_ints, rays))
     for i, r in enumerate(rays):
         if len(r) != dim:
             raise FanError("ray %d has length %d, expected dim=%d"
@@ -50,7 +49,7 @@ def _check_structure(dim, rays, max_cones):
         raise FanError("duplicate ray")
     cones = []
     for i, c in enumerate(max_cones):
-        c = tuple(map(index, c))
+        c = as_ints(c)
         for j in c:
             if not 0 <= j < len(rays):
                 raise FanError("cone %d: ray index %d out of range" % (i, j))

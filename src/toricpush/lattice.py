@@ -9,9 +9,18 @@ no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import LatticeError
+
+
+def as_ints(values) -> tuple[int, ...]:
+    """values as a tuple of ints: whatever operator.index accepts, except
+    bool, which it would read as 0 or 1.  Anything else is a TypeError."""
+    values = tuple(values)
+    if bool in map(type, values):
+        raise TypeError("a bool is not an integer input")
+    return tuple(map(index, values))
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class IntMatrix:
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise LatticeError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -223,24 +232,29 @@ def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:
 
 
 def walk_cosets(F: IntMatrix, forms=()):
-    """Canonical representatives u of Z^n / F(Z^n), F nonsingular, streamed.
+    """Canonical representatives u of Z^n / F(Z^n), F nonsingular, streamed
+    one line at a time.
 
     With U F V = S, u = U^{-1} w for w in prod_i range(S_ii) in
     itertools.product order (mixed radix, last axis fastest), so the choice
     is reproducible byte-for-byte.  Each (row, offset) in the sequence forms
-    puts offset + <row, u> in front of u.  One precomputed step per axis (a
-    column of U^{-1} led by its pairings) keeps them all, so a coset costs
-    one vector addition, and no coset is kept once passed.
+    puts offset + <row, u> in front of u.  A line is the d cosets that differ
+    only in the last axis, whose factor d is the largest (S_11 | ... | S_nn):
+    the walk yields (start, step, d), and start + j * step for j in range(d)
+    are the line's vectors, in order.  One precomputed step per axis (a
+    column of U^{-1} led by its pairings) keeps the forms with u, so a line
+    costs one vector addition, and no line is kept once passed.
     """
     snf = smith_normal_form(F)
     radices = snf.invariant_factors()
     if F.nrows != F.ncols or 0 in radices:
         raise LatticeError("not a finite-index sublattice")
-    walk = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
-    for col, d in zip(zip(*scaled_inverse(snf.U)[0].entries), radices):
-        step = tuple(sum(map(mul, row, col)) for row, _ in forms) + col
-        walk = _axis(walk, step, d)
-    return walk
+    steps = [tuple(sum(map(mul, row, col)) for row, _ in forms) + col
+             for col in zip(*scaled_inverse(snf.U)[0].entries)]
+    starts = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
+    for step, d in zip(steps, radices[:-1]):
+        starts = _axis(starts, step, d)
+    return ((start, steps[-1], radices[-1]) for start in starts)
 
 
 def _axis(prefixes, step, d):
@@ -253,7 +267,8 @@ def _axis(prefixes, step, d):
 
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
     """The walk_cosets representatives of Z^n / F(Z^n), as a list."""
-    return list(walk_cosets(F))
+    return [u for start, step, d in walk_cosets(F)
+            for u in _axis((start,), step, d)]
 
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby, product
-from operator import floordiv, mul
+from itertools import chain, groupby, product, repeat
+from operator import add, floordiv
 
 from .divisors import _coefficients, class_group, h0_class
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
@@ -16,42 +16,101 @@ from .lattice import walk_cosets
 
 @dataclass(frozen=True)
 class Decomposition:
-    """f_* O(D) = direct sum of O(witness_u), one summand per coset u.
+    """f_* O(D) = direct sum of O(lambda) over the summand classes lambda.
 
-    Entries are aligned and sorted by summand class (lexicographically), so
-    the output is deterministic.
+    One class per coset of the character lattice, sorted lexicographically so
+    the output is deterministic; equal classes are one shared tuple.  The
+    cosets and witness divisors behind them are listed by coset_table.
     """
 
     summands: tuple[tuple[int, ...], ...]
-    witness_divisors: tuple[tuple[int, ...], ...]
-    cosets: tuple[tuple[int, ...], ...]
+
+
+def _runs(endo: ToricEndomorphism, coeffs):
+    """The floor formula run by run along each line of the coset box.
+
+    For the walk_cosets cosets u of Z^n / F^T Z^n, the summand witness has
+    coefficient w_rho = floor((a_rho + <u, v_rho>) / c_rho) at the ray
+    pi(rho).  Along a line, u = u0 + j du for j in range(d), so w_rho
+    changes only where b + j s (b = a_rho + <u0, v_rho>, s = <du, v_rho>)
+    crosses a multiple of c = c_rho: after the value w, next at
+    j = ceil(((w + 1) c - b) / s) for s > 0, at j = ceil((w c - 1 - b) / s)
+    for s < 0, and never for s = 0.  Merging those breakpoints over the
+    rays, the walk yields (witness, u0, du, j, length) for each stretch of
+    equal witnesses: the cosets u0 + i du for i in range(j, j + length), in
+    walk order.  A line costs O(rays + breakpoints), not O(d * rays).
+    """
+    fan = endo.fan
+    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    mults = [endo.mults[rho] for rho in endo.pi_inverse]
+    nrays = len(mults)
+    moving = None
+    for start, step, d in walk_cosets(endo.matrix.transpose(), forms):
+        if moving is None:
+            # every line has the same step; (k, s, c, e, g) puts the
+            # breakpoint after w at j = -((b + e - (w + g) c) // s)
+            moving = [(k, s, mults[k]) + ((0, 1) if s > 0 else (1, 0))
+                      for k, s in enumerate(step[:nrays]) if s]
+            du = step[nrays:]
+        u0 = start[nrays:]
+        # map stops where u begins; floor, as mults are > 0
+        witness = list(map(floordiv, start, mults))
+        # each moving ray's next breakpoint, then the end of the line
+        jumps = [-((start[k] + e - (witness[k] + g) * c) // s)
+                 for k, s, c, e, g in moving]
+        jumps.append(d)
+        j = 0
+        while True:
+            nxt = min(jumps)
+            yield tuple(witness), u0, du, j, nxt - j
+            if nxt == d:
+                break
+            for i, (k, s, c, e, g) in enumerate(moving):
+                if jumps[i] == nxt:
+                    b = start[k]
+                    witness[k] = w = (b + nxt * s) // c
+                    jumps[i] = -((b + e - (w + g) * c) // s)
+            j = nxt
 
 
 def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
     """Generalized Thomsen floor formula over cosets of the character lattice.
 
-    Coset representatives u run over Z^n / F^T Z^n; the summand witness for u
-    has coefficient floor((a_rho + <u, v_rho>) / c_rho) at the ray pi(rho).
-    One mixed-radix walk of the coset box carries every a_rho + <u, v_rho>
-    along with u, and equal summand classes share one tuple.
+    f_* O(D) has one summand O(witness_u) per coset u of Z^n / F^T Z^n
+    (witnesses as in _runs).  The witness, hence its class, is constant on
+    each run between floor breakpoints along a line of the coset box, so
+    summands are counted by run lengths, never coset by coset: one count per
+    distinct witness, one class per distinct witness, and the summands are
+    one shared tuple per class, repeated by its count.
     """
-    fan = endo.fan
-    coeffs = _coefficients(fan, coeffs)
-    rows = class_group(fan).to_class_mat.entries
-    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    mults = [endo.mults[rho] for rho in endo.pi_inverse]
-    nrays = len(mults)
-    classes, entries = {}, []
-    for vec in walk_cosets(endo.matrix.transpose(), forms):
-        # vec is (a_rho + <u, v_rho> in pi_inverse order) + u, and map stops
-        # where u begins; floor, as mults are > 0
-        witness = tuple(map(floordiv, vec, mults))
-        cls = tuple([sum(map(mul, row, witness)) for row in rows])
-        entries.append((classes.setdefault(cls, cls), witness, vec[nrays:]))
-    entries.sort()
-    return Decomposition(summands=tuple(e[0] for e in entries),
-                         witness_divisors=tuple(e[1] for e in entries),
-                         cosets=tuple(e[2] for e in entries))
+    coeffs = _coefficients(endo.fan, coeffs)
+    pic = class_group(endo.fan)
+    by_witness = {}
+    for witness, _, _, _, length in _runs(endo, coeffs):
+        by_witness[witness] = by_witness.get(witness, 0) + length
+    counts = {}
+    for witness, length in by_witness.items():
+        cls = pic.class_of(witness)
+        counts[cls] = counts.get(cls, 0) + length
+    return Decomposition(summands=tuple(chain.from_iterable(
+        repeat(cls, counts[cls]) for cls in sorted(counts))))
+
+
+def coset_table(endo: ToricEndomorphism, coeffs):
+    """Every coset's row (class, witness divisor, coset u) of f_* O(D),
+    sorted by class, then witness, then coset: the listing behind
+    decompose_pushforward, whose summands are its class column."""
+    coeffs = _coefficients(endo.fan, coeffs)
+    pic = class_group(endo.fan)
+    table = []
+    for witness, u0, du, j, length in _runs(endo, coeffs):
+        cls = pic.class_of(witness)
+        u = tuple([a + j * b for a, b in zip(u0, du)])
+        for _ in range(length):
+            table.append((cls, witness, u))
+            u = tuple(map(add, u, du))
+    table.sort()
+    return table
 
 
 @dataclass
@@ -145,20 +204,20 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
     iterate = endo
     for _ in range(k - 1):
         iterate = compose(iterate, endo)
-    direct = sorted(decompose_pushforward(iterate, coeffs).summands)
+    direct = Counter(decompose_pushforward(iterate, coeffs).summands)
 
     # mul:q gives q^n summands but few classes: push each class once
-    classes = Counter([pic.class_of(coeffs)])
+    stepped = Counter([pic.class_of(coeffs)])
     for _ in range(k):
         pushed = Counter()
-        for cls, mult in classes.items():
+        for cls, mult in stepped.items():
             for lam in decompose_pushforward(endo, pic.lift(cls)).summands:
                 pushed[lam] += mult
-        classes = pushed
-    stepped = sorted(classes.elements())
+        stepped = pushed
 
     report = VerificationReport(passed=direct == stepped, checks=1)
     if not report.passed:
         report.violations.append(
-            "multiset mismatch: direct %s vs stepped %s" % (direct, stepped))
+            "multiset mismatch: direct %s vs stepped %s"
+            % (sorted(direct.elements()), sorted(stepped.elements())))
     return report

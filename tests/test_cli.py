@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -12,6 +11,7 @@ from toricpush.io import parse_endo, parse_fan
 P2 = str(FIXTURE_DIR / "p2.fan.json")
 P1 = str(FIXTURE_DIR / "p1.fan.json")
 P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
+F1 = str(FIXTURE_DIR / "hirzebruch1.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
 
 # two opposite quadrants: smooth, every cone full-dimensional, not complete
@@ -96,6 +96,20 @@ EXACT_OUTPUT = {
         "1               -1              0,-1\n"
         "0               0               0,0\n"
         "2               0               1,-1\n"),
+    # classes (0,-1) and (0,0) have two witnesses each: rows are sorted by
+    # class, then witness, then coset
+    "pushforward-witnesses": (
+        ["pushforward", F1, "--endo", "mul:3", "--divisor", "1,0,0,0"],
+        "coset           class           witness\n"
+        "1,0             -1,0            0,0,-1,0\n"
+        "0,1             0,-1            0,0,0,-1\n"
+        "0,2             0,-1            0,0,0,-1\n"
+        "1,1             0,-1            0,0,0,-1\n"
+        "1,2             0,-1            0,0,0,-1\n"
+        "2,1             0,-1            1,0,-1,-1\n"
+        "0,0             0,0             0,0,0,0\n"
+        "2,0             0,0             1,0,-1,0\n"
+        "2,2             1,-1            1,0,0,-1\n"),
     "pushforward-json": (
         ["pushforward", P1XP1, "--endo", SWAP, "--divisor", "0,0,0,0",
          "--json"],
@@ -337,13 +351,15 @@ class TestExitCodes:
 
     def test_failed_verification(self, monkeypatch, capsys):
         # P1 mul:3 on O is (-1) + (-1) + (0); one (-1) turned into (0) fails
-        real = pushforward.decompose_pushforward
+        real = pushforward.coset_table
 
         def corrupted(endo, coeffs):
-            return dataclasses.replace(real(endo, coeffs),
-                                       summands=((-1,), (0,), (0,)))
+            table = real(endo, coeffs)
+            assert [row[0] for row in table] == [(-1,), (-1,), (0,)]
+            table[1] = ((0,),) + table[1][1:]
+            return table
 
-        monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
+        monkeypatch.setattr(pushforward, "coset_table", corrupted)
         assert run_command(["verify", P1, "--endo", "mul:3",
                             "--divisor", "0,0", "--box", "1"]) == 1
         assert capsys.readouterr().out == (

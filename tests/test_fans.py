@@ -93,7 +93,8 @@ class TestValidateFan:
             validate_fan(2, [(1, 0), (0, 1)], [(0, 1), (0,)])
 
 
-# exact input only: a float, str or Fraction is refused, never truncated
+# exact input only: a float, str, Fraction or bool is refused, never
+# truncated or read as a number
 @pytest.mark.parametrize("call, error", [
     (lambda: validate_fan(1, [(1.7,), (-1,)], [(0,), (1,)]), TypeError),
     (lambda: validate_fan(1, [(1,), (-1,)], [(0,), (1.5,)]), TypeError),
@@ -103,8 +104,16 @@ class TestValidateFan:
     (lambda: graded_dimension(cox_ring(projective_space(2)), (2.9,)),
      TypeError),
     (lambda: IntMatrix.from_rows([[2.5, 0], [0, 2]]), LatticeError),
+    # bool is an int subclass that operator.index reads as 0 or 1
+    (lambda: validate_fan(1, [(True,), (-1,)], [(0,), (1,)]), TypeError),
+    (lambda: validate_fan(1, [(1,), (-1,)], [(False,), (1,)]), TypeError),
+    (lambda: h0(projective_space(2), (True, 0, 0)), TypeError),
+    (lambda: graded_dimension(cox_ring(projective_space(2)), (True,)),
+     TypeError),
+    (lambda: IntMatrix.from_rows([[True, 0], [0, 2]]), LatticeError),
 ], ids=["ray", "cone-index", "h0-float", "h0-str", "h0-fraction",
-        "graded-dimension", "from-rows"])
+        "graded-dimension", "from-rows", "ray-bool", "cone-index-bool",
+        "h0-bool", "graded-dimension-bool", "from-rows-bool"])
 def test_non_integer_input_refused(call, error):
     with pytest.raises(error):
         call()

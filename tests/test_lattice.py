@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import box_cosets
 from toricpush import (FanError, IntMatrix, LatticeError,
                        coset_representatives, smith_normal_form, validate_fan)
-from toricpush.lattice import kernel_basis, scaled_inverse, solve_diophantine
+from toricpush.lattice import (kernel_basis, scaled_inverse, solve_diophantine,
+                               walk_cosets)
 
 
 def mat(rows):
@@ -129,7 +130,7 @@ class TestCosetRepresentatives:
             coset_representatives(mat([[1, 1], [2, 2]]))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n),
         min_size=n, max_size=n)))
     def test_walk_matches_box_products(self, rows):
@@ -138,6 +139,24 @@ class TestCosetRepresentatives:
         f = mat(rows)
         assume(f.det() != 0)
         assert coset_representatives(f) == box_cosets(f)
+
+    @pytest.mark.parametrize("rows", [[[2, 1, 0], [0, 3, 1], [1, 0, 4]],
+                                      [[6, 0], [0, 4]], [[0, 2], [1, 0]],
+                                      [[-5]]])
+    def test_lines_carry_the_forms(self, rows):
+        # each line runs along the last (largest) SNF axis, and its vectors
+        # are the box cosets led by offset + <row, u> for every form
+        f = mat(rows)
+        n = len(rows)
+        forms = [(tuple(range(1, n + 1)), 5), ((-2,) + (1,) * (n - 1), -3)]
+        last = smith_normal_form(f).invariant_factors()[-1]
+        lines = list(walk_cosets(f, forms))
+        assert len(lines) == abs(f.det()) // last
+        assert all(d == last for _, _, d in lines)
+        assert [tuple(a + j * b for a, b in zip(start, step))
+                for start, step, d in lines for j in range(d)] == [
+            tuple(off + sum(x * y for x, y in zip(row, u))
+                  for row, off in forms) + u for u in box_cosets(f)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),

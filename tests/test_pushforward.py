@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import pytest
 
 import toricpush.pushforward as pushforward
-from conftest import box_cosets
-from toricpush import (Decomposition, EndoError, IntMatrix, VerificationReport,
-                       build_endo, class_group, compose,
+from conftest import ORACLE_FANS, accepted_endos, box_cosets, oracle_endos
+from toricpush import (Decomposition, IntMatrix, VerificationReport,
+                       build_endo, class_group, compose, coset_table,
                        decompose_pushforward, degree, h0_class, hirzebruch,
                        iterate_coherence, multiplication_endo, product_fan,
                        projective_space, pullback_divisor, pullback_matrix,
                        validate_fan, verify_decomposition)
+from toricpush.lattice import walk_cosets
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -21,19 +23,36 @@ SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
 
 def reference_decompose(endo, coeffs):
     """The floor formula coset by coset: the box cosets, then one n-term sum
-    per ray and one class_of product per coset, sorted as the library sorts."""
+    per ray and one class_of product per coset, as (class, witness, coset)
+    rows sorted as coset_table sorts them."""
     fan = endo.fan
     pic = class_group(fan)
-    entries = []
+    rows = []
     for u in box_cosets(endo.matrix.transpose()):
         witness = tuple(
             (coeffs[rho] + sum(a * b for a, b in zip(u, fan.rays[rho])))
             // endo.mults[rho] for rho in endo.pi_inverse)
-        entries.append((pic.class_of(witness), witness, u))
-    entries.sort()
-    return Decomposition(summands=tuple(e[0] for e in entries),
-                         witness_divisors=tuple(e[1] for e in entries),
-                         cosets=tuple(e[2] for e in entries))
+        rows.append((pic.class_of(witness), witness, u))
+    return sorted(rows)
+
+
+def assert_matches_reference(endo, coeffs):
+    """decompose_pushforward is the class column of the reference rows, and
+    coset_table is the reference rows themselves."""
+    rows = reference_decompose(endo, coeffs)
+    assert (decompose_pushforward(endo, coeffs).summands
+            == tuple(row[0] for row in rows)), (endo.matrix, coeffs)
+    assert coset_table(endo, coeffs) == rows, (endo.matrix, coeffs)
+
+
+def line_pairings(endo, coeffs):
+    """(<du, v_rho> per ray in pi_inverse order, c_rho likewise, line length
+    d): how the floor numerators move along a line of the coset box."""
+    fan = endo.fan
+    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    _, step, d = next(walk_cosets(endo.matrix.transpose(), forms))
+    return (step[:fan.nrays], [endo.mults[rho] for rho in endo.pi_inverse],
+            d)
 
 
 def reference_iterate(endo, coeffs, k):
@@ -102,25 +121,52 @@ class TestGoldenDecompositions:
 
 
 class TestDecomposeDifferential:
-    """decompose_pushforward against the coset-by-coset floor formula,
-    compared by value (summand classes are shared tuples, so pickled bytes
-    may differ while every entry is equal)."""
+    """decompose_pushforward and coset_table against the coset-by-coset
+    floor formula, compared by value (summand classes are shared tuples, so
+    pickled bytes may differ while every entry is equal)."""
 
-    @pytest.mark.parametrize("fan", [P1XP1, hirzebruch(1), hirzebruch(2), P2],
-                             ids=["P1xP1", "F1", "F2", "P2"])
-    def test_every_small_endo_on_surfaces(self, fan):
-        accepted = 0
-        for entries in product(range(-2, 3), repeat=4):
-            try:
-                endo = build_endo(fan, IntMatrix.from_rows(
-                    [entries[:2], entries[2:]]))
-            except EndoError:
-                continue
-            accepted += 1
+    @pytest.mark.parametrize("name", ["P1xP1", "F1", "F2", "P2"])
+    def test_every_small_endo_on_surfaces(self, name):
+        # every accepted endo with entries in [-3, 3], swaps included, on
+        # zero, D_0, a mixed-sign divisor and three divisors in [-20, 20]
+        rng = random.Random(name)
+        fan = ORACLE_FANS[name][0]
+        for endo in oracle_endos(name):
+            coeffs = sample_coeffs(fan) + [
+                tuple(rng.randint(-20, 20) for _ in range(fan.nrays))
+                for _ in range(3)]
+            for d in coeffs:
+                assert_matches_reference(endo, d)
+
+    def test_negative_steps(self):
+        # mul:q on P2 moves the ray -(e1 + e2) backwards along every line
+        endo = multiplication_endo(P2, 5)
+        steps, _, _ = line_pairings(endo, (0, 0, 0))
+        assert min(steps) < 0
+        for coeffs in [(0, 0, 0), (3, -7, 2), (-11, 4, 9)]:
+            assert_matches_reference(endo, coeffs)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_several_jumps_per_step(self, a):
+        # on F_a under mul:2 the ray (-1, a) moves by a >= c = 2 per step,
+        # so its floor jumps at every step, by more than 1 on F_3
+        fan = hirzebruch(a)
+        endo = multiplication_endo(fan, 2)
+        steps, mults, _ = line_pairings(endo, (0,) * fan.nrays)
+        assert max(abs(s) - c for s, c in zip(steps, mults)) == a - 2
+        for coeffs in sample_coeffs(fan) + [(5, -3, 7, -9), (-13, 2, 1, 6)]:
+            assert_matches_reference(endo, coeffs)
+
+    @pytest.mark.parametrize("fan", [P2, P1XP1, hirzebruch(1)],
+                             ids=["P2", "P1xP1", "F1"])
+    def test_degree_one_lines(self, fan):
+        # an automorphism has one coset: one line with last radix 1
+        autos = [e for e in accepted_endos(fan, 1) if degree(e) == 1]
+        assert autos
+        for endo in autos:
+            assert line_pairings(endo, (0,) * fan.nrays)[2] == 1
             for coeffs in sample_coeffs(fan):
-                assert (decompose_pushforward(endo, coeffs)
-                        == reference_decompose(endo, coeffs)), (entries, coeffs)
-        assert accepted > 0
+                assert_matches_reference(endo, coeffs)
 
     @pytest.mark.parametrize("fan", [projective_space(3),
                                      product_fan(hirzebruch(1), P1)],
@@ -129,8 +175,23 @@ class TestDecomposeDifferential:
     def test_multiplication_in_dimension_three(self, fan, q):
         endo = multiplication_endo(fan, q)
         for coeffs in sample_coeffs(fan):
-            assert (decompose_pushforward(endo, coeffs)
-                    == reference_decompose(endo, coeffs)), coeffs
+            assert_matches_reference(endo, coeffs)
+
+
+def test_decomposition_memory():
+    # the summands are one shared tuple per class, counted along lines:
+    # 3375 summands of P3 mul:15 need no per-coset tuple or sort entry
+    endo = multiplication_endo(projective_space(3), 15)
+    class_group(endo.fan)
+    tracemalloc.start()
+    try:
+        dec = decompose_pushforward(endo, (0, 0, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.summands) == 15 ** 3
+    assert len({id(s) for s in dec.summands}) == len(set(dec.summands))
+    assert peak < 128 * 1024, peak
 
 
 class TestVerifyDecomposition:
@@ -140,9 +201,7 @@ class TestVerifyDecomposition:
         e = multiplication_endo(P1, 2)
         g = ray_class(P1, 0)
         two_g = tuple(2 * x for x in g)
-        dec = Decomposition(summands=(g, g, (0,), two_g, g),
-                            witness_divisors=((0, 0),) * 5,
-                            cosets=((0,),) * 5)
+        dec = Decomposition(summands=(g, g, (0,), two_g, g))
         rep = verify_decomposition(e, (0, 0), dec, box=0)
         assert rep.checks == 1 + 1 + 1 + 4
         assert rep.violations[-4:] == [
@@ -154,9 +213,7 @@ class TestVerifyDecomposition:
         dec = decompose_pushforward(e, (1, 0, 0))
         shifted = tuple(tuple(x + (1 if i == 0 else 0) for x in s)
                         for i, s in enumerate(dec.summands))
-        bad = Decomposition(summands=shifted,
-                            witness_divisors=dec.witness_divisors,
-                            cosets=dec.cosets)
+        bad = Decomposition(summands=shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=2)
         assert not report.passed
         assert any("twist" in v for v in report.violations)
@@ -164,9 +221,7 @@ class TestVerifyDecomposition:
     def test_wrong_rank_is_caught(self):
         e = multiplication_endo(P1, 2)
         dec = decompose_pushforward(e, (0, 0))
-        bad = Decomposition(summands=dec.summands + ((0,),),
-                            witness_divisors=dec.witness_divisors + ((0, 0),),
-                            cosets=dec.cosets + ((0,),))
+        bad = Decomposition(summands=dec.summands + ((0,),))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert any("degree" in v for v in report.violations)
@@ -176,9 +231,7 @@ class TestVerifyDecomposition:
         e = multiplication_endo(P1, 3)
         dec = decompose_pushforward(e, (0, 0))
         assert dec.summands == ((-1,), (-1,), (0,))
-        bad = Decomposition(summands=((-1,), (0,), (0,)),
-                            witness_divisors=dec.witness_divisors,
-                            cosets=dec.cosets)
+        bad = Decomposition(summands=((-1,), (0,), (0,)))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert ("twist (0,): h0(D + f*E) = 1 but summands give 2"
@@ -211,9 +264,7 @@ class TestVerifyDecomposition:
         report = verify_decomposition(e, (1, 0, 0), dec, box=0)
         assert report.passed and report.checks == 2  # rank + one twist
         shifted = ((dec.summands[0][0] + 1,),) + dec.summands[1:]
-        bad = Decomposition(summands=shifted,
-                            witness_divisors=dec.witness_divisors,
-                            cosets=dec.cosets)
+        bad = Decomposition(summands=shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=0)
         assert not report.passed
         assert any("twist (0,)" in v for v in report.violations)
@@ -271,9 +322,8 @@ class TestStructuralInvariants:
             fan = endo.fan
             pic = class_group(fan)
             ft = endo.matrix.transpose()
-            dec = decompose_pushforward(endo, (1,) * fan.nrays)
             pi_inv = endo.pi_inverse
-            for u, cls in zip(dec.cosets, dec.summands):
+            for cls, _, u in coset_table(endo, (1,) * fan.nrays):
                 for m in product(range(-1, 2), repeat=fan.dim):
                     shifted_u = tuple(a + b for a, b in
                                       zip(u, ft.mul_vector(m)))
@@ -291,11 +341,10 @@ class TestStructuralInvariants:
         # witness twisted by every divisor in a permutation-symmetric box
         def profile(fan, endo, coeffs):
             from toricpush import h0
-            dec = decompose_pushforward(endo, coeffs)
             return sorted(
                 tuple(sorted(h0(fan, tuple(a + b for a, b in zip(w, d)))
                              for d in product((-1, 0, 1), repeat=fan.nrays)))
-                for w in dec.witness_divisors)
+                for _, w, _ in coset_table(endo, coeffs))
 
         fan = hirzebruch(1)
         perm = [2, 0, 3, 1]
@@ -346,9 +395,7 @@ class TestIterateCoherence:
             if endo != step:
                 return dec
             first = tuple(x + 1 for x in dec.summands[0])
-            return Decomposition(summands=(first,) + dec.summands[1:],
-                                 witness_divisors=dec.witness_divisors,
-                                 cosets=dec.cosets)
+            return Decomposition(summands=(first,) + dec.summands[1:])
 
         monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
         rep = iterate_coherence(step, (0, 0), k=2)
