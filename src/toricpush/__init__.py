@@ -6,7 +6,7 @@ from .cox import (CoxEndomorphism, CoxRing, contracting_exponent, cox_ring,
                   graded_dimension, induced_cox_endo, module_shifts,
                   pic_coset_decomposition, rank_bookkeeping)
 from .divisors import (PicLattice, Positivity, class_group, h0, h0_class,
-                       positivity)
+                       is_projective, positivity)
 from .endos import (ToricEndomorphism, build_endo, compose, degree,
                     is_int_amplified, multiplication_endo, pullback_divisor,
                     pullback_matrix)
@@ -31,9 +31,9 @@ __all__ = [
     "coset_representatives", "coset_table", "cox_ring",
     "decompose_pushforward", "degree", "graded_dimension",
     "h0", "h0_class", "hirzebruch", "induced_cox_endo", "is_int_amplified",
-    "iterate_coherence", "module_shifts", "multiplication_endo",
-    "pic_coset_decomposition", "positivity", "product_fan",
-    "projective_space", "pullback_divisor", "pullback_matrix",
+    "is_projective", "iterate_coherence", "module_shifts",
+    "multiplication_endo", "pic_coset_decomposition", "positivity",
+    "product_fan", "projective_space", "pullback_divisor", "pullback_matrix",
     "rank_bookkeeping", "smith_normal_form", "validate_fan",
     "verify_decomposition",
 ]

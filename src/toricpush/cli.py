@@ -72,7 +72,7 @@ def cmd_validate(x):
              ("complete" if x.report.complete else "not complete")]
     return " ".join(words), {"smooth": x.report.smooth,
                              "complete": x.report.complete,
-                             "projective": x.report.projective,
+                             "projective": divisors.is_projective(x.fan),
                              "rays": [list(r) for r in x.fan.rays]}
 
 

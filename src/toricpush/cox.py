@@ -8,14 +8,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from operator import mul
 
 from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
 from .feasibility import is_feasible, variable_bounds
-from .lattice import (as_ints, coset_representatives, kernel_basis,
-                      solve_diophantine)
+from .lattice import as_ints, coset_representatives, smith_normal_form
 from .pushforward import _twist_sums, decompose_pushforward
 
 
@@ -48,7 +48,8 @@ def cox_ring(fan: Fan) -> CoxRing:
 
 def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     """Number of monomials of degree cls: nonnegative exponent vectors e with
-    sum_rho e_rho * deg(x_rho) = cls, counted by direct Diophantine enumeration.
+    sum_rho e_rho * deg(x_rho) = cls, counted by direct enumeration of the
+    integer solutions that one Smith normal form of the degree matrix gives.
 
     This is an enumeration path independent of the section-polytope count in
     divisors.h0; the two are cross-checked in the test suite.  Counts are
@@ -60,15 +61,16 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
-    deg = ring.pic.to_class_mat  # rank x nrays, column rho = deg(x_rho)
-    e0 = solve_diophantine(deg, cls)
-    if e0 is None:
-        return 0
-    kernel = kernel_basis(deg)  # n >= 1 vectors: deg has full rank nrays - n
+    # deg (rank x nrays, column rho = deg(x_rho)) is rows of class_group's
+    # unimodular U, so it is onto and one SNF gives U deg V = [I | 0]: the
+    # solutions of deg e = cls are e0 + K t for t in Z^n, with
+    # e0 = V (U cls, 0) and K the last n = nrays - rank columns of V
+    snf = smith_normal_form(ring.pic.to_class_mat)
+    nt = ring.fan.nrays - ring.pic.rank
+    e0 = snf.V.mul_vector(snf.U.mul_vector(cls) + (0,) * nt)
+    kernel = [row[-nt:] for row in snf.V.entries]  # row rho of K
     # count integer t with e0 + K t >= 0 (a bounded polytope for complete fans)
-    nt = len(kernel)
-    cons = [([kernel[j][rho] for j in range(nt)], -e0[rho])
-            for rho in range(ring.fan.nrays)]
+    cons = [(k, -e) for k, e in zip(kernel, e0)]
     if not is_feasible(cons, nt):
         return 0
     box = []
@@ -80,8 +82,7 @@ def _graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
         box.append(range(math.ceil(lo), math.floor(hi) + 1))
     count = 0
     for t in product(*box):
-        if all(e0[rho] + sum(kernel[j][rho] * t[j] for j in range(nt)) >= 0
-               for rho in range(ring.fan.nrays)):
+        if all(e + sum(map(mul, k, t)) >= 0 for k, e in zip(kernel, e0)):
             count += 1
     return count
 

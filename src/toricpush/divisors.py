@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import FanError, LatticeError
+from .errors import FanError
 from .fans import Fan, _is_complete
-from .feasibility import count_lattice_points
+from .feasibility import count_lattice_points, is_feasible
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
@@ -43,8 +43,8 @@ def class_group(fan: Fan) -> PicLattice:
     n, k = fan.dim, fan.nrays
     ray_matrix = IntMatrix.from_rows(fan.rays)  # k x n, rows are rays
     snf = smith_normal_form(ray_matrix)
-    factors = snf.invariant_factors()
-    if snf.rank() != n or any(d != 1 for d in factors[:n]):
+    factors = snf.invariant_factors()  # min(k, n) of them
+    if factors != (1,) * n:
         raise FanError("class group has torsion or rays do not span; "
                        "input is not a valid smooth complete fan")
     rank = k - n
@@ -75,10 +75,23 @@ def h0(fan: Fan, coeffs) -> int:
     return count
 
 
+def h0_class(fan: Fan, cls) -> int:
+    """h0 of the canonical lift of a divisor class, cached per (fan, class)
+    as h0 is class-invariant.  cls is checked before the cache is read, as
+    a bool or float class would compare equal to an int one there.
+    verify_decomposition, whose classes are sums of the decomposition's
+    classes and the twist box's ints, reads _h0_class directly."""
+    return _h0_class(fan, as_ints(cls))
+
+
 @lru_cache(maxsize=None)
-def h0_class(fan: Fan, cls: tuple[int, ...]) -> int:
-    """h0 of the canonical lift of a divisor class (cached; h0 is class-invariant)."""
+def _h0_class(fan: Fan, cls: tuple[int, ...]) -> int:
     return h0(fan, class_group(fan).lift(cls))
+
+
+# the cache's handles, so that it can be inspected and cleared as before
+h0_class.cache_info = _h0_class.cache_info
+h0_class.cache_clear = _h0_class.cache_clear
 
 
 class Positivity(enum.Enum):
@@ -102,10 +115,7 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
     for cone in fan.max_cones:
         # m_sigma solves <m, v_rho> = -a_rho on the cone, so it is
         # -R^{-1} a_cone = -rinv a_cone / s for R the cone's rays (as rows)
-        try:
-            rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
-        except LatticeError:
-            raise FanError("degenerate maximal cone %s" % (cone,)) from None
+        rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
         pairings = rinv.transpose()
         for rho in range(fan.nrays):
             if rho in cone:
@@ -116,6 +126,23 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
             form[rho] = s
             forms.append((tuple(form), s))
     return tuple(forms)
+
+
+def is_projective(fan: Fan) -> bool:
+    """Whether the fan has an ample divisor: False if it is not complete,
+    else whether g . a >= 1 is feasible over the Kleiman forms (g, s).
+
+    The forms vanish on principal divisors, and the first maximal cone's
+    rays are a basis of Q^n, so a positive multiple of any divisor differs
+    by a principal divisor from one that is 0 on those rays: only the other
+    nrays - n coefficients are variables.  No class_group is needed, so a
+    fan whose class group has torsion answers too.
+    """
+    if not _is_complete(fan):
+        return False
+    free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
+    return is_feasible([([g[rho] for rho in free], 1)
+                        for g, _ in kleiman_forms(fan)], len(free))
 
 
 def positivity(fan: Fan, coeffs) -> Positivity:

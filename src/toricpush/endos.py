@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
-from .divisors import PicLattice, _coefficients, kleiman_forms
+from .divisors import PicLattice, _coefficients, is_projective, kleiman_forms
 from .errors import EndoError
 from .fans import Fan
-from .feasibility import feasible_point, is_feasible
+from .feasibility import feasible_point
 from .lattice import IntMatrix
 
 
@@ -52,8 +52,7 @@ def build_endo(fan: Fan, matrix: IntMatrix) -> ToricEndomorphism:
                             % (v,))
         pi.append(j)
         mults.append(c)
-    if sorted(pi) != list(range(fan.nrays)):
-        raise EndoError("not ray-compatible: ray images collide")
+    # pi is a permutation: F v = c w, F v' = c' w give c' v = c v', so v = v'
     cone_sets = {frozenset(c) for c in fan.max_cones}
     for cone in fan.max_cones:
         if frozenset(pi[i] for i in cone) not in cone_sets:
@@ -117,8 +116,8 @@ def is_int_amplified(endo: ToricEndomorphism,
     normalized to margins >= 1 and decided in one exact feasibility solve
     of integer rows.  Clearing the witness's denominators scales every
     margin by a positive integer, so H and f*H - H are ample by
-    construction.  Only a "no" solves the ample system alone, to tell a fan
-    with no ample class apart.
+    construction.  Only a "no" asks is_projective, to tell a fan with no
+    ample class apart.
     """
     r = pic.rank
     ident = IntMatrix.identity(r)
@@ -127,7 +126,7 @@ def is_int_amplified(endo: ToricEndomorphism,
     point = feasible_point(
         ample + _strict_class_constraints(endo.fan, pic, pb - ident), r)
     if point is None:
-        if not is_feasible(ample, r):
+        if not is_projective(endo.fan):
             raise EndoError("no ample class found; fan may be non-projective")
         return False, None
     scale = lcm(*[x.denominator for x in point])

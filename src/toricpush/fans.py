@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -32,7 +33,6 @@ class Fan:
 class FanReport:
     smooth: bool
     complete: bool
-    projective: str = "assumed"
 
 
 def _check_structure(dim, rays, max_cones):
@@ -97,28 +97,16 @@ def _walls(cone):
 
 
 def _is_complete(fan: Fan) -> bool:
-    # pure n-dimensional + every wall in exactly two cones + wall-connected
+    """Pure n-dimensional, with every wall in exactly two maximal cones.
+
+    On cones that meet properly, as validate_fan has checked, this is
+    completeness: away from the codimension-2 skeleton the support is then
+    open and closed in R^n, and that set is connected.
+    """
     if any(len(c) != fan.dim for c in fan.max_cones):
         return False
-    incidence: dict[tuple[int, ...], list[int]] = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for w in _walls(cone):
-            incidence.setdefault(w, []).append(ci)
-    if any(len(v) != 2 for v in incidence.values()):
-        return False
-    # connectivity across walls
-    adj: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for a, b in incidence.values():
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(fan.max_cones)
+    walls = Counter(w for cone in fan.max_cones for w in _walls(cone))
+    return all(k == 2 for k in walls.values())
 
 
 def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:

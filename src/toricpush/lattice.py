@@ -129,9 +129,6 @@ class SnfResult:
         m = min(self.S.nrows, self.S.ncols)
         return tuple(self.S.entries[i][i] for i in range(m))
 
-    def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors() if d != 0)
-
 
 def _select_pivot(a, t, m, n):
     # smallest-magnitude nonzero entry of the trailing submatrix, ties broken
@@ -270,32 +267,3 @@ def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
     return [u for start, step, d in walk_cosets(F)
             for u in _axis((start,), step, d)]
 
-
-def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of A (columns of V at zero invariant factors)."""
-    snf = smith_normal_form(A)
-    diag = snf.invariant_factors()
-    cols = list(zip(*snf.V.entries))
-    basis = []
-    for j in range(A.ncols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(cols[j]))
-    return basis
-
-
-def solve_diophantine(A: IntMatrix, b) -> tuple[int, ...] | None:
-    """One integer solution of A x = b, or None if there is none."""
-    snf = smith_normal_form(A)
-    y = snf.U.mul_vector(b)
-    diag = snf.invariant_factors()
-    z = [0] * A.ncols
-    for i in range(A.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            z[i] = y[i] // d
-    return snf.V.mul_vector(z)

@@ -9,7 +9,7 @@ from functools import partial
 from itertools import chain, groupby, product, repeat
 from operator import add, floordiv
 
-from .divisors import _coefficients, class_group, h0_class
+from .divisors import _coefficients, _h0_class, class_group
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
 from .lattice import walk_cosets
 
@@ -134,8 +134,8 @@ def _twist_sums(endo: ToricEndomorphism, coeffs, summands, count, box: int):
     pb = pullback_matrix(endo, pic)
     distinct = Counter(summands)  # mul:q gives q^n summands, few classes
     for twist in product(range(-box, box + 1), repeat=pic.rank):
-        lhs = h0_class(fan, tuple(a + b for a, b in
-                                  zip(d_class, pb.mul_vector(twist))))
+        lhs = _h0_class(fan, tuple(a + b for a, b in
+                                   zip(d_class, pb.mul_vector(twist))))
         rhs = sum(mult * count(tuple(a + b for a, b in zip(lam, twist)))
                   for lam, mult in distinct.items())
         yield twist, lhs, rhs
@@ -162,7 +162,7 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
             "rank %d does not equal degree %d" % (len(dec.summands), d))
 
     for twist, lhs, rhs in _twist_sums(endo, coeffs, dec.summands,
-                                       partial(h0_class, fan), box):
+                                       partial(_h0_class, fan), box):
         report.checks += 1
         if lhs != rhs:
             report.passed = False
@@ -185,7 +185,7 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
             if lam == zero:
                 continue
             report.checks += mult
-            if h0_class(fan, lam) != 0:
+            if _h0_class(fan, lam) != 0:
                 report.passed = False
                 report.violations += (
                     ["non-trivial summand %s has h0 > 0" % (lam,)] * mult)

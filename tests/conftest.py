@@ -9,6 +9,7 @@ import pytest
 from toricpush import (EndoError, IntMatrix, build_endo, compose, hirzebruch,
                        multiplication_endo, product_fan, projective_space,
                        smith_normal_form, validate_fan)
+from toricpush.io import parse_fan
 from toricpush.lattice import scaled_inverse
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fans"
@@ -25,6 +26,16 @@ def corpus_fans():
         "F2": hirzebruch(2),
         "F3": hirzebruch(3),
     }
+
+
+def bundled_fans():
+    """The fan files shipped in fans/, validated, by file stem."""
+    fans = {}
+    for path in sorted(FIXTURE_DIR.glob("*.fan.json")):
+        doc = parse_fan(path.read_text())
+        fans[path.name.split(".")[0]] = validate_fan(
+            doc.dim, doc.rays, doc.cones, name=path.name)[0]
+    return fans
 
 
 def swap_endo(p1xp1):

@@ -72,7 +72,7 @@ EXACT_OUTPUT = {
     "validate": (["validate", P2], "smooth complete\n"),
     "validate-json": (
         ["validate", P1, "--json"],
-        '{"complete": true, "projective": "assumed", "rays": [[1], [-1]], '
+        '{"complete": true, "projective": true, "rays": [[1], [-1]], '
         '"smooth": true}\n'),
     "h0": (["h0", P2, "--divisor", "2,0,0"], "6\n"),
     "h0-json": (["h0", P2, "--divisor", "2,0,0", "--json"], '{"h0": 6}\n'),
@@ -153,7 +153,7 @@ class TestCommands:
     def test_validate_json(self, capsys):
         assert run_command(["validate", P2, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["smooth"] and data["complete"]
+        assert data["smooth"] and data["complete"] and data["projective"]
 
     def test_endo_check(self, capsys):
         assert run_command(["endo-check", P2, "--endo", "mul:2", "--json"]) == 0
@@ -335,6 +335,17 @@ class TestExitCodes:
             2, "", "error: %s needs a complete fan\n" % command)
         assert _outcome(["validate", str(fan)], capsys) == (
             0, "smooth not complete\n", "")
+
+    def test_validate_json_non_complete_fan(self, tmp_path, capsys):
+        # validate answers on any fan, and a fan that is not complete is
+        # not projective
+        fan = tmp_path / "half.fan.json"
+        fan.write_text(json.dumps(HALF_PLANE))
+        code, out, err = _outcome(["validate", str(fan), "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"complete": False, "projective": False,
+                                   "rays": HALF_PLANE["rays"],
+                                   "smooth": True}
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

@@ -2,14 +2,17 @@ from itertools import product
 
 import pytest
 
-from conftest import ORACLE_FANS, half_plane_fan, oracle_endos
+import toricpush.cox as cox_module
+import toricpush.lattice as lattice_module
+from conftest import (ORACLE_FANS, WEIGHTED, bundled_fans, half_plane_fan,
+                      oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, VerificationError,
                        build_endo, class_group, contracting_exponent, cox_ring,
                        decompose_pushforward, graded_dimension, h0,
                        hirzebruch, induced_cox_endo, is_int_amplified,
                        module_shifts, multiplication_endo,
                        pic_coset_decomposition, product_fan, projective_space,
-                       pullback_matrix, rank_bookkeeping)
+                       pullback_matrix, rank_bookkeeping, smith_normal_form)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -210,8 +213,6 @@ class TestModuleShifts:
 
     def test_verification_is_live(self, monkeypatch):
         # force a wrong shift multiset through the graded-dimension check
-        import toricpush.cox as cox_module
-
         e = multiplication_endo(P1, 2)
         real = decompose_pushforward(e, (0, 0))
         corrupted = real.summands[:-1] + (tuple(x + 1 for x in
@@ -224,6 +225,39 @@ class TestModuleShifts:
                             lambda endo, coeffs: FakeDec)
         with pytest.raises(VerificationError):
             module_shifts(e, (0, 0))
+
+
+def degree_matrix_fans():
+    """(label, fan) for every bundled, ORACLE_FANS and weighted fan."""
+    yield from bundled_fans().items()
+    yield from ((name, fan) for name, (fan, _) in sorted(ORACLE_FANS.items()))
+    yield from ((name, weighted_plane(name)) for name in sorted(WEIGHTED))
+
+
+class TestDegreeMatrix:
+    """graded_dimension reads every solution of deg e = cls off one Smith
+    normal form of the degree matrix deg, which needs deg onto."""
+
+    @pytest.mark.parametrize("label, fan", list(degree_matrix_fans()),
+                             ids=[label for label, _ in degree_matrix_fans()])
+    def test_degree_matrix_is_onto(self, label, fan):
+        pic = class_group(fan)
+        assert (smith_normal_form(pic.to_class_mat).invariant_factors()
+                == (1,) * pic.rank)
+
+    def test_one_snf_per_cold_class(self, monkeypatch):
+        ring = cox_ring(P1XP1)
+        graded_dimension.cache_clear()
+        calls = []
+        real = lattice_module.smith_normal_form
+        for module in (lattice_module, cox_module):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda a: calls.append(a) or real(a),
+                                raising=False)
+        assert graded_dimension(ring, (2, 3)) == 12
+        assert calls == [ring.pic.to_class_mat]
+        assert graded_dimension(ring, (2, 3)) == 12  # a cache hit
+        assert len(calls) == 1
 
 
 class TestRankBookkeeping:

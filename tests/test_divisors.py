@@ -4,10 +4,10 @@ from math import comb
 
 import pytest
 
-from conftest import (WEIGHTED, fraction_kleiman_forms, half_plane_fan,
-                      weighted_plane)
+from conftest import (WEIGHTED, bundled_fans, fraction_kleiman_forms,
+                      half_plane_fan, weighted_plane)
 from toricpush import (FanError, Positivity, class_group,
-                       decompose_pushforward, h0, hirzebruch,
+                       decompose_pushforward, h0, hirzebruch, is_projective,
                        multiplication_endo, positivity, product_fan,
                        projective_space, pullback_divisor,
                        verify_decomposition, validate_fan)
@@ -127,6 +127,31 @@ class TestH0:
             shifted = tuple(a + sum(mi * vi for mi, vi in zip(m, ray))
                             for ray, a in zip(fan.rays, coeffs))
             assert h0(fan, coeffs) == h0(fan, shifted)
+
+
+class TestIsProjective:
+    @pytest.mark.parametrize("name", sorted(bundled_fans()))
+    def test_bundled_fans(self, name):
+        assert is_projective(bundled_fans()[name])
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_weighted_planes(self, name):
+        assert is_projective(weighted_plane(name))
+
+    def test_class_group_with_torsion(self):
+        # P2 / (Z/3): complete and projective, Cl = Z + Z/3, no Picard
+        # lattice in class_group's sense
+        fan, _ = validate_fan(2, [(2, -1), (-1, 2), (-1, -1)],
+                              [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(FanError, match="torsion"):
+            class_group(fan)
+        assert is_projective(fan)
+
+    def test_not_complete(self):
+        dangling, _ = validate_fan(2, [(1, 0), (0, 1), (-1, -1)],
+                                   [(0, 1), (1, 2)])
+        assert not is_projective(dangling)
+        assert not is_projective(half_plane_fan())
 
 
 class TestPositivity:

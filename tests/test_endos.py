@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
+import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
-from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, corpus_fans,
-                      corpus_pairs, fraction_kleiman_forms, half_plane_fan,
-                      oracle_endos, weighted_plane)
+from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, bundled_fans,
+                      corpus_fans, corpus_pairs, fraction_kleiman_forms,
+                      half_plane_fan, oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, multiplication_endo,
                        positivity, Positivity, product_fan, projective_space,
@@ -100,6 +103,25 @@ class TestBuildEndo:
                               [(0, 1), (2, 3)])
         with pytest.raises(EndoError, match="not cone-compatible"):
             build_endo(fan, IntMatrix.from_rows([[1, 0], [0, -1]]))
+
+    @pytest.mark.parametrize("fan", [f for f in bundled_fans().values()
+                                     if f.dim == 2], ids=lambda f: f.name)
+    def test_ray_images_never_collide(self, fan):
+        # build_endo does not check that pi is a permutation: for every
+        # nonsingular F with entries in [-3, 3] that sends each ray to a
+        # multiple of a ray, distinct rays go to distinct rays
+        index = {w: j for j, w in enumerate(fan.rays)}
+        maps = 0
+        for a, b, c, d in product(range(-3, 4), repeat=4):
+            if a * d == b * c:
+                continue
+            images = [(a * x + b * y, c * x + d * y) for x, y in fan.rays]
+            pi = [index.get((u // gcd(u, v), v // gcd(u, v)))
+                  for u, v in images]
+            if None not in pi:
+                maps += 1
+                assert sorted(pi) == list(range(fan.nrays))
+        assert maps >= 2
 
     def test_ray_action_rechecked(self):
         for endo in (SWAP, multiplication_endo(P2, 3)):
@@ -256,11 +278,12 @@ class TestIntAmplified:
         (multiplication_endo(P1XP1, 1), (1, 1))])
     def test_one_solve_unless_no(self, endo, solves, monkeypatch):
         # (feasible_point calls, is_feasible calls): a "yes" is one solve;
-        # only a "no" solves the ample system alone
+        # only a "no" asks is_projective, which solves the ample system alone
         calls = []
-        for name in ("feasible_point", "is_feasible"):
-            real = getattr(endos_module, name)
-            monkeypatch.setattr(endos_module, name,
+        for module, name in ((endos_module, "feasible_point"),
+                             (divisors_module, "is_feasible")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, real=real, name=name:
                                 calls.append(name) or real(*a))
         is_int_amplified(endo, class_group(endo.fan))
@@ -276,7 +299,8 @@ class TestIntAmplified:
         # a form and its negative: no class is strictly positive on both
         # (g, s) = ((1, 0, -2, 0), 2) is the form (1/2, 0, -1, 0)
         forms = (((1, 0, -2, 0), 2), ((-1, 0, 2, 0), 2))
-        monkeypatch.setattr(endos_module, "kleiman_forms", lambda fan: forms)
+        for module in (endos_module, divisors_module):
+            monkeypatch.setattr(module, "kleiman_forms", lambda fan: forms)
         message = "no ample class found; fan may be non-projective"
         with pytest.raises(EndoError, match="^%s$" % message):
             is_int_amplified(SWAP, class_group(P1XP1))

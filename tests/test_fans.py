@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -5,13 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import bundled_fans
 from toricpush import (Fan, FanError, IntMatrix, LatticeError, cox_ring,
-                       graded_dimension, h0, hirzebruch, product_fan,
+                       graded_dimension, h0, h0_class, hirzebruch, product_fan,
                        projective_space, validate_fan)
-from toricpush.fans import _cones_intersect_properly
+from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import is_feasible
-from toricpush.io import parse_fan
 
 
 def complete_rank2_oracle(rays, max_cones):
@@ -111,9 +111,16 @@ class TestValidateFan:
     (lambda: graded_dimension(cox_ring(projective_space(2)), (True,)),
      TypeError),
     (lambda: IntMatrix.from_rows([[True, 0], [0, 2]]), LatticeError),
+    (lambda: h0_class(projective_space(2), (2.9,)), TypeError),
+    (lambda: h0_class(projective_space(2), (True,)), TypeError),
+    # a float class equal to a cached int class is refused, not read from
+    # the cache
+    (lambda: (h0_class(projective_space(2), (2,)),
+              h0_class(projective_space(2), (2.0,))), TypeError),
 ], ids=["ray", "cone-index", "h0-float", "h0-str", "h0-fraction",
         "graded-dimension", "from-rows", "ray-bool", "cone-index-bool",
-        "h0-bool", "graded-dimension-bool", "from-rows-bool"])
+        "h0-bool", "graded-dimension-bool", "from-rows-bool",
+        "h0-class-float", "h0-class-bool", "h0-class-cached-float"])
 def test_non_integer_input_refused(call, error):
     with pytest.raises(error):
         call()
@@ -235,12 +242,7 @@ def built_fans():
 
 def overlap_test_fans():
     """The built fans above plus every bundled fan file."""
-    fans = built_fans()
-    for path in sorted(FIXTURE_DIR.glob("*.fan.json")):
-        doc = parse_fan(path.read_text())
-        fans.append(validate_fan(doc.dim, doc.rays, doc.cones,
-                                 name=path.name)[0])
-    return fans
+    return built_fans() + list(bundled_fans().values())
 
 
 def planted_overlap(fan):
@@ -271,3 +273,76 @@ class TestOverlapCheck:
         planted = planted_overlap(fan)
         with pytest.raises(FanError, match="overlap"):
             validate_fan(planted.dim, planted.rays, planted.max_cones)
+
+
+def connected_complete(fan):
+    """Reference completeness that also walks the walls: pure
+    n-dimensional, every wall in exactly two maximal cones, and every cone
+    reached from the first across walls."""
+    if any(len(c) != fan.dim for c in fan.max_cones):
+        return False
+    incidence = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for wall in combinations(cone, fan.dim - 1):
+            incidence.setdefault(wall, []).append(ci)
+    if any(len(cones) != 2 for cones in incidence.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        ci = stack.pop()
+        for pair in incidence.values():
+            if ci in pair:
+                other = pair[1] if pair[0] == ci else pair[0]
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return len(seen) == len(fan.max_cones)
+
+
+def relabelled_subfans(rng, fan, count):
+    """count validated fans, each the fan's rays in a random order with a
+    random nonempty set of its maximal cones (all of them half the time)."""
+    for _ in range(count):
+        perm = list(range(fan.nrays))
+        rng.shuffle(perm)
+        cones = [tuple(perm[i] for i in c) for c in fan.max_cones]
+        if rng.random() < 0.5:
+            cones = rng.sample(cones, rng.randint(1, len(cones)))
+        rays = [None] * fan.nrays
+        for i, j in enumerate(perm):
+            rays[j] = fan.rays[i]
+        yield validate_fan(fan.dim, rays, cones)[0]
+
+
+def random_plane_fans(rng, count):
+    """count validated 2D fans: random primitive rays in angular order, the
+    salient consecutive pairs as cones, some of them dropped a third of the
+    time."""
+    made = 0
+    while made < count:
+        rays = list({(x // math.gcd(x, y), y // math.gcd(x, y))
+                     for x, y in ((rng.randint(-3, 3), rng.randint(-3, 3))
+                                  for _ in range(rng.randint(3, 7)))
+                     if (x, y) != (0, 0)})
+        rays.sort(key=lambda v: math.atan2(v[1], v[0]))
+        cones = [(i, (i + 1) % len(rays)) for i in range(len(rays))
+                 if rays[i][0] * rays[(i + 1) % len(rays)][1]
+                 - rays[i][1] * rays[(i + 1) % len(rays)][0] > 0]
+        if rng.random() < 1 / 3 and len(cones) > 1:
+            cones = rng.sample(cones, rng.randint(1, len(cones) - 1))
+        if len(rays) < 3 or not cones:
+            continue
+        made += 1
+        yield validate_fan(2, rays, cones)[0]
+
+
+def test_completeness_needs_no_connectivity_walk():
+    # on cones that meet properly, pure with every wall in two cones is
+    # already wall-connected: the deleted walk could never say False
+    rng = random.Random(4242)
+    fans = [sub for fan in [*bundled_fans().values(), *built_fans()]
+            for sub in relabelled_subfans(rng, fan, 12)]
+    fans += random_plane_fans(rng, 150)
+    verdicts = [_is_complete(fan) for fan in fans]
+    assert verdicts == [connected_complete(fan) for fan in fans]
+    assert 50 < sum(verdicts) < len(fans) - 50

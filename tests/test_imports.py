@@ -69,8 +69,15 @@ def test_fractions_only_in_feasibility(path):
 
 def dead_definitions(sources, exported=()):
     """Top-level functions and classes of the given module sources that no
-    code reads outside their own definition and that are not exported."""
+    code reads outside their own definition and that are not exported, and
+    the public methods and properties of those classes ("Class.name") that
+    no code reads as an attribute outside their own body.
+
+    Attributes are matched by name only, so a read of a name that is also a
+    class field (an annotated name in some class body) cannot tell the
+    field from the method, and keeps no method of that name alive."""
     defined, read = set(), set()
+    methods, read_attrs, fields = set(), set(), set()
     for source in sources:
         for node in ast.parse(source).body:
             own = None
@@ -80,10 +87,25 @@ def dead_definitions(sources, exported=()):
                 defined.add(own)
             names = {sub.id for sub in ast.walk(node)
                      if isinstance(sub, ast.Name)}
-            names |= {sub.attr for sub in ast.walk(node)
-                      if isinstance(sub, ast.Attribute)}
-            read |= names - {own}
-    return sorted(defined - read - set(exported))
+            attrs = {sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute)}
+            read |= (names | attrs) - {own}
+            if not isinstance(node, ast.ClassDef):
+                read_attrs |= attrs
+                continue
+            for item in node.body:
+                attrs = {sub.attr for sub in ast.walk(item)
+                         if isinstance(sub, ast.Attribute)}
+                if isinstance(item, ast.AnnAssign):
+                    fields.add(item.target.id)
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    methods.add((node.name, item.name))
+                    attrs.discard(item.name)
+                read_attrs |= attrs
+    return (sorted(defined - read - set(exported))
+            + sorted("%s.%s" % m for m in methods
+                     if m[1] not in read_attrs - fields))
 
 
 def test_dead_detector():
@@ -94,7 +116,27 @@ def test_dead_detector():
         exported=["Gone"]) == ["_helper"]
 
 
-# no public function exists only for its own test
+def test_dead_method_detector():
+    # a method read only by its own body, or by nothing, is dead; private
+    # and dunder methods are not checked
+    assert dead_definitions(
+        ["class Box:\n"
+         "    def __add__(self, o): return self\n"
+         "    def _spare(self): pass\n"
+         "    @property\n"
+         "    def size(self): return self.size\n"
+         "    def rank(self): pass\n"
+         "    def lift(self): pass\n"
+         "    def shape(self): return self.lift()\n"
+         "    def dim(self): pass\n"
+         "class Lattice:\n"
+         "    dim: int\n",
+         "def use(box, lat): return box.shape(), lat.dim\n"],
+        exported=["Box", "Lattice", "use"]) == ["Box.dim", "Box.rank",
+                                                "Box.size"]
+
+
+# no public function or method exists only for its own test
 def test_no_dead_definitions():
     sources = [p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))]
