@@ -33,8 +33,7 @@ def _load_endo(fan, spec: str):
         except ValueError:
             raise InputError("bad multiplication shorthand %r" % spec) from None
         return endos.multiplication_endo(fan, q)
-    doc = parse_endo(_read(spec))
-    return endos.build_endo(fan, IntMatrix.from_rows(doc.matrix))
+    return endos.build_endo(fan, IntMatrix.from_rows(parse_endo(_read(spec))))
 
 
 def _load(args, inputs) -> argparse.Namespace:
@@ -68,12 +67,10 @@ def _load(args, inputs) -> argparse.Namespace:
 # an exit code where it can differ from EXIT_OK.
 
 def cmd_validate(x):
-    words = [("smooth" if x.report.smooth else "not smooth"),
-             ("complete" if x.report.complete else "not complete")]
-    return " ".join(words), {"smooth": x.report.smooth,
-                             "complete": x.report.complete,
-                             "projective": divisors.is_projective(x.fan),
-                             "rays": [list(r) for r in x.fan.rays]}
+    verdicts = {"smooth": x.report.smooth, "complete": x.report.complete,
+                "projective": divisors.is_projective(x.fan)}
+    return (" ".join(k if v else "not " + k for k, v in verdicts.items()),
+            dict(verdicts, rays=[list(r) for r in x.fan.rays]))
 
 
 def cmd_h0(x):

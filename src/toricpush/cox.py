@@ -5,6 +5,7 @@ Pic / f*Pic coset bookkeeping."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -14,7 +15,7 @@ from .divisors import PicLattice, _coefficients, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
-from .feasibility import is_feasible, variable_bounds
+from .feasibility import feasible_point, variable_bounds
 from .lattice import as_ints, coset_representatives, smith_normal_form
 from .pushforward import _twist_sums, decompose_pushforward
 
@@ -71,7 +72,7 @@ def _graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
     kernel = [row[-nt:] for row in snf.V.entries]  # row rho of K
     # count integer t with e0 + K t >= 0 (a bounded polytope for complete fans)
     cons = [(k, -e) for k, e in zip(kernel, e0)]
-    if not is_feasible(cons, nt):
+    if feasible_point(cons, nt) is None:
         return 0
     box = []
     for i in range(nt):
@@ -148,7 +149,7 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
     """
     coeffs = _coefficients(endo.fan, coeffs)
     shifts = decompose_pushforward(endo, coeffs).summands
-    for mu, lhs, rhs in _twist_sums(endo, coeffs, shifts,
+    for mu, lhs, rhs in _twist_sums(endo, coeffs, Counter(shifts),
                                     partial(graded_dimension,
                                             cox_ring(endo.fan)), box):
         if lhs != rhs:

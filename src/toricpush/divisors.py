@@ -9,13 +9,15 @@ from operator import mul
 
 from .errors import FanError
 from .fans import Fan, _is_complete
-from .feasibility import count_lattice_points, is_feasible
+from .feasibility import count_lattice_points, feasible_point
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
 @dataclass(frozen=True)
 class PicLattice:
-    """Picard lattice of a smooth complete toric variety in a canonical basis.
+    """Class group Cl(X) of a complete simplicial toric variety, torsion-free,
+    in a canonical basis: Pic(X) if the fan is smooth, else its classes are
+    Weil divisor classes.
 
     to_class_mat projects ray-coefficient space onto Z^rank; lift_mat is an
     integer right-inverse section.  Both come from the Smith normal form of
@@ -39,7 +41,8 @@ class PicLattice:
 
 @lru_cache(maxsize=None)
 def class_group(fan: Fan) -> PicLattice:
-    """Pic(X) = Z^rays / (image of the character lattice), via SNF."""
+    """Cl(X) = Z^rays / (image of the character lattice), via SNF: Pic(X) on
+    a smooth fan, Weil divisor classes on a simplicial non-smooth one."""
     n, k = fan.dim, fan.nrays
     ray_matrix = IntMatrix.from_rows(fan.rays)  # k x n, rows are rays
     snf = smith_normal_form(ray_matrix)
@@ -79,8 +82,8 @@ def h0_class(fan: Fan, cls) -> int:
     """h0 of the canonical lift of a divisor class, cached per (fan, class)
     as h0 is class-invariant.  cls is checked before the cache is read, as
     a bool or float class would compare equal to an int one there.
-    verify_decomposition, whose classes are sums of the decomposition's
-    classes and the twist box's ints, reads _h0_class directly."""
+    verify_decomposition checks its decomposition's classes once, then
+    reads _h0_class directly on their sums with the twist box's ints."""
     return _h0_class(fan, as_ints(cls))
 
 
@@ -141,8 +144,8 @@ def is_projective(fan: Fan) -> bool:
     if not _is_complete(fan):
         return False
     free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
-    return is_feasible([([g[rho] for rho in free], 1)
-                        for g, _ in kleiman_forms(fan)], len(free))
+    rows = [([g[rho] for rho in free], 1) for g, _ in kleiman_forms(fan)]
+    return feasible_point(rows, len(free)) is not None
 
 
 def positivity(fan: Fan, coeffs) -> Positivity:

@@ -10,7 +10,8 @@ class LatticeError(ToricError):
 
 
 class FanError(ToricError):
-    """The given ray/cone data does not define a valid (simplicial, smooth) fan."""
+    """The ray/cone data is not a simplicial fan, or the fan lacks what an
+    operation needs (completeness, a torsion-free class group)."""
 
 
 class EndoError(ToricError):

@@ -1,4 +1,5 @@
-"""Fans of smooth projective toric varieties: validation and standard builders."""
+"""Simplicial fans: validation, which reports smoothness and completeness
+rather than requiring them, and the standard smooth builders."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import FanError
-from .feasibility import is_feasible
+from .feasibility import feasible_point
 from .lattice import IntMatrix, as_ints, smith_normal_form
 
 
@@ -89,7 +90,7 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     for j in range(nvars):
         cons.append(([int(i == j) for i in range(nvars)], 0))
     cons.append(([int(idx not in common) for idx in (*c1, *c2)], 1))
-    return not is_feasible(cons, nvars)
+    return feasible_point(cons, nvars) is None
 
 
 def _walls(cone):

@@ -127,17 +127,11 @@ def feasible_point(cons, nvars: int) -> list[Fraction] | None:
     return x
 
 
-def is_feasible(cons, nvars: int) -> bool:
-    for rows in _projections(cons, nvars):  # one projection alive at a time
-        pass
-    return rows is not None
-
-
 def variable_bounds(cons, nvars: int,
                     i: int) -> tuple[Fraction | None, Fraction | None]:
     """Exact (min, max) of x_i over the feasible region; None = unbounded.
 
-    The region must be nonempty (check with is_feasible first).
+    The region must be nonempty (feasible_point is not None).
     """
     # with x_i moved to the front, the last projection bounds x_i alone
     systems = list(_projections(

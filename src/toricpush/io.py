@@ -16,11 +16,6 @@ class FanDocument:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class EndoDocument:
-    matrix: tuple[tuple[int, ...], ...]
-
-
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
@@ -60,7 +55,8 @@ def parse_fan(text: str) -> FanDocument:
     return FanDocument(dim=dim, rays=rays, cones=cones, name=name)
 
 
-def parse_endo(text: str) -> EndoDocument:
+def parse_endo(text: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of an endomorphism document's square integer matrix."""
     data = _load_json(text, "endomorphism document")
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError("endomorphism document must be an object with 'matrix'")
@@ -71,4 +67,4 @@ def parse_endo(text: str) -> EndoDocument:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("matrix must be square")
-    return EndoDocument(matrix=rows)
+    return rows

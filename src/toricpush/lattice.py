@@ -237,10 +237,10 @@ def walk_cosets(F: IntMatrix, forms=()):
     is reproducible byte-for-byte.  Each (row, offset) in the sequence forms
     puts offset + <row, u> in front of u.  A line is the d cosets that differ
     only in the last axis, whose factor d is the largest (S_11 | ... | S_nn):
-    the walk yields (start, step, d), and start + j * step for j in range(d)
-    are the line's vectors, in order.  One precomputed step per axis (a
-    column of U^{-1} led by its pairings) keeps the forms with u, so a line
-    costs one vector addition, and no line is kept once passed.
+    the walk returns (starts, step, d), and start + j * step for j in
+    range(d) are the line at each start in starts, in order.  One step per
+    axis (a column of U^{-1} led by its pairings) keeps the forms with u, so
+    a line costs one vector addition, and no line is kept once passed.
     """
     snf = smith_normal_form(F)
     radices = snf.invariant_factors()
@@ -251,7 +251,7 @@ def walk_cosets(F: IntMatrix, forms=()):
     starts = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
     for step, d in zip(steps, radices[:-1]):
         starts = _axis(starts, step, d)
-    return ((start, steps[-1], radices[-1]) for start in starts)
+    return starts, steps[-1], radices[-1]
 
 
 def _axis(prefixes, step, d):
@@ -264,6 +264,5 @@ def _axis(prefixes, step, d):
 
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
     """The walk_cosets representatives of Z^n / F(Z^n), as a list."""
-    return [u for start, step, d in walk_cosets(F)
-            for u in _axis((start,), step, d)]
+    return list(_axis(*walk_cosets(F)))
 

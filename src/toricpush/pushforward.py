@@ -11,7 +11,7 @@ from operator import add, floordiv
 
 from .divisors import _coefficients, _h0_class, class_group
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
-from .lattice import walk_cosets
+from .lattice import as_ints, walk_cosets
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,12 @@ def _runs(endo: ToricEndomorphism, coeffs):
     forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
     mults = [endo.mults[rho] for rho in endo.pi_inverse]
     nrays = len(mults)
-    moving = None
-    for start, step, d in walk_cosets(endo.matrix.transpose(), forms):
-        if moving is None:
-            # every line has the same step; (k, s, c, e, g) puts the
-            # breakpoint after w at j = -((b + e - (w + g) c) // s)
-            moving = [(k, s, mults[k]) + ((0, 1) if s > 0 else (1, 0))
-                      for k, s in enumerate(step[:nrays]) if s]
-            du = step[nrays:]
+    starts, step, d = walk_cosets(endo.matrix.transpose(), forms)
+    # (k, s, c, e, g): the value w ends at j = -((b + e - (w + g) c) // s)
+    moving = [(k, s, mults[k]) + ((0, 1) if s > 0 else (1, 0))
+              for k, s in enumerate(step[:nrays]) if s]
+    du = step[nrays:]
+    for start in starts:
         u0 = start[nrays:]
         # map stops where u begins; floor, as mults are > 0
         witness = list(map(floordiv, start, mults))
@@ -119,20 +117,27 @@ class VerificationReport:
     checks: int
     violations: list[str] = field(default_factory=list)
 
+    def check(self, ok: bool, message: str, *args, times: int = 1):
+        """Record times checks of one fact; if it fails, each of them is a
+        violation, message % args (formatted only then)."""
+        self.checks += times
+        if not ok:
+            self.passed = False
+            self.violations += [message % args] * times
 
-def _twist_sums(endo: ToricEndomorphism, coeffs, summands, count, box: int):
+
+def _twist_sums(endo: ToricEndomorphism, coeffs, distinct, count, box: int):
     """The projection formula twist by twist: yield (E, h0(D + f*E),
-    sum_i count(lambda_i + E)) for every class E in the Pic-coordinate box
-    [-box, box]^rank, where D has ray coefficients coeffs and lambda_i runs
-    over the summand classes.  The box must be >= 0, so that at least the
-    zero twist is checked."""
+    sum_lambda distinct[lambda] * count(lambda + E)) for every class E in
+    the Pic-coordinate box [-box, box]^rank, where D has ray coefficients
+    coeffs and the Counter distinct holds the summand classes lambda.  The
+    box must be >= 0, so that at least the zero twist is checked."""
     if box < 0:
         raise ValueError("twist box must be >= 0")
     fan = endo.fan
     pic = class_group(fan)
     d_class = pic.class_of(coeffs)
     pb = pullback_matrix(endo, pic)
-    distinct = Counter(summands)  # mul:q gives q^n summands, few classes
     for twist in product(range(-box, box + 1), repeat=pic.rank):
         lhs = _h0_class(fan, tuple(a + b for a, b in
                                    zip(d_class, pb.mul_vector(twist))))
@@ -152,43 +157,32 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
     fan = endo.fan
     pic = class_group(fan)
     coeffs = _coefficients(fan, coeffs)
+    distinct = Counter(dec.summands)  # mul:q: q^n summands, few classes
+    for lam in distinct:  # ints, before any cache is read
+        as_ints(lam)
     report = VerificationReport(passed=True, checks=0)
 
     d = degree(endo)
-    report.checks += 1
-    if len(dec.summands) != d:
-        report.passed = False
-        report.violations.append(
-            "rank %d does not equal degree %d" % (len(dec.summands), d))
-
-    for twist, lhs, rhs in _twist_sums(endo, coeffs, dec.summands,
+    report.check(len(dec.summands) == d, "rank %d does not equal degree %d",
+                 len(dec.summands), d)
+    for twist, lhs, rhs in _twist_sums(endo, coeffs, distinct,
                                        partial(_h0_class, fan), box):
-        report.checks += 1
-        if lhs != rhs:
-            report.passed = False
-            report.violations.append(
-                "twist %s: h0(D + f*E) = %d but summands give %d"
-                % (twist, lhs, rhs))
+        report.check(lhs == rhs,
+                     "twist %s: h0(D + f*E) = %d but summands give %d",
+                     twist, lhs, rhs)
 
     zero = pic.zero()
     if pic.class_of(coeffs) == zero:
-        trivial = dec.summands.count(zero)
-        report.checks += 1
-        if trivial != 1:
-            report.passed = False
-            report.violations.append(
-                "trivial summand count %d (expected exactly 1)" % trivial)
+        report.check(distinct[zero] == 1,
+                     "trivial summand count %d (expected exactly 1)",
+                     distinct[zero])
         # one h0 per run of equal classes (sorted summands: one run per
         # class), checked and reported once per summand
         for lam, run in groupby(dec.summands):
-            mult = len(list(run))
-            if lam == zero:
-                continue
-            report.checks += mult
-            if _h0_class(fan, lam) != 0:
-                report.passed = False
-                report.violations += (
-                    ["non-trivial summand %s has h0 > 0" % (lam,)] * mult)
+            if lam != zero:
+                report.check(_h0_class(fan, lam) == 0,
+                             "non-trivial summand %s has h0 > 0", lam,
+                             times=len(list(run)))
     return report
 
 

@@ -40,8 +40,8 @@ class TestParsing:
             assert doc.name == data["name"]
 
     def test_endo_round_trip(self):
-        doc = parse_endo((FIXTURE_DIR / "swap2.endo.json").read_text())
-        assert doc.matrix == ((0, 1), (2, 0))
+        assert parse_endo((FIXTURE_DIR / "swap2.endo.json").read_text()) \
+            == ((0, 1), (2, 0))
 
     def test_syntax_error_has_position(self):
         with pytest.raises(InputError, match=r"line \d+, column \d+"):
@@ -69,7 +69,7 @@ class TestParsing:
 
 # stdout and exit code of every subcommand, human and --json
 EXACT_OUTPUT = {
-    "validate": (["validate", P2], "smooth complete\n"),
+    "validate": (["validate", P2], "smooth complete projective\n"),
     "validate-json": (
         ["validate", P1, "--json"],
         '{"complete": true, "projective": true, "rays": [[1], [-1]], '
@@ -334,7 +334,7 @@ class TestExitCodes:
         assert _outcome(argv, capsys) == (
             2, "", "error: %s needs a complete fan\n" % command)
         assert _outcome(["validate", str(fan)], capsys) == (
-            0, "smooth not complete\n", "")
+            0, "smooth not complete not projective\n", "")
 
     def test_validate_json_non_complete_fan(self, tmp_path, capsys):
         # validate answers on any fan, and a fan that is not complete is

@@ -277,18 +277,17 @@ class TestIntAmplified:
         (SWAP, (1, 0)), (multiplication_endo(P2, 3), (1, 0)),
         (multiplication_endo(P1XP1, 1), (1, 1))])
     def test_one_solve_unless_no(self, endo, solves, monkeypatch):
-        # (feasible_point calls, is_feasible calls): a "yes" is one solve;
-        # only a "no" asks is_projective, which solves the ample system alone
+        # (solves in endos, solves in divisors): a "yes" is one solve; only
+        # a "no" asks is_projective, which solves the ample system alone
         calls = []
-        for module, name in ((endos_module, "feasible_point"),
-                             (divisors_module, "is_feasible")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
+        for module in (endos_module, divisors_module):
+            real = module.feasible_point
+            monkeypatch.setattr(module, "feasible_point",
+                                lambda *a, real=real, module=module:
+                                calls.append(module) or real(*a))
         is_int_amplified(endo, class_group(endo.fan))
-        assert (calls.count("feasible_point"),
-                calls.count("is_feasible")) == solves
+        assert (calls.count(endos_module),
+                calls.count(divisors_module)) == solves
 
     def test_non_complete_fan_rejected(self):
         fan = half_plane_fan()

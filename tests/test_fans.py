@@ -11,7 +11,7 @@ from toricpush import (Fan, FanError, IntMatrix, LatticeError, cox_ring,
                        graded_dimension, h0, h0_class, hirzebruch, product_fan,
                        projective_space, validate_fan)
 from toricpush.fans import _cones_intersect_properly, _is_complete
-from toricpush.feasibility import is_feasible
+from toricpush.feasibility import feasible_point
 
 
 def complete_rank2_oracle(rays, max_cones):
@@ -228,9 +228,9 @@ def per_ray_overlap_check(fan, c1, c2):
         base.append(([int(i == j) for i in range(nvars)], 0))
     strict = ([i for i, idx in enumerate(c1) if idx not in common]
               + [k1 + j for j, idx in enumerate(c2) if idx not in common])
-    return not any(
-        is_feasible(base + [([int(i == pos) for i in range(nvars)], 1)],
-                    nvars)
+    return all(
+        feasible_point(base + [([int(i == pos) for i in range(nvars)], 1)],
+                       nvars) is None
         for pos in strict)
 
 

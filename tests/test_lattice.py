@@ -149,11 +149,12 @@ class TestCosetRepresentatives:
         n = len(rows)
         forms = [(tuple(range(1, n + 1)), 5), ((-2,) + (1,) * (n - 1), -3)]
         last = smith_normal_form(f).invariant_factors()[-1]
-        lines = list(walk_cosets(f, forms))
-        assert len(lines) == abs(f.det()) // last
-        assert all(d == last for _, _, d in lines)
+        starts, step, d = walk_cosets(f, forms)
+        starts = list(starts)
+        assert len(starts) == abs(f.det()) // last
+        assert d == last
         assert [tuple(a + j * b for a, b in zip(start, step))
-                for start, step, d in lines for j in range(d)] == [
+                for start in starts for j in range(d)] == [
             tuple(off + sum(x * y for x, y in zip(row, u))
                   for row, off in forms) + u for u in box_cosets(f)]
 

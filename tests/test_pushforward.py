@@ -50,7 +50,7 @@ def line_pairings(endo, coeffs):
     d): how the floor numerators move along a line of the coset box."""
     fan = endo.fan
     forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    _, step, d = next(walk_cosets(endo.matrix.transpose(), forms))
+    _, step, d = walk_cosets(endo.matrix.transpose(), forms)
     return (step[:fan.nrays], [endo.mults[rho] for rho in endo.pi_inverse],
             d)
 
@@ -207,6 +207,22 @@ class TestVerifyDecomposition:
         assert rep.violations[-4:] == [
             "non-trivial summand %s has h0 > 0" % (lam,)
             for lam in (g, g, two_g, g)]
+
+    @pytest.mark.parametrize("summands", [((-1.0,), (0.0,)),
+                                          ((-1,), (False,))])
+    def test_non_int_classes_raise_cold_and_warm(self, summands):
+        # the classes are checked before the h0 cache is read: once the int
+        # decomposition is verified, a float or bool class compares equal to
+        # a cached int one there
+        e = multiplication_endo(P1, 2)
+        bad = Decomposition(summands=summands)
+        h0_class.cache_clear()
+        with pytest.raises(TypeError):
+            verify_decomposition(e, (0, 0), bad)
+        assert verify_decomposition(e, (0, 0),
+                                    decompose_pushforward(e, (0, 0))).passed
+        with pytest.raises(TypeError):
+            verify_decomposition(e, (0, 0), bad)
 
     def test_corrupted_decomposition_is_caught(self):
         e = multiplication_endo(P2, 2)
