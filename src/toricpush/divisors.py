@@ -9,7 +9,7 @@ from operator import mul
 
 from .errors import FanError
 from .fans import Fan, _is_complete
-from .feasibility import count_lattice_points, feasible_point
+from .feasibility import feasible_point, lattice_point_counter
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
@@ -47,9 +47,12 @@ def class_group(fan: Fan) -> PicLattice:
     ray_matrix = IntMatrix.from_rows(fan.rays)  # k x n, rows are rays
     snf = smith_normal_form(ray_matrix)
     factors = snf.invariant_factors()  # min(k, n) of them
+    if len(factors) < n or 0 in factors:
+        raise FanError("rays do not span R^%d" % n)
     if factors != (1,) * n:
-        raise FanError("class group has torsion or rays do not span; "
-                       "input is not a valid smooth complete fan")
+        raise FanError("class group has torsion (invariant factors %s); "
+                       "toricpush needs a torsion-free class group"
+                       % ", ".join(map(str, factors)))
     rank = k - n
     if rank < 1:
         raise FanError("Picard rank zero is not supported")
@@ -67,12 +70,23 @@ def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _section_counter(fan: Fan):
+    """count(a): the lattice points of the section polytope
+    <m, v_rho> >= -a_rho, from one elimination of the homogenized polytope
+    a_rho + <m, v_rho> >= 0 with the coefficients a as parameters."""
+    k = fan.nrays
+    rows = [((*(int(i == rho) for i in range(k)), *ray), 0)
+            for rho, ray in enumerate(fan.rays)]
+    return lattice_point_counter(rows, k + fan.dim, k)
+
+
 def h0(fan: Fan, coeffs) -> int:
-    """Number of global sections: lattice points of the section polytope."""
-    coeffs = _coefficients(fan, coeffs)
-    # the section polytope: <m, v_rho> >= -a_rho for every ray
-    count = count_lattice_points(
-        [(ray, -a) for ray, a in zip(fan.rays, coeffs)], fan.dim)
+    """Number of global sections: lattice points of the section polytope,
+    counted by the fan's section counter.  That counter's one elimination
+    is cached per fan until the caches are cleared: once per CLI process,
+    and once per benchmark pass, which clears every lru_cache."""
+    count = _section_counter(fan)(_coefficients(fan, coeffs))
     if count is None:
         raise FanError("section polytope unbounded; fan is not complete")
     return count
@@ -80,7 +94,8 @@ def h0(fan: Fan, coeffs) -> int:
 
 def h0_class(fan: Fan, cls) -> int:
     """h0 of the canonical lift of a divisor class, cached per (fan, class)
-    as h0 is class-invariant.  cls is checked before the cache is read, as
+    as h0 is class-invariant; a miss calls h0, whose per-fan section
+    counter is cached alongside.  cls is checked before the cache is read, as
     a bool or float class would compare equal to an int one there.
     verify_decomposition checks its decomposition's classes once, then
     reads _h0_class directly on their sums with the twist box's ints."""

@@ -13,16 +13,20 @@ infeasible (Imbert; Schrijver, Theory of Linear and Integer Programming,
 and with it the feasible_point witness (midpoints of the exact bound
 intervals), is exactly the unpruned one.
 
-All three walkers read the chain the same way (_level): the projection that
-keeps x_0..x_k bounds x_k over a prefix x_0..x_{k-1}.  feasible_point and
-variable_bounds take exact Fraction bounds; count_lattice_points takes
-integer ceil/floor bounds, so it visits only prefixes of points of the
-polyhedron's projections and counts the last coordinate as hi - lo + 1.
+Every reader of the chain reads it the same way (_level): the projection
+that keeps x_0..x_k bounds x_k over a prefix x_0..x_{k-1}.  feasible_point
+and variable_bounds take exact Fraction bounds.  lattice_point_counter
+eliminates once per coefficient matrix, keeping its leading coordinates as
+parameters, and returns a count for any value of them: it takes integer
+ceil/floor bounds, so it visits only prefixes of points of the projections,
+and counts the last two coordinates together in closed form, by floor sums
+along the pieces of the bounding lines' envelopes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -141,23 +145,99 @@ def variable_bounds(cons, nvars: int,
     return _exact_bounds(_level(systems[nvars - 1], 0), ())
 
 
-def count_lattice_points(cons, nvars: int) -> int | None:
-    """Number of integer points satisfying every constraint; None if the
-    region is nonempty and unbounded."""
-    systems = list(_projections(cons, nvars))
-    if systems[-1] is None:
-        return 0
-    levels = [_level(systems[nvars - 1 - k], k) for k in range(nvars)]
-    if not all(lower and upper for lower, upper in levels):
-        return None  # some x_k is unbounded over every prefix
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over 0 <= i < n, for n >= 0 and m > 0, by
+    the Euclid-like recursion (Graham, Knuth and Patashnik, Concrete
+    Mathematics, 3.5): O(log m) steps, whatever n is."""
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:  # every term is 0 now that 0 <= a, b < m
+            return total
+        # the same lattice points under the line, counted along its other axis
+        n, b = divmod(top, m)
+        m, a = a, m
 
-    def count(prefix, k):
-        lower, upper = levels[k]
-        lo = max(-((sum(map(mul, c, prefix)) - r) // ck)
-                 for c, r, ck in lower)
-        hi = min((r - sum(map(mul, c, prefix))) // ck for c, r, ck in upper)
-        if k == nvars - 1:
-            return max(hi - lo + 1, 0)
-        return sum(count(prefix + (x,), k + 1) for x in range(lo, hi + 1))
 
-    return count((), 0) if nvars else 1
+def _envelope_sum(lines, lo: int, hi: int) -> int:
+    """Sum of min_j floor((a_j x + b_j) / m_j) over lo <= x <= hi, for lines
+    (a, b, m) with m > 0: one floor sum per piece of the lower envelope."""
+    total = 0
+    while lo <= hi:
+        # the line lowest at lo, ties to the least slope, stays lowest up to
+        # its first crossing with a line of less slope
+        a, b, m = lines[0]
+        for a2, b2, m2 in lines[1:]:
+            d = (a2 * lo + b2) * m - (a * lo + b) * m2
+            if d < 0 or (d == 0 and a2 * m < a * m2):
+                a, b, m = a2, b2, m2
+        end = hi
+        for a2, b2, m2 in lines:
+            gap = a * m2 - a2 * m
+            if gap > 0:
+                end = min(end, (b2 * m - b * m2) // gap)
+        total += _floor_sum(end - lo + 1, m, a, a * lo + b)
+        lo = end + 1
+    return total
+
+
+def _plane_count(lo: int, hi: int, level, prefix) -> int:
+    """Integer points (x, y) with lo <= x <= hi over a prefix of the
+    projection.  Each x there has a nonempty real y-interval, so its term,
+    (least upper floor) - (greatest lower ceiling) + 1, is >= 0 and the sum
+    splits into two envelope sums.  A y-row c . prefix + d x + e y >= r
+    reads y <= floor((d x - s) / -e) if e < 0 and y >= -floor((d x - s) / e)
+    if e > 0, with s = r - c . prefix."""
+    lower, upper = level
+    ups = [(c[-1], sum(map(mul, c, prefix)) - r, -e) for c, r, e in upper]
+    downs = [(c[-1], sum(map(mul, c, prefix)) - r, e) for c, r, e in lower]
+    return (hi - lo + 1 + _envelope_sum(ups, lo, hi)
+            + _envelope_sum(downs, lo, hi))
+
+
+def _walk(levels, prefix) -> int:
+    """Integer points over a prefix of the projections; levels[0] bounds the
+    coordinate after the prefix.  A module function, not a closure: a
+    closure that calls itself is a reference cycle, which would keep every
+    dropped counter alive until the cyclic garbage collector runs."""
+    if not levels:
+        return 1
+    lower, upper = levels[0]
+    lo = max(-((sum(map(mul, c, prefix)) - r) // ck) for c, r, ck in lower)
+    hi = min((r - sum(map(mul, c, prefix))) // ck for c, r, ck in upper)
+    if len(levels) == 1:
+        return hi - lo + 1
+    if len(levels) == 2:
+        return _plane_count(lo, hi, levels[1], prefix)
+    rest = levels[1:]
+    return sum(_walk(rest, prefix + (x,)) for x in range(lo, hi + 1))
+
+
+def lattice_point_counter(cons, nvars: int, nparams: int):
+    """count(p): the number of integer points satisfying every constraint
+    with x_0..x_{nparams-1} = p, or None if that fiber is nonempty and
+    unbounded.
+
+    Only x_nparams..x_{nvars-1} are eliminated, once for every p.  The rows
+    left free of them are the conditions on p for a nonempty fiber; which
+    coordinates lack a lower or an upper bound does not depend on p.
+    """
+    systems = list(islice(_projections(cons, nvars), nvars - nparams + 1))
+    conditions = systems[-1]
+    if conditions is None:
+        return lambda p: 0
+    levels = [_level(systems[nvars - 1 - k], k)
+              for k in range(nparams, nvars)]
+    bounded = all(lower and upper for lower, upper in levels)
+
+    def count(p) -> int | None:
+        if any(sum(map(mul, c, p)) < r for c, r in conditions):
+            return 0
+        return _walk(levels, tuple(p)) if bounded else None
+
+    return count
+

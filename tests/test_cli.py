@@ -347,6 +347,21 @@ class TestExitCodes:
                                    "rays": HALF_PLANE["rays"],
                                    "smooth": True}
 
+    def test_class_group_with_torsion(self, tmp_path, capsys):
+        # P2 / (Z/3) is a valid complete fan: validate and h0 answer, and
+        # intamp refuses its class group, not the fan
+        fan = tmp_path / "p2z3.fan.json"
+        fan.write_text(json.dumps({"dim": 2, "rays": [[2, -1], [-1, 2],
+                                                      [-1, -1]],
+                                   "cones": [[0, 1], [1, 2], [0, 2]]}))
+        assert _outcome(["validate", str(fan)], capsys) == (
+            0, "not smooth complete projective\n", "")
+        assert _outcome(["h0", str(fan), "--divisor", "1,0,0"], capsys) == (
+            0, "1\n", "")
+        assert _outcome(["intamp", str(fan), "--endo", "mul:2"], capsys) == (
+            2, "", "error: class group has torsion (invariant factors 1, 3); "
+            "toricpush needs a torsion-free class group\n")
+
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2
         assert "entries" in capsys.readouterr().err

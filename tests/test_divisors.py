@@ -79,6 +79,12 @@ class TestClassGroup:
         with pytest.raises(FanError):
             class_group(fan)
 
+    def test_rays_must_span(self):
+        # +-e1 in the plane: no torsion to speak of, the rays miss e2
+        fan, _ = validate_fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
+        with pytest.raises(FanError, match=r"^rays do not span R\^2$"):
+            class_group(fan)
+
 
 class TestH0:
     def test_p2_quadrics(self):
@@ -101,6 +107,18 @@ class TestH0:
             assert h0(p3, (0, 0, 0, d)) == comb(d + 3, 3)
         for d in range(201):
             assert h0(P2, (0, d, 0)) == comb(d + 2, 2)
+        # degrees that no per-point or per-line walk reaches
+        big = 10 ** 12
+        assert h0(P2, (0, big, 0)) == comb(big + 2, 2)
+        assert h0(P1XP1, (0, big, 0, 7)) == (big + 1) * 8
+        assert h0(P1XP1, (big, 0, 0, big + 3)) == (big + 1) * (big + 4)
+        for a, fan in ((1, F1), (2, F2), (3, F3)):
+            # m1 >= 0, 0 <= m2 <= b, m1 <= c + a m2 on rays e1, e2,
+            # -e1 + a e2, -e2
+            for b, c in ((big, 5), (40, big), (big, big + 1)):
+                assert h0(fan, (0, 0, c, b)) == ((b + 1) * (c + 1)
+                                                 + a * b * (b + 1) // 2)
+        assert h0(p3, (0, 1000, 0, 0)) == comb(1003, 3)
 
     def test_non_complete_fan(self):
         # the upper half-plane fan: sections are unbounded in m_2

@@ -1,6 +1,7 @@
 """Differential tests of the integer Fourier-Motzkin engine against a plain,
-unpruned Fraction FM kept here as the reference, and of the lattice-point
-counter against a box-then-filter count.
+unpruned Fraction FM kept here as the reference, of the lattice-point
+counter against a box-then-filter count, and of its floor sums against
+direct summation.
 
 The generators draw rational rows; the engine takes integer rows only, so
 each row is scaled by the lcm of its denominators (integer_rows) before the
@@ -11,11 +12,11 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricpush.feasibility import (count_lattice_points, feasible_point,
-                                   variable_bounds)
+from toricpush.feasibility import (_envelope_sum, _floor_sum, feasible_point,
+                                   lattice_point_counter, variable_bounds)
 
 
 # ---------------------------------------------------------------- reference
@@ -167,13 +168,18 @@ class TestAgainstUnprunedFM:
 POSITIVE = st.integers(1, 12)
 
 
+def count_all(cons, nvars):
+    """Every integer point of the region: the counter with no parameters."""
+    return lattice_point_counter(cons, nvars, 0)(())
+
+
 def solve_all(cons, nvars):
     """Every answer the engine gives about one system."""
     point = feasible_point(cons, nvars)
     return (point,
             [variable_bounds(cons, nvars, i) for i in range(nvars)]
             if point is not None else None,
-            count_lattice_points(cons, nvars))
+            count_all(cons, nvars))
 
 
 class TestRowScaling:
@@ -189,7 +195,7 @@ class TestRowScaling:
                   for (coeffs, rhs), t in zip(cons, factors)]
         assert solve_all(scaled, nvars) == solve_all(cons, nvars)
 
-    @pytest.mark.parametrize("solve", [feasible_point, count_lattice_points])
+    @pytest.mark.parametrize("solve", [feasible_point, count_all])
     def test_fraction_row_raises(self, solve):
         # x >= 1 together with x / 2 >= 1: rational rows are the caller's
         # to scale
@@ -253,10 +259,12 @@ class TestFixedCases:
 
 # ----------------------------------------------------- lattice-point counts
 
-def ref_count(cons, nvars, b):
-    """Integer points of the box [-b, b]^nvars that satisfy every row."""
-    return sum(1 for p in product(range(-b, b + 1), repeat=nvars)
-               if satisfies(p, cons))
+def ref_count(cons, nvars, b, prefix=()):
+    """Integer points of the box [-b, b]^nvars that start with prefix and
+    satisfy every row."""
+    return sum(1 for p in product(range(-b, b + 1),
+                                  repeat=nvars - len(prefix))
+               if satisfies(prefix + p, cons))
 
 
 @st.composite
@@ -278,35 +286,79 @@ def boxed_systems(draw):
 
 class TestCountLatticePoints:
     @settings(max_examples=300, deadline=None)
-    @given(boxed_systems())
-    def test_matches_box_then_filter(self, system):
+    @given(boxed_systems(), st.integers(0, 1))
+    def test_matches_box_then_filter(self, system, nparams):
+        # one counter answers for every value of its parameters
         rows, nvars, b = system
-        assert (count_lattice_points(integer_rows(rows), nvars)
-                == ref_count(rows, nvars, b))
+        count = lattice_point_counter(integer_rows(rows), nvars, nparams)
+        for p in product(range(-b, b + 1), repeat=nparams):
+            assert count(p) == ref_count(rows, nvars, b, p)
 
     def test_infeasible(self):
         cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]
-        assert count_lattice_points(cons, 2) == 0
+        assert count_all(cons, 2) == 0
 
     def test_single_point(self):
         # 1 <= x <= 1, y = 2 - x
         cons = [([1, 0], 1), ([-1, 0], -1)] + equality_rows([1, 1], 2)
-        assert count_lattice_points(cons, 2) == 1
+        assert count_all(cons, 2) == 1
 
     def test_equality_pair(self):
         # x + 2y = 3 with x, y >= 0: the points (3, 0) and (1, 1)
         cons = equality_rows([1, 2], 3) + [([1, 0], 0), ([0, 1], 0)]
-        assert count_lattice_points(cons, 2) == 2
+        assert count_all(cons, 2) == 2
 
     def test_fractional_bounds(self):
         # 1/2 <= x <= 7/2, 0 <= 3y <= x: x in {1, 2, 3}, y in [0, x/3]
         cons = [([2, 0], 1), ([-2, 0], -7), ([0, 3], 0), ([1, -3], 0)]
-        assert count_lattice_points(cons, 2) == 4
+        assert count_all(cons, 2) == 4
 
     def test_unbounded_in_one_coordinate(self):
         # 0 <= x <= 3 with y >= 0 only
         cons = [([1, 0], 0), ([-1, 0], -3), ([0, 1], 0)]
-        assert count_lattice_points(cons, 2) is None
+        assert count_all(cons, 2) is None
         # a line with no lattice points is unbounded all the same
         cons = equality_rows([2, 0], 1)
-        assert count_lattice_points(cons, 2) is None
+        assert count_all(cons, 2) is None
+
+
+# --------------------------------------------------------------- floor sums
+
+@st.composite
+def envelope_lines(draw):
+    """1 to 5 lines (a, b, m), each free, through one common integer
+    point (so ties at a crossing), or a multiple of an earlier line."""
+    x0, y0 = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(
+            ("free", "through", "equal") if out else ("free", "through")))
+        if kind == "equal":
+            a, b, m = draw(st.sampled_from(out))
+            t = draw(st.integers(1, 3))
+            out.append((t * a, t * b, t * m))
+            continue
+        a, m = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+        b = (m * y0 - a * x0 if kind == "through"
+             else draw(st.integers(-30, 30)))
+        out.append((a, b, m))
+    return out
+
+
+class TestFloorSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 30), st.integers(1, 9), st.integers(-40, 40),
+           st.integers(-40, 40))
+    def test_floor_sum(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m
+                                             for i in range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(envelope_lines(), st.integers(-12, 12), st.integers(0, 25))
+    @example([(1, 0, 1), (-1, 0, 1)], -3, 7)  # -|x|, tied at 0
+    @example([(2, 1, 3), (2, 1, 3), (4, 2, 6)], -5, 11)  # one line thrice
+    def test_envelope_sum(self, lines, lo, length):
+        hi = lo + length - 1
+        assert _envelope_sum(lines, lo, hi) == sum(
+            min((a * x + b) // m for a, b, m in lines)
+            for x in range(lo, hi + 1))

@@ -1,9 +1,11 @@
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import toricpush
+from toricpush import divisors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -141,3 +143,76 @@ def test_no_dead_definitions():
     sources = [p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))]
     assert dead_definitions(sources, toricpush.__all__) == []
+
+
+MUTATORS = {"append", "extend", "update", "setdefault", "add", "pop",
+            "clear"}
+
+
+def module_state_writes(source):
+    """(line, what) for each place a function writes module state: a
+    global statement, a store into a subscript of a module-level name, or a
+    call of a mutating method on one."""
+    tree = ast.parse(source)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).partition(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names.update(sub.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Name)
+                         and isinstance(sub.ctx, ast.Store))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.add((node.lineno, "global"))
+            elif (isinstance(node, ast.Subscript)
+                  and not isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in names):
+                found.add((node.lineno, node.value.id + "[...]"))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in names):
+                found.add((node.lineno, "%s.%s()" % (node.func.value.id,
+                                                      node.func.attr)))
+    return sorted(found)
+
+
+def test_module_state_detector():
+    assert module_state_writes(
+        "import os\nSEEN = set()\nTABLE: dict = {}\nCOUNT = 0\n"
+        "def f(x, local=[]):\n"
+        "    SEEN.add(x)\n"
+        "    TABLE[x] = 1\n"
+        "    del TABLE[x]\n"
+        "    local.append(TABLE[x])\n"
+        "    os.environ.pop(x)\n"
+        "    return lambda: SEEN.clear()\n"
+        "def g():\n"
+        "    global COUNT\n"
+        "    COUNT += 1\n"
+        "    return [x for x in SEEN if TABLE.get(x)], os.pop()\n") == [
+        (6, "SEEN.add()"), (7, "TABLE[...]"), (8, "TABLE[...]"),
+        (11, "SEEN.clear()"), (13, "global"), (15, "os.pop()")]
+
+
+# The benchmark clears every module-level lru_cache before each pass, as a
+# new CLI process starts cold; any other memo would carry work across passes
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_memoization_only_through_lru_cache(path):
+    assert module_state_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_section_counter_is_an_lru_cache():
+    assert isinstance(divisors._section_counter, type(lru_cache(len)))
