@@ -11,7 +11,7 @@ from .divisors import PicLattice, _coefficients, is_projective, kleiman_forms
 from .errors import EndoError
 from .fans import Fan
 from .feasibility import feasible_point
-from .lattice import IntMatrix
+from .lattice import IntMatrix, as_ints
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def build_endo(fan: Fan, matrix: IntMatrix) -> ToricEndomorphism:
 
 def multiplication_endo(fan: Fan, q: int) -> ToricEndomorphism:
     """The multiplication-by-q map (q >= 1)."""
+    (q,) = as_ints((q,))
     if q < 1:
         raise EndoError("multiplication factor must be positive")
     return build_endo(fan, IntMatrix.identity(fan.dim).scale(q))

@@ -1,5 +1,6 @@
-"""Simplicial fans: validation, which reports smoothness and completeness
-rather than requiring them, and the standard smooth builders."""
+"""Simplicial fans: validation, which reports smoothness (from the minors
+of each cone's rays) and completeness rather than requiring them, and the
+standard smooth builders."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from itertools import combinations
 
 from .errors import FanError
 from .feasibility import feasible_point
-from .lattice import IntMatrix, as_ints, smith_normal_form
+from .lattice import IntMatrix, as_ints
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,25 @@ def _check_structure(dim, rays, max_cones):
 def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     """Check sigma ∩ tau = cone(common rays), via exact rational feasibility.
 
-    An improper intersection means some point of sigma ∩ tau needs a strictly
-    positive coefficient on a non-shared ray.  All coefficients are >= 0, so
-    that is one system: the non-shared coefficients sum to >= 1 (the cone is
-    scale-invariant).
+    A point of sigma ∩ tau is sum_sigma a_rho v_rho = sum_tau b_rho v_rho
+    with every coefficient >= 0, and a shared ray enters only through
+    a_rho - b_rho.  So each ray of sigma ∪ tau gets one unknown x_rho,
+    signed + on sigma and - on tau minus sigma: free on a shared ray, >= 0
+    on the others (a = max(x, 0), b = max(-x, 0) map a solution back).  An
+    improper intersection needs a strictly positive coefficient on a
+    non-shared ray; the cone is scale-invariant, so that is one system: the
+    non-shared unknowns sum to >= 1.
     """
-    common = set(c1) & set(c2)
-    r1, r2 = fan.cone_rays(c1), fan.cone_rays(c2)
-    nvars = len(r1) + len(r2)
+    only2 = [i for i in c2 if i not in c1]
+    cols = fan.cone_rays(c1) + [tuple(-x for x in fan.rays[i]) for i in only2]
+    outside = [int(i not in c2) for i in c1] + [1] * len(only2)
+    nvars = len(cols)
     cons = []
-    for coord in range(fan.dim):  # sum a_i r1_i = sum b_j r2_j, as >= and <=
-        coeffs = [r[coord] for r in r1] + [-r[coord] for r in r2]
-        cons += [(coeffs, 0), ([-c for c in coeffs], 0)]
-    for j in range(nvars):
-        cons.append(([int(i == j) for i in range(nvars)], 0))
-    cons.append(([int(idx not in common) for idx in (*c1, *c2)], 1))
+    for row in zip(*cols):  # sum_rho +-x_rho v_rho = 0, as >= and <=
+        cons += [(row, 0), ([-c for c in row], 0)]
+    cons += [([int(i == j) for i in range(nvars)], 0)
+             for j in range(nvars) if outside[j]]
+    cons.append((outside, 1))
     return feasible_point(cons, nvars) is None
 
 
@@ -115,16 +120,19 @@ def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
 
     Smoothness and completeness are reported, not required.
     """
+    (dim,) = as_ints((dim,))
     rays, cones = _check_structure(dim, rays, max_cones)
     fan = Fan(dim=dim, rays=rays, max_cones=cones, name=name)
     smooth = True
     for c in cones:
-        # primitive rays extend to a basis iff every invariant factor is 1
-        factors = smith_normal_form(
-            IntMatrix.from_rows(fan.cone_rays(c))).invariant_factors()
-        if 0 in factors:
+        # the gcd of the k x k minors of k rays is the product of their
+        # invariant factors (Newman, Integral Matrices, II.15): 0 iff the
+        # rays are dependent, 1 iff they extend to a basis
+        index = math.gcd(*(IntMatrix.from_rows(cols).det() for cols
+                           in combinations(zip(*fan.cone_rays(c)), len(c))))
+        if index == 0:
             raise FanError("cone %s has linearly dependent rays" % (c,))
-        smooth = smooth and all(d == 1 for d in factors)
+        smooth = smooth and index == 1
     for c1, c2 in combinations(cones, 2):
         if not _cones_intersect_properly(fan, c1, c2):
             raise FanError("cones %s and %s overlap improperly" % (c1, c2))

@@ -1,5 +1,6 @@
 """Decomposition of pushforwards of line bundles into direct sums of line
-bundles, with an independent projection-formula dimension oracle."""
+bundles by the floor formula over one walk of the character lattice's
+cosets, with an independent projection-formula dimension oracle."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, product, repeat
-from operator import add, floordiv
+from operator import floordiv
 
 from .divisors import _coefficients, _h0_class, class_group
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
-from .lattice import as_ints, walk_cosets
+from .lattice import _axis, as_ints, walk_cosets
 
 
 @dataclass(frozen=True)
@@ -26,32 +27,38 @@ class Decomposition:
     summands: tuple[tuple[int, ...], ...]
 
 
-def _runs(endo: ToricEndomorphism, coeffs):
-    """The floor formula run by run along each line of the coset box.
+def _walk(endo: ToricEndomorphism, coeffs):
+    """(Pic, walk, mults) for f_* O(D): one summand O(witness_u) per coset u
+    of Z^n / F^T Z^n, with w_rho = floor((a_rho + <u, v_rho>) / c_rho) at
+    the ray pi(rho).  The walk_cosets walk leads each coset with those
+    numerators, in the order of the rays pi(rho); mults holds the c_rho."""
+    coeffs = _coefficients(endo.fan, coeffs)
+    forms = [(endo.fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    return (class_group(endo.fan),
+            walk_cosets(endo.matrix.transpose(), forms),
+            [endo.mults[rho] for rho in endo.pi_inverse])
 
-    For the walk_cosets cosets u of Z^n / F^T Z^n, the summand witness has
-    coefficient w_rho = floor((a_rho + <u, v_rho>) / c_rho) at the ray
-    pi(rho).  Along a line, u = u0 + j du for j in range(d), so w_rho
-    changes only where b + j s (b = a_rho + <u0, v_rho>, s = <du, v_rho>)
-    crosses a multiple of c = c_rho: after the value w, next at
+
+def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
+    """Generalized Thomsen floor formula over cosets of the character lattice
+    (see _walk), counted run by run along each line of the coset box.
+
+    Along a line, u = u0 + j du for j in range(d), so w_rho changes only
+    where b + j s (b = a_rho + <u0, v_rho>, s = <du, v_rho>) crosses a
+    multiple of c = c_rho: after the value w, next at
     j = ceil(((w + 1) c - b) / s) for s > 0, at j = ceil((w c - 1 - b) / s)
-    for s < 0, and never for s = 0.  Merging those breakpoints over the
-    rays, the walk yields (witness, u0, du, j, length) for each stretch of
-    equal witnesses: the cosets u0 + i du for i in range(j, j + length), in
-    walk order.  A line costs O(rays + breakpoints), not O(d * rays).
+    for s < 0, and never for s = 0.  Between the merged breakpoints of all
+    rays the witness is constant, so a line costs O(rays + breakpoints),
+    not O(d * rays), and each run adds its length to its witness's count.
+    The summands are one shared tuple per class, repeated by its count.
     """
-    fan = endo.fan
-    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    mults = [endo.mults[rho] for rho in endo.pi_inverse]
-    nrays = len(mults)
-    starts, step, d = walk_cosets(endo.matrix.transpose(), forms)
+    pic, (starts, step, d), mults = _walk(endo, coeffs)
     # (k, s, c, e, g): the value w ends at j = -((b + e - (w + g) c) // s)
     moving = [(k, s, mults[k]) + ((0, 1) if s > 0 else (1, 0))
-              for k, s in enumerate(step[:nrays]) if s]
-    du = step[nrays:]
+              for k, s in enumerate(step[:len(mults)]) if s]
+    by_witness = {}
     for start in starts:
-        u0 = start[nrays:]
-        # map stops where u begins; floor, as mults are > 0
+        # floor, as mults are > 0; map stops where u begins
         witness = list(map(floordiv, start, mults))
         # each moving ray's next breakpoint, then the end of the line
         jumps = [-((start[k] + e - (witness[k] + g) * c) // s)
@@ -60,7 +67,8 @@ def _runs(endo: ToricEndomorphism, coeffs):
         j = 0
         while True:
             nxt = min(jumps)
-            yield tuple(witness), u0, du, j, nxt - j
+            key = tuple(witness)
+            by_witness[key] = by_witness.get(key, 0) + nxt - j
             if nxt == d:
                 break
             for i, (k, s, c, e, g) in enumerate(moving):
@@ -69,23 +77,6 @@ def _runs(endo: ToricEndomorphism, coeffs):
                     witness[k] = w = (b + nxt * s) // c
                     jumps[i] = -((b + e - (w + g) * c) // s)
             j = nxt
-
-
-def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
-    """Generalized Thomsen floor formula over cosets of the character lattice.
-
-    f_* O(D) has one summand O(witness_u) per coset u of Z^n / F^T Z^n
-    (witnesses as in _runs).  The witness, hence its class, is constant on
-    each run between floor breakpoints along a line of the coset box, so
-    summands are counted by run lengths, never coset by coset: one count per
-    distinct witness, one class per distinct witness, and the summands are
-    one shared tuple per class, repeated by its count.
-    """
-    coeffs = _coefficients(endo.fan, coeffs)
-    pic = class_group(endo.fan)
-    by_witness = {}
-    for witness, _, _, _, length in _runs(endo, coeffs):
-        by_witness[witness] = by_witness.get(witness, 0) + length
     counts = {}
     for witness, length in by_witness.items():
         cls = pic.class_of(witness)
@@ -97,18 +88,13 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
 def coset_table(endo: ToricEndomorphism, coeffs):
     """Every coset's row (class, witness divisor, coset u) of f_* O(D),
     sorted by class, then witness, then coset: the listing behind
-    decompose_pushforward, whose summands are its class column."""
-    coeffs = _coefficients(endo.fan, coeffs)
-    pic = class_group(endo.fan)
-    table = []
-    for witness, u0, du, j, length in _runs(endo, coeffs):
-        cls = pic.class_of(witness)
-        u = tuple([a + j * b for a, b in zip(u0, du)])
-        for _ in range(length):
-            table.append((cls, witness, u))
-            u = tuple(map(add, u, du))
-    table.sort()
-    return table
+    decompose_pushforward, whose summands are its class column.  A walked
+    coset's witness is the floors of its leading coordinates, and u is the
+    rest."""
+    pic, walk, mults = _walk(endo, coeffs)
+    rows = [(tuple(map(floordiv, vec, mults)), vec[len(mults):])
+            for vec in _axis(*walk)]
+    return sorted((pic.class_of(w), w, u) for w, u in rows)
 
 
 @dataclass
@@ -131,7 +117,8 @@ def _twist_sums(endo: ToricEndomorphism, coeffs, distinct, count, box: int):
     sum_lambda distinct[lambda] * count(lambda + E)) for every class E in
     the Pic-coordinate box [-box, box]^rank, where D has ray coefficients
     coeffs and the Counter distinct holds the summand classes lambda.  The
-    box must be >= 0, so that at least the zero twist is checked."""
+    box must be an int >= 0, so that at least the zero twist is checked."""
+    (box,) = as_ints((box,))
     if box < 0:
         raise ValueError("twist box must be >= 0")
     fan = endo.fan

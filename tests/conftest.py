@@ -71,6 +71,10 @@ ORACLE_FANS = {
 HALF_PLANE = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]],
               "cones": [[0, 1], [1, 2]]}
 
+# two opposite quadrants: smooth, every cone full-dimensional, not complete
+QUADRANTS = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+             "cones": [[0, 1], [2, 3]]}
+
 
 def half_plane_fan():
     fan, report = validate_fan(HALF_PLANE["dim"], HALF_PLANE["rays"],

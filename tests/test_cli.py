@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURE_DIR, HALF_PLANE
+from conftest import FIXTURE_DIR, HALF_PLANE, QUADRANTS
 from toricpush import pushforward
 from toricpush.cli import COMMANDS, build_parser, run_command
 from toricpush.errors import InputError
@@ -13,10 +13,6 @@ P1 = str(FIXTURE_DIR / "p1.fan.json")
 P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
 F1 = str(FIXTURE_DIR / "hirzebruch1.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
-
-# two opposite quadrants: smooth, every cone full-dimensional, not complete
-QUADRANTS = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
-             "cones": [[0, 1], [2, 3]]}
 
 
 def _validate_text(tmp_path, capsys, text):

@@ -1,15 +1,19 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from conftest import bundled_fans
+from conftest import HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans
 from toricpush import (Fan, FanError, IntMatrix, LatticeError, cox_ring,
-                       graded_dimension, h0, h0_class, hirzebruch, product_fan,
-                       projective_space, validate_fan)
+                       decompose_pushforward, graded_dimension, h0, h0_class,
+                       hirzebruch, module_shifts, multiplication_endo,
+                       product_fan, projective_space, smith_normal_form,
+                       validate_fan, verify_decomposition)
 from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import feasible_point
 
@@ -93,6 +97,82 @@ class TestValidateFan:
             validate_fan(2, [(1, 0), (0, 1)], [(0, 1), (0,)])
 
 
+def snf_cone_verdict(rays):
+    """Reference smoothness by Smith normal form: None if the rays are
+    dependent (a zero invariant factor), else whether every factor is 1."""
+    factors = smith_normal_form(IntMatrix.from_rows(rays)).invariant_factors()
+    return None if 0 in factors else all(d == 1 for d in factors)
+
+
+def minors_cone_verdict(rays):
+    """validate_fan's verdict on the one-cone fan of the rays, in the same
+    terms."""
+    try:
+        return validate_fan(len(rays[0]), rays, [range(len(rays))])[1].smooth
+    except FanError as exc:
+        assert "linearly dependent" in str(exc)
+        return None
+
+
+def seeded_cones(rng, count):
+    """count simplicial cones of k <= n <= 4 distinct primitive rays with
+    entries in [-3, 3]; in every third one, k >= 2 and the last ray is in
+    the span of the others."""
+    def primitive(v):
+        g = math.gcd(*v)
+        return tuple(x // g for x in v) if g else None
+
+    for made in range(count):
+        dependent = made % 3 == 0
+        while True:
+            n = rng.randint(1 + dependent, 4)
+            k = rng.randint(1 + dependent, n)
+            rays = [primitive([rng.randint(-3, 3) for _ in range(n)])
+                    for _ in range(k)]
+            if dependent and None not in rays:
+                weights = [rng.randint(-2, 2) for _ in rays[:-1]]
+                rays[-1] = primitive([sum(w * r[i] for w, r in
+                                          zip(weights, rays))
+                                      for i in range(n)])
+            if None not in rays and len(set(rays)) == k:
+                yield rays
+                break
+
+
+def test_minors_criterion_matches_snf():
+    cones = list(seeded_cones(random.Random(2357), 400))
+    verdicts = [minors_cone_verdict(rays) for rays in cones]
+    assert verdicts == [snf_cone_verdict(rays) for rays in cones]
+    # every kind occurs, and so do lower-dimensional cones of each kind
+    kinds = Counter((v, len(r) < len(r[0])) for v, r in zip(verdicts, cones))
+    assert min(kinds[v, low] for v in (None, True, False)
+               for low in (False, True)) >= 10, kinds
+
+
+@pytest.mark.parametrize("spec, smooth, complete", [
+    *(({"dim": 2, "rays": WEIGHTED[name], "cones": [[0, 1], [1, 2], [2, 0]]},
+       False, True) for name in sorted(WEIGHTED)),
+    ({"dim": 2, "rays": [[2, -1], [-1, 2], [-1, -1]],
+      "cones": [[0, 1], [1, 2], [0, 2]]}, False, True),
+    (HALF_PLANE, True, False),
+    (QUADRANTS, True, False),
+], ids=[*sorted(WEIGHTED), "P2/(Z/3)", "half-plane", "quadrants"])
+def test_validate_verdicts(spec, smooth, complete):
+    report = validate_fan(spec["dim"], spec["rays"], spec["cones"])[1]
+    assert (report.smooth, report.complete) == (smooth, complete)
+
+
+def _verify_in_box(box):
+    endo = multiplication_endo(projective_space(2), 2)
+    return verify_decomposition(endo, (0, 0, 0),
+                                decompose_pushforward(endo, (0, 0, 0)), box)
+
+
+def _shifts_in_box(box):
+    return module_shifts(multiplication_endo(projective_space(2), 2),
+                         (0, 0, 0), box)
+
+
 # exact input only: a float, str, Fraction or bool is refused, never
 # truncated or read as a number
 @pytest.mark.parametrize("call, error", [
@@ -117,10 +197,22 @@ class TestValidateFan:
     # the cache
     (lambda: (h0_class(projective_space(2), (2,)),
               h0_class(projective_space(2), (2.0,))), TypeError),
+    # integer parameters: a bool dim, q or box would run as 0 or 1
+    (lambda: validate_fan(True, [(1,), (-1,)], [(0,), (1,)]), TypeError),
+    (lambda: validate_fan(1.0, [(1,), (-1,)], [(0,), (1,)]), TypeError),
+    (lambda: projective_space(True), TypeError),
+    (lambda: multiplication_endo(projective_space(2), True), TypeError),
+    (lambda: multiplication_endo(projective_space(2), 2.0), TypeError),
+    (lambda: _verify_in_box(True), TypeError),
+    (lambda: _verify_in_box(1.0), TypeError),
+    (lambda: _shifts_in_box(True), TypeError),
 ], ids=["ray", "cone-index", "h0-float", "h0-str", "h0-fraction",
         "graded-dimension", "from-rows", "ray-bool", "cone-index-bool",
         "h0-bool", "graded-dimension-bool", "from-rows-bool",
-        "h0-class-float", "h0-class-bool", "h0-class-cached-float"])
+        "h0-class-float", "h0-class-bool", "h0-class-cached-float",
+        "dim-bool", "dim-float", "projective-space-bool", "mul-bool",
+        "mul-float", "verify-box-bool", "verify-box-float",
+        "module-shifts-box-bool"])
 def test_non_integer_input_refused(call, error):
     with pytest.raises(error):
         call()
@@ -234,71 +326,6 @@ def per_ray_overlap_check(fan, c1, c2):
         for pos in strict)
 
 
-def built_fans():
-    p1 = projective_space(1)
-    return [projective_space(3), product_fan(projective_space(2), p1),
-            product_fan(hirzebruch(1), p1)]
-
-
-def overlap_test_fans():
-    """The built fans above plus every bundled fan file."""
-    return built_fans() + list(bundled_fans().values())
-
-
-def planted_overlap(fan):
-    """The fan plus a cone inside its first maximal cone: the first ray of
-    that cone is swapped for the sum of all its rays."""
-    cone = fan.max_cones[0]
-    inner = tuple(map(sum, zip(*fan.cone_rays(cone))))
-    return Fan(dim=fan.dim, rays=fan.rays + (inner,),
-               max_cones=fan.max_cones + (cone[1:] + (fan.nrays,),),
-               name=fan.name + "+overlap")
-
-
-class TestOverlapCheck:
-    @pytest.mark.parametrize("fan", overlap_test_fans(), ids=lambda f: f.name)
-    def test_single_system_matches_per_ray_loop(self, fan):
-        for c1, c2 in combinations(fan.max_cones, 2):
-            assert _cones_intersect_properly(fan, c1, c2)
-            assert per_ray_overlap_check(fan, c1, c2)
-        planted = planted_overlap(fan)
-        verdicts = [(_cones_intersect_properly(planted, c1, c2),
-                     per_ray_overlap_check(planted, c1, c2))
-                    for c1, c2 in combinations(planted.max_cones, 2)]
-        assert all(new == old for new, old in verdicts)
-        assert (False, False) in verdicts
-
-    @pytest.mark.parametrize("fan", built_fans(), ids=lambda f: f.name)
-    def test_planted_overlap_rejected(self, fan):
-        planted = planted_overlap(fan)
-        with pytest.raises(FanError, match="overlap"):
-            validate_fan(planted.dim, planted.rays, planted.max_cones)
-
-
-def connected_complete(fan):
-    """Reference completeness that also walks the walls: pure
-    n-dimensional, every wall in exactly two maximal cones, and every cone
-    reached from the first across walls."""
-    if any(len(c) != fan.dim for c in fan.max_cones):
-        return False
-    incidence = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for wall in combinations(cone, fan.dim - 1):
-            incidence.setdefault(wall, []).append(ci)
-    if any(len(cones) != 2 for cones in incidence.values()):
-        return False
-    seen, stack = {0}, [0]
-    while stack:
-        ci = stack.pop()
-        for pair in incidence.values():
-            if ci in pair:
-                other = pair[1] if pair[0] == ci else pair[0]
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    return len(seen) == len(fan.max_cones)
-
-
 def relabelled_subfans(rng, fan, count):
     """count validated fans, each the fan's rays in a random order with a
     random nonempty set of its maximal cones (all of them half the time)."""
@@ -334,6 +361,104 @@ def random_plane_fans(rng, count):
             continue
         made += 1
         yield validate_fan(2, rays, cones)[0]
+
+
+def built_fans():
+    p1 = projective_space(1)
+    return [projective_space(3), product_fan(projective_space(2), p1),
+            product_fan(hirzebruch(1), p1)]
+
+
+# valid fans that are not complete; in "mixed3" the 2-dimensional cones
+# share rays with the 3-dimensional one and with each other
+NONCOMPLETE = {
+    "half-plane": HALF_PLANE,
+    "quadrants": QUADRANTS,
+    "dangling": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                 "cones": [[0, 1], [1, 2]]},
+    "mixed3": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                  [-1, 0, 0], [0, -1, -1]],
+               "cones": [[0, 1, 2], [1, 3], [3, 4], [0, 4]]},
+}
+
+
+def noncomplete_fans():
+    for name, spec in NONCOMPLETE.items():
+        fan, report = validate_fan(spec["dim"], spec["rays"], spec["cones"],
+                                   name=name)
+        assert not report.complete
+        yield fan
+
+
+def overlap_test_fans():
+    """The built fans above, every bundled fan file, two seeded
+    relabellings of each bundled fan (half of them subfans, so not
+    complete), the non-complete fans and seeded plane fans."""
+    rng = random.Random(1729)
+    bundled = list(bundled_fans().values())
+    relabelled = [replace(sub, name="%s/relabel%d" % (fan.name, i))
+                  for fan in bundled
+                  for i, sub in enumerate(relabelled_subfans(rng, fan, 2))]
+    planes = [replace(fan, name="plane%d" % i)
+              for i, fan in enumerate(random_plane_fans(rng, 6))]
+    return (built_fans() + bundled + relabelled + list(noncomplete_fans())
+            + planes)
+
+
+def planted_overlap(fan):
+    """The fan plus a cone inside its first maximal cone: the first ray of
+    that cone is swapped for the sum of all its rays."""
+    cone = fan.max_cones[0]
+    inner = tuple(map(sum, zip(*fan.cone_rays(cone))))
+    return Fan(dim=fan.dim, rays=fan.rays + (inner,),
+               max_cones=fan.max_cones + (cone[1:] + (fan.nrays,),),
+               name=fan.name + "+overlap")
+
+
+class TestOverlapCheck:
+    @pytest.mark.parametrize("fan", overlap_test_fans(), ids=lambda f: f.name)
+    def test_single_system_matches_per_ray_loop(self, fan):
+        # both orders of each pair: a shared ray's unknown must take either
+        # sign (the planted cone's new ray lies inside the cone it overlaps)
+        for c1, c2 in permutations(fan.max_cones, 2):
+            assert _cones_intersect_properly(fan, c1, c2)
+            assert per_ray_overlap_check(fan, c1, c2)
+        planted = planted_overlap(fan)
+        verdicts = [(_cones_intersect_properly(planted, c1, c2),
+                     per_ray_overlap_check(planted, c1, c2))
+                    for c1, c2 in permutations(planted.max_cones, 2)]
+        assert all(new == old for new, old in verdicts)
+        assert (False, False) in verdicts
+
+    @pytest.mark.parametrize("fan", built_fans(), ids=lambda f: f.name)
+    def test_planted_overlap_rejected(self, fan):
+        planted = planted_overlap(fan)
+        with pytest.raises(FanError, match="overlap"):
+            validate_fan(planted.dim, planted.rays, planted.max_cones)
+
+
+def connected_complete(fan):
+    """Reference completeness that also walks the walls: pure
+    n-dimensional, every wall in exactly two maximal cones, and every cone
+    reached from the first across walls."""
+    if any(len(c) != fan.dim for c in fan.max_cones):
+        return False
+    incidence = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for wall in combinations(cone, fan.dim - 1):
+            incidence.setdefault(wall, []).append(ci)
+    if any(len(cones) != 2 for cones in incidence.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        ci = stack.pop()
+        for pair in incidence.values():
+            if ci in pair:
+                other = pair[1] if pair[0] == ci else pair[0]
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return len(seen) == len(fan.max_cones)
 
 
 def test_completeness_needs_no_connectivity_walk():
