@@ -120,7 +120,7 @@ def cmd_pushforward(x):
 
 def cmd_verify(x):
     table, payload = _decomposition(x)
-    dec = pushforward.Decomposition(summands=tuple(row[0] for row in table))
+    dec = pushforward.Decomposition.from_summands(row[0] for row in table)
     report = pushforward.verify_decomposition(x.endo, x.divisor, dec,
                                               box=x.box)
     payload.update(passed=report.passed, checks=report.checks,

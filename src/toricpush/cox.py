@@ -5,7 +5,6 @@ Pic / f*Pic coset bookkeeping."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -17,7 +16,7 @@ from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
 from .feasibility import feasible_point, variable_bounds
 from .lattice import as_ints, coset_representatives, smith_normal_form
-from .pushforward import _twist_sums, decompose_pushforward
+from .pushforward import _twist_box, _twist_sums, decompose_pushforward
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,17 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
     so at least mu = 0 is checked), counting monomials of the Cox ring rather
     than section-polytope points.
     """
+    box = _twist_box(box)
     coeffs = _coefficients(endo.fan, coeffs)
-    shifts = decompose_pushforward(endo, coeffs).summands
-    for mu, lhs, rhs in _twist_sums(endo, coeffs, Counter(shifts),
+    dec = decompose_pushforward(endo, coeffs)
+    for mu, lhs, rhs in _twist_sums(endo, coeffs, dec.multiplicities,
                                     partial(graded_dimension,
                                             cox_ring(endo.fan)), box):
         if lhs != rhs:
             raise VerificationError(
                 "graded dimension mismatch at mu=%s: %d != %d (bug or "
                 "counterexample)" % (mu, lhs, rhs))
-    return shifts
+    return dec.summands
 
 
 def rank_bookkeeping(endo: ToricEndomorphism, ring: CoxRing,

@@ -17,10 +17,10 @@ Every reader of the chain reads it the same way (_level): the projection
 that keeps x_0..x_k bounds x_k over a prefix x_0..x_{k-1}.  feasible_point
 and variable_bounds take exact Fraction bounds.  lattice_point_counter
 eliminates once per coefficient matrix, keeping its leading coordinates as
-parameters, and returns a count for any value of them: it takes integer
-ceil/floor bounds, so it visits only prefixes of points of the projections,
-and counts the last two coordinates together in closed form, by floor sums
-along the pieces of the bounding lines' envelopes.
+parameters, and returns a count, or fiber counts at a chosen depth, for any
+value of them: it takes integer ceil/floor bounds, so it visits only
+prefixes of points of the projections, and counts the last two coordinates
+together in closed form, by floor sums along the bounding lines' envelopes.
 """
 
 from __future__ import annotations
@@ -199,6 +199,13 @@ def _plane_count(lo: int, hi: int, level, prefix) -> int:
             + _envelope_sum(downs, lo, hi))
 
 
+def _span(level, prefix) -> tuple[int, int]:
+    """The integer (min, max) of the coordinate level bounds over prefix."""
+    lower, upper = level
+    return (max(-((sum(map(mul, c, prefix)) - r) // ck) for c, r, ck in lower),
+            min((r - sum(map(mul, c, prefix))) // ck for c, r, ck in upper))
+
+
 def _walk(levels, prefix) -> int:
     """Integer points over a prefix of the projections; levels[0] bounds the
     coordinate after the prefix.  A module function, not a closure: a
@@ -206,9 +213,7 @@ def _walk(levels, prefix) -> int:
     dropped counter alive until the cyclic garbage collector runs."""
     if not levels:
         return 1
-    lower, upper = levels[0]
-    lo = max(-((sum(map(mul, c, prefix)) - r) // ck) for c, r, ck in lower)
-    hi = min((r - sum(map(mul, c, prefix))) // ck for c, r, ck in upper)
+    lo, hi = _span(levels[0], prefix)
     if len(levels) == 1:
         return hi - lo + 1
     if len(levels) == 2:
@@ -217,10 +222,26 @@ def _walk(levels, prefix) -> int:
     return sum(_walk(rest, prefix + (x,)) for x in range(lo, hi + 1))
 
 
-def lattice_point_counter(cons, nvars: int, nparams: int):
+def _fibers(levels, prefix, depth):
+    """(x, _walk over x) for each extension x of the prefix by depth integer
+    coordinates, in lexicographic order, whose count is > 0."""
+    if not depth:
+        count = _walk(levels, prefix)
+        if count:
+            yield prefix, count
+        return
+    lo, hi = _span(levels[0], prefix)
+    for x in range(lo, hi + 1):
+        yield from _fibers(levels[1:], prefix + (x,), depth - 1)
+
+
+def lattice_point_counter(cons, nvars: int, nparams: int, depth: int = 0):
     """count(p): the number of integer points satisfying every constraint
     with x_0..x_{nparams-1} = p, or None if that fiber is nonempty and
-    unbounded.
+    unbounded.  With depth > 0, count(p) lists those points fiber by fiber
+    instead: a tuple of the pairs (x, count) for every integer x of the next
+    depth coordinates whose fiber holds count > 0 of them, in lexicographic
+    order.
 
     Only x_nparams..x_{nvars-1} are eliminated, once for every p.  The rows
     left free of them are the conditions on p for a nonempty fiber; which
@@ -228,16 +249,21 @@ def lattice_point_counter(cons, nvars: int, nparams: int):
     """
     systems = list(islice(_projections(cons, nvars), nvars - nparams + 1))
     conditions = systems[-1]
+    empty = () if depth else 0
     if conditions is None:
-        return lambda p: 0
+        return lambda p: empty
     levels = [_level(systems[nvars - 1 - k], k)
               for k in range(nparams, nvars)]
     bounded = all(lower and upper for lower, upper in levels)
 
-    def count(p) -> int | None:
+    def count(p):
         if any(sum(map(mul, c, p)) < r for c, r in conditions):
-            return 0
-        return _walk(levels, tuple(p)) if bounded else None
+            return empty
+        if not bounded:
+            return None
+        if depth:
+            return tuple((x[nparams:], n)
+                         for x, n in _fibers(levels, tuple(p), depth))
+        return _walk(levels, tuple(p))
 
     return count
-

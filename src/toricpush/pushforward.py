@@ -1,99 +1,82 @@
 """Decomposition of pushforwards of line bundles into direct sums of line
-bundles by the floor formula over one walk of the character lattice's
-cosets, with an independent projection-formula dimension oracle."""
+bundles, with an independent projection-formula dimension oracle.
+
+By Thomsen's floor formula (J. Algebra 226, 2000), f_* O(D) has one summand
+O(w_u) per coset u of Z^n / F^T Z^n, w_{pi(rho)} = floor((a_rho + <u, v_rho>)
+/ c_rho).  As F v_rho = c_rho v_{pi(rho)}, moving u by F^T m moves w_u by the
+principal divisor <m, v>, so each coset of class lambda holds one u with
+w_u = L = lift(lambda): O(lambda) occurs once per integer u in the bounded
+slab 0 <= a_rho - c_rho L_{pi(rho)} + <u, v_rho> <= c_rho - 1.  One
+lattice_point_counter per endomorphism counts it fiber by fiber over
+lambda, visiting no coset; coset_table walks the cosets to list them.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, groupby, product, repeat
+from functools import lru_cache, partial
+from itertools import chain, product, repeat
 from operator import floordiv
 
 from .divisors import _coefficients, _h0_class, class_group
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
+from .fans import Fan
+from .feasibility import lattice_point_counter
 from .lattice import _axis, as_ints, walk_cosets
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """f_* O(D) = direct sum of O(lambda) over the summand classes lambda.
+    """f_* O(D) = direct sum of O(lambda)^mult over the multiplicities
+    (lambda, mult), sorted by class so that the output is deterministic.
+    summands lists each class mult times, one shared tuple per class, and
+    from_summands counts such a list; coset_table lists the cosets behind."""
 
-    One class per coset of the character lattice, sorted lexicographically so
-    the output is deterministic; equal classes are one shared tuple.  The
-    cosets and witness divisors behind them are listed by coset_table.
-    """
+    multiplicities: tuple[tuple[tuple[int, ...], int], ...]
 
-    summands: tuple[tuple[int, ...], ...]
+    @classmethod
+    def from_summands(cls, summands) -> Decomposition:
+        return cls(tuple(sorted(Counter(summands).items())))
+
+    @property
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(chain.from_iterable(
+            repeat(lam, mult) for lam, mult in self.multiplicities))
 
 
-def _walk(endo: ToricEndomorphism, coeffs):
-    """(Pic, walk, mults) for f_* O(D): one summand O(witness_u) per coset u
-    of Z^n / F^T Z^n, with w_rho = floor((a_rho + <u, v_rho>) / c_rho) at
-    the ray pi(rho).  The walk_cosets walk leads each coset with those
-    numerators, in the order of the rays pi(rho); mults holds the c_rho."""
-    coeffs = _coefficients(endo.fan, coeffs)
-    forms = [(endo.fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    return (class_group(endo.fan),
-            walk_cosets(endo.matrix.transpose(), forms),
-            [endo.mults[rho] for rho in endo.pi_inverse])
+@lru_cache(maxsize=None)
+def _slab_counter(fan: Fan, pi: tuple[int, ...], mults: tuple[int, ...]):
+    """The slab's counter for the endomorphism that (pi, mults) determine:
+    two rows per ray over (a, lambda, u), with the ray coefficients a as
+    parameters, counted fiber by fiber over lambda."""
+    pic = class_group(fan)
+    k, rank = fan.nrays, pic.rank
+    rows = []
+    for rho, (ray, c) in enumerate(zip(fan.rays, mults)):
+        low = (*(int(i == rho) for i in range(k)),
+               *(-c * x for x in pic.lift_mat.entries[pi[rho]]), *ray)
+        rows += [(low, 0), (tuple(-x for x in low), 1 - c)]
+    return lattice_point_counter(rows, k + rank + fan.dim, k, rank)
 
 
 def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
-    """Generalized Thomsen floor formula over cosets of the character lattice
-    (see _walk), counted run by run along each line of the coset box.
-
-    Along a line, u = u0 + j du for j in range(d), so w_rho changes only
-    where b + j s (b = a_rho + <u0, v_rho>, s = <du, v_rho>) crosses a
-    multiple of c = c_rho: after the value w, next at
-    j = ceil(((w + 1) c - b) / s) for s > 0, at j = ceil((w c - 1 - b) / s)
-    for s < 0, and never for s = 0.  Between the merged breakpoints of all
-    rays the witness is constant, so a line costs O(rays + breakpoints),
-    not O(d * rays), and each run adds its length to its witness's count.
-    The summands are one shared tuple per class, repeated by its count.
-    """
-    pic, (starts, step, d), mults = _walk(endo, coeffs)
-    # (k, s, c, e, g): the value w ends at j = -((b + e - (w + g) c) // s)
-    moving = [(k, s, mults[k]) + ((0, 1) if s > 0 else (1, 0))
-              for k, s in enumerate(step[:len(mults)]) if s]
-    by_witness = {}
-    for start in starts:
-        # floor, as mults are > 0; map stops where u begins
-        witness = list(map(floordiv, start, mults))
-        # each moving ray's next breakpoint, then the end of the line
-        jumps = [-((start[k] + e - (witness[k] + g) * c) // s)
-                 for k, s, c, e, g in moving]
-        jumps.append(d)
-        j = 0
-        while True:
-            nxt = min(jumps)
-            key = tuple(witness)
-            by_witness[key] = by_witness.get(key, 0) + nxt - j
-            if nxt == d:
-                break
-            for i, (k, s, c, e, g) in enumerate(moving):
-                if jumps[i] == nxt:
-                    b = start[k]
-                    witness[k] = w = (b + nxt * s) // c
-                    jumps[i] = -((b + e - (w + g) * c) // s)
-            j = nxt
-    counts = {}
-    for witness, length in by_witness.items():
-        cls = pic.class_of(witness)
-        counts[cls] = counts.get(cls, 0) + length
-    return Decomposition(summands=tuple(chain.from_iterable(
-        repeat(cls, counts[cls]) for cls in sorted(counts))))
+    """f_* O(D) by the slab polytope's fiber counts (see the module)."""
+    coeffs = _coefficients(endo.fan, coeffs)
+    return Decomposition(_slab_counter(endo.fan, endo.pi, endo.mults)(coeffs))
 
 
 def coset_table(endo: ToricEndomorphism, coeffs):
     """Every coset's row (class, witness divisor, coset u) of f_* O(D),
-    sorted by class, then witness, then coset: the listing behind
-    decompose_pushforward, whose summands are its class column.  A walked
-    coset's witness is the floors of its leading coordinates, and u is the
-    rest."""
-    pic, walk, mults = _walk(endo, coeffs)
+    sorted by class, then witness, then coset; the class column is
+    decompose_pushforward's summands.  walk_cosets leads each coset with the
+    numerators a_rho + <u, v_rho> in the order of the rays pi(rho)."""
+    coeffs = _coefficients(endo.fan, coeffs)
+    pic = class_group(endo.fan)
+    forms = [(endo.fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    mults = [endo.mults[rho] for rho in endo.pi_inverse]
     rows = [(tuple(map(floordiv, vec, mults)), vec[len(mults):])
-            for vec in _axis(*walk)]
+            for vec in _axis(*walk_cosets(endo.matrix.transpose(), forms))]
     return sorted((pic.class_of(w), w, u) for w, u in rows)
 
 
@@ -112,15 +95,21 @@ class VerificationReport:
             self.violations += [message % args] * times
 
 
-def _twist_sums(endo: ToricEndomorphism, coeffs, distinct, count, box: int):
-    """The projection formula twist by twist: yield (E, h0(D + f*E),
-    sum_lambda distinct[lambda] * count(lambda + E)) for every class E in
-    the Pic-coordinate box [-box, box]^rank, where D has ray coefficients
-    coeffs and the Counter distinct holds the summand classes lambda.  The
-    box must be an int >= 0, so that at least the zero twist is checked."""
+def _twist_box(box) -> int:
+    """The twist box, checked to be an int >= 0, so that at least the zero
+    twist is checked; the oracles check it before any other work."""
     (box,) = as_ints((box,))
     if box < 0:
         raise ValueError("twist box must be >= 0")
+    return box
+
+
+def _twist_sums(endo: ToricEndomorphism, coeffs, multiplicities, count,
+                box: int):
+    """The projection formula twist by twist: yield (E, h0(D + f*E),
+    sum_lambda mult * count(lambda + E)) for every class E in the
+    Pic-coordinate box [-box, box]^rank, where D has ray coefficients
+    coeffs and the pairs (lambda, mult) are the summand classes."""
     fan = endo.fan
     pic = class_group(fan)
     d_class = pic.class_of(coeffs)
@@ -129,7 +118,7 @@ def _twist_sums(endo: ToricEndomorphism, coeffs, distinct, count, box: int):
         lhs = _h0_class(fan, tuple(a + b for a, b in
                                    zip(d_class, pb.mul_vector(twist))))
         rhs = sum(mult * count(tuple(a + b for a, b in zip(lam, twist)))
-                  for lam, mult in distinct.items())
+                  for lam, mult in multiplicities)
         yield twist, lhs, rhs
 
 
@@ -139,20 +128,21 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
 
     Checks rank = deg f, the projection-formula dimension identity
     h0(D + f*E) = sum_i h0(lift(lambda_i) + lift(E)) for every class E in the
-    box (box >= 0), and (for trivial D) the single-trivial-summand law.
+    box (box >= 0), and (for trivial D) the single-trivial-summand law, each
+    check counted once per summand it covers.
     """
+    box = _twist_box(box)
     fan = endo.fan
     pic = class_group(fan)
     coeffs = _coefficients(fan, coeffs)
-    distinct = Counter(dec.summands)  # mul:q: q^n summands, few classes
-    for lam in distinct:  # ints, before any cache is read
+    for lam, _ in dec.multiplicities:  # ints, before any cache is read
         as_ints(lam)
     report = VerificationReport(passed=True, checks=0)
 
     d = degree(endo)
-    report.check(len(dec.summands) == d, "rank %d does not equal degree %d",
-                 len(dec.summands), d)
-    for twist, lhs, rhs in _twist_sums(endo, coeffs, distinct,
+    rank = sum(mult for _, mult in dec.multiplicities)
+    report.check(rank == d, "rank %d does not equal degree %d", rank, d)
+    for twist, lhs, rhs in _twist_sums(endo, coeffs, dec.multiplicities,
                                        partial(_h0_class, fan), box):
         report.check(lhs == rhs,
                      "twist %s: h0(D + f*E) = %d but summands give %d",
@@ -160,16 +150,14 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
 
     zero = pic.zero()
     if pic.class_of(coeffs) == zero:
-        report.check(distinct[zero] == 1,
-                     "trivial summand count %d (expected exactly 1)",
-                     distinct[zero])
-        # one h0 per run of equal classes (sorted summands: one run per
-        # class), checked and reported once per summand
-        for lam, run in groupby(dec.summands):
+        trivial = dict(dec.multiplicities).get(zero, 0)
+        report.check(trivial == 1,
+                     "trivial summand count %d (expected exactly 1)", trivial)
+        for lam, mult in dec.multiplicities:
             if lam != zero:
                 report.check(_h0_class(fan, lam) == 0,
                              "non-trivial summand %s has h0 > 0", lam,
-                             times=len(list(run)))
+                             times=mult)
     return report
 
 
@@ -185,15 +173,16 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
     iterate = endo
     for _ in range(k - 1):
         iterate = compose(iterate, endo)
-    direct = Counter(decompose_pushforward(iterate, coeffs).summands)
-
-    # mul:q gives q^n summands but few classes: push each class once
+    direct = Counter(dict(
+        decompose_pushforward(iterate, coeffs).multiplicities))
+    # push each class once, carrying its multiplicity
     stepped = Counter([pic.class_of(coeffs)])
     for _ in range(k):
         pushed = Counter()
         for cls, mult in stepped.items():
-            for lam in decompose_pushforward(endo, pic.lift(cls)).summands:
-                pushed[lam] += mult
+            for lam, n in decompose_pushforward(endo,
+                                                pic.lift(cls)).multiplicities:
+                pushed[lam] += mult * n
         stepped = pushed
 
     report = VerificationReport(passed=direct == stepped, checks=1)

@@ -4,13 +4,14 @@ import pytest
 
 import toricpush.cox as cox_module
 import toricpush.lattice as lattice_module
+import toricpush.pushforward as pushforward_module
 from conftest import (ORACLE_FANS, WEIGHTED, bundled_fans, half_plane_fan,
                       oracle_endos, weighted_plane)
-from toricpush import (EndoError, FanError, IntMatrix, VerificationError,
-                       build_endo, class_group, contracting_exponent, cox_ring,
-                       decompose_pushforward, graded_dimension, h0,
-                       hirzebruch, induced_cox_endo, is_int_amplified,
-                       module_shifts, multiplication_endo,
+from toricpush import (Decomposition, EndoError, FanError, IntMatrix,
+                       VerificationError, build_endo, class_group,
+                       contracting_exponent, cox_ring, decompose_pushforward,
+                       graded_dimension, h0, hirzebruch, induced_cox_endo,
+                       is_int_amplified, module_shifts, multiplication_endo,
                        pic_coset_decomposition, product_fan, projective_space,
                        pullback_matrix, rank_bookkeeping, smith_normal_form)
 
@@ -211,18 +212,27 @@ class TestModuleShifts:
         with pytest.raises(ValueError, match="box"):
             module_shifts(multiplication_endo(P1, 2), (0, 0), box=-1)
 
+    @pytest.mark.parametrize("box, error", [(-1, ValueError),
+                                            (True, TypeError),
+                                            (1.0, TypeError)])
+    def test_box_refused_before_any_work(self, monkeypatch, box, error):
+        def refuse(*args):
+            raise AssertionError("work before the box check")
+
+        monkeypatch.setattr(cox_module, "decompose_pushforward", refuse)
+        monkeypatch.setattr(pushforward_module, "_h0_class", refuse)
+        with pytest.raises(error):
+            module_shifts(multiplication_endo(P2, 2), (0, 0, 0), box=box)
+
     def test_verification_is_live(self, monkeypatch):
         # force a wrong shift multiset through the graded-dimension check
         e = multiplication_endo(P1, 2)
         real = decompose_pushforward(e, (0, 0))
         corrupted = real.summands[:-1] + (tuple(x + 1 for x in
                                                 real.summands[-1]),)
-
-        class FakeDec:
-            summands = corrupted
-
+        fake = Decomposition.from_summands(corrupted)
         monkeypatch.setattr(cox_module, "decompose_pushforward",
-                            lambda endo, coeffs: FakeDec)
+                            lambda endo, coeffs: fake)
         with pytest.raises(VerificationError):
             module_shifts(e, (0, 0))
 

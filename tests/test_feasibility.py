@@ -268,16 +268,17 @@ def ref_count(cons, nvars, b, prefix=()):
 
 
 @st.composite
-def boxed_systems(draw):
+def boxed_systems(draw, max_vars=3):
     """(rows, nvars, b): up to 4 free rows and maybe an equality pair in
-    <= 3 variables, always with the box rows -b <= x_i <= b."""
-    nvars = draw(st.integers(1, 3))
+    <= max_vars variables, always with the box rows -b <= x_i <= b; b <= 5,
+    or b <= 2 in 4 variables, to keep the box at 625 points."""
+    nvars = draw(st.integers(1, max_vars))
     row = st.tuples(st.lists(NUMBERS, min_size=nvars, max_size=nvars), NUMBERS)
     rows = [tuple(r) for r in draw(st.lists(row, max_size=4))]
     if draw(st.booleans()):
         coeffs, rhs = draw(row)
         rows += equality_rows(coeffs, rhs)
-    b = draw(st.integers(0, 5))
+    b = draw(st.integers(0, 5 if nvars <= 3 else 2))
     for i in range(nvars):
         unit = [int(i == j) for j in range(nvars)]
         rows += [(unit, -b), ([-u for u in unit], -b)]
@@ -293,6 +294,32 @@ class TestCountLatticePoints:
         count = lattice_point_counter(integer_rows(rows), nvars, nparams)
         for p in product(range(-b, b + 1), repeat=nparams):
             assert count(p) == ref_count(rows, nvars, b, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxed_systems(4), st.data())
+    def test_fibers_match_box_then_filter(self, system, data):
+        # at a chosen depth, the counter lists the nonempty fibers over the
+        # next coordinates in lexicographic order; at every depth they sum
+        # to the plain count
+        rows, nvars, b = system
+        cons = integer_rows(rows)
+        nparams = data.draw(st.integers(0, min(2, nvars - 1)))
+        depth = data.draw(st.integers(1, nvars - nparams))
+        p = tuple(data.draw(st.lists(st.integers(-b, b), min_size=nparams,
+                                     max_size=nparams)))
+        want = tuple((x, n) for x in product(range(-b, b + 1), repeat=depth)
+                     if (n := ref_count(rows, nvars, b, p + x)))
+        assert lattice_point_counter(cons, nvars, nparams, depth)(p) == want
+        total = lattice_point_counter(cons, nvars, nparams)(p)
+        for d in range(1, nvars - nparams + 1):
+            fibers = lattice_point_counter(cons, nvars, nparams, d)(p)
+            assert sum(n for _, n in fibers) == total
+
+    def test_fibers_of_an_infeasible_system(self):
+        # x + y >= 3 with x, y <= 1: no fiber, at any parameter
+        cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]
+        assert lattice_point_counter(cons, 2, 0, 1)(()) == ()
+        assert lattice_point_counter(cons, 2, 1, 1)((0,)) == ()
 
     def test_infeasible(self):
         cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]

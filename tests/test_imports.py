@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import toricpush
-from toricpush import divisors
+from toricpush import divisors, pushforward
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -216,3 +216,7 @@ def test_memoization_only_through_lru_cache(path):
 
 def test_section_counter_is_an_lru_cache():
     assert isinstance(divisors._section_counter, type(lru_cache(len)))
+
+
+def test_slab_counter_is_an_lru_cache():
+    assert isinstance(pushforward._slab_counter, type(lru_cache(len)))

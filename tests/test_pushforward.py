@@ -1,18 +1,21 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
 
 import pytest
 
+import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
-from conftest import ORACLE_FANS, accepted_endos, box_cosets, oracle_endos
-from toricpush import (Decomposition, IntMatrix, VerificationReport,
-                       build_endo, class_group, compose, coset_table,
-                       decompose_pushforward, degree, h0_class, hirzebruch,
-                       iterate_coherence, multiplication_endo, product_fan,
-                       projective_space, pullback_divisor, pullback_matrix,
-                       validate_fan, verify_decomposition)
+from conftest import (ORACLE_FANS, accepted_endos, box_cosets, oracle_endos,
+                      weighted_plane)
+from toricpush import (Decomposition, EndoError, IntMatrix,
+                       VerificationReport, build_endo, class_group, compose,
+                       coset_table, decompose_pushforward, degree, h0_class,
+                       hirzebruch, iterate_coherence, multiplication_endo,
+                       product_fan, projective_space, pullback_divisor,
+                       pullback_matrix, validate_fan, verify_decomposition)
 from toricpush.lattice import walk_cosets
 
 P1 = projective_space(1)
@@ -177,9 +180,43 @@ class TestDecomposeDifferential:
         for coeffs in sample_coeffs(fan):
             assert_matches_reference(endo, coeffs)
 
+    def test_weighted_plane(self):
+        # P(1,1,2) is simplicial, not smooth: its classes are Weil classes
+        fan = weighted_plane("P(1,1,2)")
+        rng = random.Random(112)
+        endos = accepted_endos(fan, 2) + [multiplication_endo(fan, q)
+                                          for q in (3, 4, 5)]
+        assert len(endos) > 4
+        for endo in endos:
+            for coeffs in sample_coeffs(fan) + [
+                    tuple(rng.randint(-9, 9) for _ in range(fan.nrays))]:
+                assert_matches_reference(endo, coeffs)
+
+    @pytest.mark.parametrize("name", ["P1xP1", "P1^3", "P2xP1", "F1xP1"])
+    def test_random_diagonal_and_swap_endos(self, name):
+        # a permutation matrix times a diagonal one with entries in [1, 4],
+        # kept where build_endo accepts it, on divisors with a in [-9, 9]
+        fan = ORACLE_FANS[name][0]
+        rng = random.Random(name)
+        n, endos, swaps = fan.dim, [], 0
+        while len(endos) < 8:
+            perm = rng.sample(range(n), n)
+            rows = [[rng.randint(1, 4) if j == perm[i] else 0
+                     for j in range(n)] for i in range(n)]
+            try:
+                endos.append(build_endo(fan, IntMatrix.from_rows(rows)))
+            except EndoError:
+                continue
+            swaps += perm != sorted(perm)
+        assert swaps or name == "F1xP1"
+        for endo in endos:
+            for _ in range(3):
+                assert_matches_reference(endo, tuple(
+                    rng.randint(-9, 9) for _ in range(fan.nrays)))
+
 
 def test_decomposition_memory():
-    # the summands are one shared tuple per class, counted along lines:
+    # the summands are one shared tuple per class, counted per class:
     # 3375 summands of P3 mul:15 need no per-coset tuple or sort entry
     endo = multiplication_endo(projective_space(3), 15)
     class_group(endo.fan)
@@ -194,19 +231,108 @@ def test_decomposition_memory():
     assert peak < 128 * 1024, peak
 
 
+class TestBeyondTheWalk:
+    """Degrees whose coset walk is out of reach (2^40 cosets of P2 mul:2^20,
+    101^3 of P3 mul:101), read off the multiplicities, never .summands."""
+
+    def test_p2_structure_sheaf_at_q_2_to_the_20(self):
+        # f_*O = O + O(-1)^(q(q+1)/2 + q - 2) + O(-2)^((q-1)(q-2)/2)
+        q = 2 ** 20
+        pic = class_group(P2)
+        h = pic.class_of((1, 0, 0))
+        dec = decompose_pushforward(multiplication_endo(P2, q), (0, 0, 0))
+        assert dict(dec.multiplicities) == {
+            pic.zero(): 1,
+            tuple(-x for x in h): q * (q + 1) // 2 + q - 2,
+            tuple(-2 * x for x in h): (q - 1) * (q - 2) // 2}
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 0, 0), (2, -1, 0, 3)])
+    def test_p3_at_q_101_against_a_convolution(self, coeffs):
+        # O(dH) pushes forward to O(floor((d - s) / q)) once per u in
+        # [0, q)^3 with u_1 + u_2 + u_3 = s: the distribution of s is the
+        # threefold convolution of [0, q)
+        q, fan = 101, projective_space(3)
+        pic = class_group(fan)
+        h = pic.class_of((1, 0, 0, 0))
+        sums = Counter({0: 1})
+        for _ in range(fan.dim):
+            nxt = Counter()
+            for s, c in sums.items():
+                for u in range(q):
+                    nxt[s + u] += c
+            sums = nxt
+        expected = Counter()
+        for s, c in sums.items():
+            expected[tuple((sum(coeffs) - s) // q * x for x in h)] += c
+        dec = decompose_pushforward(multiplication_endo(fan, q), coeffs)
+        assert dict(dec.multiplicities) == expected
+
+    def test_walk_calls_do_not_grow_with_q(self, monkeypatch):
+        # on P2 the counter walks the same classes, and counts each plane of
+        # u in closed form, whatever q is
+        calls = []
+        walk = feasibility._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(feasibility, "_walk", counted)
+        counts = []
+        for q in (10, 1000, 2 ** 20):
+            calls.clear()
+            decompose_pushforward(multiplication_endo(P2, q), (0, 0, 0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] > 0
+
+    def test_no_coset_walk_and_no_snf(self, monkeypatch):
+        # the class group is the fan's, cached; neither F^T nor anything
+        # else is put in Smith normal form, and no coset is walked
+        def refuse(*args):
+            raise AssertionError("called")
+
+        endos = [multiplication_endo(P2, 7), SWAP,
+                 multiplication_endo(hirzebruch(1), 3)]
+        for endo in endos:
+            class_group(endo.fan)
+        pushforward._slab_counter.cache_clear()
+        for name, module in sys.modules.items():
+            if name.startswith("toricpush"):
+                for attr in ("walk_cosets", "smith_normal_form"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        for endo in endos:
+            dec = decompose_pushforward(endo, (1,) * endo.fan.nrays)
+            assert sum(n for _, n in dec.multiplicities) == degree(endo)
+
+
 class TestVerifyDecomposition:
+    @pytest.mark.parametrize("box, error", [(-1, ValueError),
+                                            (True, TypeError),
+                                            (1.0, TypeError)])
+    def test_box_refused_before_any_work(self, monkeypatch, box, error):
+        def refuse(*args):
+            raise AssertionError("h0 before the box check")
+
+        monkeypatch.setattr(pushforward, "_h0_class", refuse)
+        e = multiplication_endo(P2, 2)
+        dec = Decomposition((((0,), 4),))
+        with pytest.raises(error):
+            verify_decomposition(e, (0, 0, 0), dec, box=box)
+
     def test_trivial_law_reports_each_summand(self):
-        # one h0 per run of equal classes, but checks and violations still
-        # come summand by summand, in order, even for unsorted summands
+        # one h0 per class, but checks and violations still come summand by
+        # summand, in class order, even for unsorted summands
         e = multiplication_endo(P1, 2)
         g = ray_class(P1, 0)
         two_g = tuple(2 * x for x in g)
-        dec = Decomposition(summands=(g, g, (0,), two_g, g))
+        dec = Decomposition.from_summands((g, g, (0,), two_g, g))
+        assert dec.multiplicities == (((0,), 1), (g, 3), (two_g, 1))
         rep = verify_decomposition(e, (0, 0), dec, box=0)
         assert rep.checks == 1 + 1 + 1 + 4
         assert rep.violations[-4:] == [
             "non-trivial summand %s has h0 > 0" % (lam,)
-            for lam in (g, g, two_g, g)]
+            for lam in (g, g, g, two_g)]
 
     @pytest.mark.parametrize("summands", [((-1.0,), (0.0,)),
                                           ((-1,), (False,))])
@@ -215,7 +341,7 @@ class TestVerifyDecomposition:
         # decomposition is verified, a float or bool class compares equal to
         # a cached int one there
         e = multiplication_endo(P1, 2)
-        bad = Decomposition(summands=summands)
+        bad = Decomposition.from_summands(summands)
         h0_class.cache_clear()
         with pytest.raises(TypeError):
             verify_decomposition(e, (0, 0), bad)
@@ -229,7 +355,7 @@ class TestVerifyDecomposition:
         dec = decompose_pushforward(e, (1, 0, 0))
         shifted = tuple(tuple(x + (1 if i == 0 else 0) for x in s)
                         for i, s in enumerate(dec.summands))
-        bad = Decomposition(summands=shifted)
+        bad = Decomposition.from_summands(shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=2)
         assert not report.passed
         assert any("twist" in v for v in report.violations)
@@ -237,7 +363,7 @@ class TestVerifyDecomposition:
     def test_wrong_rank_is_caught(self):
         e = multiplication_endo(P1, 2)
         dec = decompose_pushforward(e, (0, 0))
-        bad = Decomposition(summands=dec.summands + ((0,),))
+        bad = Decomposition.from_summands(dec.summands + ((0,),))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert any("degree" in v for v in report.violations)
@@ -247,7 +373,7 @@ class TestVerifyDecomposition:
         e = multiplication_endo(P1, 3)
         dec = decompose_pushforward(e, (0, 0))
         assert dec.summands == ((-1,), (-1,), (0,))
-        bad = Decomposition(summands=((-1,), (0,), (0,)))
+        bad = Decomposition.from_summands(((-1,), (0,), (0,)))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert ("twist (0,): h0(D + f*E) = 1 but summands give 2"
@@ -280,7 +406,7 @@ class TestVerifyDecomposition:
         report = verify_decomposition(e, (1, 0, 0), dec, box=0)
         assert report.passed and report.checks == 2  # rank + one twist
         shifted = ((dec.summands[0][0] + 1,),) + dec.summands[1:]
-        bad = Decomposition(summands=shifted)
+        bad = Decomposition.from_summands(shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=0)
         assert not report.passed
         assert any("twist (0,)" in v for v in report.violations)
@@ -411,7 +537,7 @@ class TestIterateCoherence:
             if endo != step:
                 return dec
             first = tuple(x + 1 for x in dec.summands[0])
-            return Decomposition(summands=(first,) + dec.summands[1:])
+            return Decomposition.from_summands((first,) + dec.summands[1:])
 
         monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
         rep = iterate_coherence(step, (0, 0), k=2)
