@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -26,12 +27,18 @@ def _read(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
+def _integer(text: str, message: str) -> int:
+    """text as an int, if it is an optional sign and ASCII digits: int()
+    alone also reads digit separators, whitespace and non-ASCII digits."""
+    try:
+        return int(re.fullmatch("[+-]?[0-9]+", text)[0])
+    except (TypeError, ValueError):  # no match, or past int()'s digit limit
+        raise InputError(message) from None
+
+
 def _load_endo(fan, spec: str):
     if spec.startswith("mul:"):
-        try:
-            q = int(spec[4:])
-        except ValueError:
-            raise InputError("bad multiplication shorthand %r" % spec) from None
+        q = _integer(spec[4:], "bad multiplication shorthand %r" % spec)
         return endos.multiplication_endo(fan, q)
     return endos.build_endo(fan, IntMatrix.from_rows(parse_endo(_read(spec))))
 
@@ -48,18 +55,17 @@ def _load(args, inputs) -> argparse.Namespace:
     if "endo" in inputs:
         loaded.endo = _load_endo(fan, args.endo)
     if "divisor" in inputs:
-        try:
-            loaded.divisor = tuple(int(x) for x in args.divisor.split(","))
-        except ValueError:
-            raise InputError("--divisor must be comma-separated "
-                             "integers") from None
+        loaded.divisor = tuple(
+            _integer(x, "--divisor must be comma-separated integers")
+            for x in args.divisor.split(","))
         if len(loaded.divisor) != fan.nrays:
             raise InputError("--divisor needs %d entries, got %d"
                              % (fan.nrays, len(loaded.divisor)))
     if "box" in inputs:
-        if args.box < 0:
-            raise InputError("--box must be >= 0, got %d" % args.box)
-        loaded.box = args.box
+        loaded.box = _integer(args.box, "--box must be an integer, got %r"
+                              % args.box)
+        if loaded.box < 0:
+            raise InputError("--box must be >= 0, got %d" % loaded.box)
     return loaded
 
 
@@ -176,7 +182,7 @@ COMMANDS = {
 _OPTIONS = {
     "endo": dict(required=True, help="path to a .endo.json file, or mul:q"),
     "divisor": dict(required=True, help="comma-separated ray coefficients"),
-    "box": dict(type=int, default=2,
+    "box": dict(default="2",
                 help="Pic-coordinate twist box for verification"),
 }
 
@@ -223,7 +229,3 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -23,6 +23,14 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
 
+    def __post_init__(self):
+        # hashed once: each lru_cache keyed by a fan hashes it per lookup
+        object.__setattr__(self, "_hash",
+                           hash((self.dim, self.rays, self.max_cones)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def nrays(self) -> int:
         return len(self.rays)

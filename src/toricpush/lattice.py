@@ -9,7 +9,8 @@ no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, index, mul
+from itertools import repeat
+from operator import index, mul
 
 from .errors import LatticeError
 
@@ -255,11 +256,11 @@ def walk_cosets(F: IntMatrix, forms=()):
 
 
 def _axis(prefixes, step, d):
-    # every prefix followed by its d - 1 successors along one axis
+    # every prefix followed by its d - 1 successors along one axis, as one
+    # arithmetic progression per coordinate
     for vec in prefixes:
-        for _ in range(d):
-            yield vec
-            vec = tuple(map(add, vec, step))
+        yield from zip(*[range(s, s + d * t, t) if t else repeat(s, d)
+                         for s, t in zip(vec, step)])
 
 
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, product, repeat
-from operator import floordiv
+from operator import add, floordiv, mul
 
 from .divisors import _coefficients, _h0_class, class_group
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
@@ -113,13 +113,12 @@ def _twist_sums(endo: ToricEndomorphism, coeffs, multiplicities, count,
     fan = endo.fan
     pic = class_group(fan)
     d_class = pic.class_of(coeffs)
-    pb = pullback_matrix(endo, pic)
+    rows = pullback_matrix(endo, pic).entries
     for twist in product(range(-box, box + 1), repeat=pic.rank):
-        lhs = _h0_class(fan, tuple(a + b for a, b in
-                                   zip(d_class, pb.mul_vector(twist))))
-        rhs = sum(mult * count(tuple(a + b for a, b in zip(lam, twist)))
-                  for lam, mult in multiplicities)
-        yield twist, lhs, rhs
+        lhs = _h0_class(fan, tuple([d + sum(map(mul, row, twist))
+                                    for d, row in zip(d_class, rows)]))
+        yield twist, lhs, sum(mult * count(tuple(map(add, lam, twist)))
+                              for lam, mult in multiplicities)
 
 
 def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,

@@ -173,6 +173,24 @@ def box_cosets(F):
             for w in product(*[range(d) for d in snf.invariant_factors()])]
 
 
+def axis_expansion(F, forms=()):
+    """Reference expansion of walk_cosets: the same steps (columns of U^{-1}
+    led by the forms' pairings), every axis walked one vector addition at a
+    time in mixed-radix order, last axis fastest."""
+    snf = smith_normal_form(F)
+    steps = [tuple(sum(a * b for a, b in zip(row, col)) for row, _ in forms)
+             + col for col in zip(*scaled_inverse(snf.U)[0].entries)]
+    vecs = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
+    for step, d in zip(steps, snf.invariant_factors()):
+        out = []
+        for vec in vecs:
+            for _ in range(d):
+                out.append(vec)
+                vec = tuple(a + b for a, b in zip(vec, step))
+        vecs = out
+    return vecs
+
+
 def sample_divisors(fan, bound=2, limit=200, seed=0):
     """Divisors with ray coefficients in [-bound, bound]; exhaustive when the
     box is small, otherwise a deterministic sample of `limit`."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -393,3 +396,52 @@ class TestExitCodes:
     def test_bad_mul_shorthand(self, capsys):
         assert run_command(["intamp", P2, "--endo", "mul:x"]) == 2
         capsys.readouterr()
+
+
+# what int() reads but the CLI refuses: "1_0" is 10 and an Arabic-Indic or a
+# fullwidth one is 1 to int(); surrounding spaces, a bare sign, a fraction
+# and a hex literal
+NOT_INTEGERS = ["1_0", "\u0661", "\uff11", " 1", "1 ", "", "+", "1.0", "0x1"]
+
+
+class TestIntegerInputs:
+    """--divisor entries, the q of mul:q and --box are integers only as an
+    optional sign and ASCII digits; anything else exits 2 before any work."""
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_divisor(self, text, capsys):
+        assert _outcome(["h0", P2, "--divisor", text + ",0,0"], capsys) == (
+            2, "", "error: --divisor must be comma-separated integers\n")
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_mul_shorthand(self, text, capsys):
+        spec = "mul:" + text
+        assert _outcome(["intamp", P2, "--endo", spec], capsys) == (
+            2, "", "error: bad multiplication shorthand %r\n" % spec)
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_box(self, text, capsys):
+        assert _outcome(["verify", P2, "--endo", "mul:2", "--divisor",
+                         "0,0,0", "--box", text], capsys) == (
+            2, "", "error: --box must be an integer, got %r\n" % text)
+
+    def test_signs_are_integers(self, capsys):
+        assert _outcome(["h0", P2, "--divisor", "+1,-0,0"], capsys) == (
+            0, "3\n", "")
+        assert _outcome(["verify", P2, "--endo", "mul:+2", "--divisor",
+                         "0,0,0", "--box", "+1"], capsys) == (
+            0, "pass (8 checks)\n", "")
+
+
+def test_python_m_toricpush():
+    # the one test of a real CLI process: python -m toricpush from a checkout
+    root = FIXTURE_DIR.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricpush", "validate", "fans/p2.fan.json",
+         "--json"], cwd=root, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"complete": True, "projective": True,
+                                       "rays": [[1, 0], [0, 1], [-1, -1]],
+                                       "smooth": True}

@@ -1,7 +1,9 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
@@ -9,11 +11,11 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans
-from toricpush import (Fan, FanError, IntMatrix, LatticeError, cox_ring,
-                       decompose_pushforward, graded_dimension, h0, h0_class,
-                       hirzebruch, module_shifts, multiplication_endo,
-                       product_fan, projective_space, smith_normal_form,
-                       validate_fan, verify_decomposition)
+from toricpush import (Fan, FanError, IntMatrix, LatticeError, class_group,
+                       cox_ring, decompose_pushforward, graded_dimension, h0,
+                       h0_class, hirzebruch, module_shifts,
+                       multiplication_endo, product_fan, projective_space,
+                       smith_normal_form, validate_fan, verify_decomposition)
 from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import feasible_point
 
@@ -250,6 +252,44 @@ class TestStandardFans:
             projective_space(0)
         with pytest.raises(FanError):
             hirzebruch(-1)
+
+
+class TestFanHash:
+    """A fan hashes its compared fields once, when it is made; the name is
+    not one of them, so renamed fans share every lru_cache entry."""
+
+    def test_names_share_cache_entries(self):
+        p2 = projective_space(2)
+        a, b = (validate_fan(2, p2.rays, p2.max_cones, name=name)[0]
+                for name in ("a", "b"))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert class_group(a) is class_group(b)
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda fan: replace(fan, name="renamed"), copy.deepcopy,
+        lambda fan: pickle.loads(pickle.dumps(fan))])
+    def test_copies_keep_equality_and_hash(self, copy_of):
+        fan = hirzebruch(1)
+        other = copy_of(fan)
+        assert other == fan and hash(other) == hash(fan)
+        assert hash(fan) == hash((fan.dim, fan.rays, fan.max_cones))
+
+    def test_hash_is_no_field(self):
+        fan = projective_space(1)
+        assert [f.name for f in fields(Fan)] == ["dim", "rays", "max_cones",
+                                                 "name"]
+        assert repr(fan) == ("Fan(dim=1, rays=((1,), (-1,)), "
+                             "max_cones=((1,), (0,)), name='P1')")
+
+    def test_ray_order_gives_another_fan(self):
+        # the same cones with the rays listed in another order
+        p2 = projective_space(2)
+        order = [2, 0, 1]
+        moved = validate_fan(2, [p2.rays[i] for i in order],
+                             [[order.index(i) for i in cone]
+                              for cone in p2.max_cones])[0]
+        assert moved != p2 and hash(moved) != hash(p2)
+        assert class_group(moved) is not class_group(p2)
 
 
 class TestInvariances:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_cosets
+from conftest import axis_expansion, box_cosets
 from toricpush import (FanError, IntMatrix, LatticeError,
                        coset_representatives, smith_normal_form, validate_fan)
-from toricpush.lattice import scaled_inverse, walk_cosets
+from toricpush.lattice import _axis, scaled_inverse, walk_cosets
 
 
 def mat(rows):
@@ -101,6 +101,39 @@ def coset_reduce(F: IntMatrix, x) -> tuple[int, ...]:
     y = snf.U.mul_vector(x)
     y = tuple(yi % d for yi, d in zip(y, snf.invariant_factors()))
     return scaled_inverse(snf.U)[0].mul_vector(y)
+
+
+class TestCosetOrder:
+    """coset_representatives expands the walk's lines in walk order, the
+    order that the pushforward tables and the CLI print."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_lines_expand_in_walk_order(self, rows):
+        f = mat(rows)
+        assume(f.det() != 0)
+        assert coset_representatives(f) == axis_expansion(f)
+
+    @pytest.mark.parametrize("rows, step, d, diagonal", [
+        # d = 1: every line is its start alone
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1), 1, True),
+        # a negative step entry, two lines, U^{-1} not diagonal
+        ([[6, 0], [0, 4]], (-1, 1), 12, False),
+        # a zero and a negative step entry
+        ([[1, 2], [3, -4]], (0, -1), 10, False),
+        ([[-5]], (-1,), 5, True),
+    ])
+    def test_ranges_of_every_sign(self, rows, step, d, diagonal):
+        f = mat(rows)
+        assert walk_cosets(f)[1:] == (step, d)
+        uinv = scaled_inverse(smith_normal_form(f).U)[0].entries
+        assert diagonal == all(x == 0 for i, row in enumerate(uinv)
+                               for j, x in enumerate(row) if i != j)
+        assert coset_representatives(f) == axis_expansion(f)
+        forms = [((1,) * len(rows), 3), ((-2,) + (0,) * (len(rows) - 1), 0)]
+        assert list(_axis(*walk_cosets(f, forms))) == axis_expansion(f, forms)
 
 
 class TestCosetRepresentatives:

@@ -5,11 +5,13 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
-from conftest import (ORACLE_FANS, accepted_endos, box_cosets, oracle_endos,
-                      weighted_plane)
+from conftest import (ORACLE_FANS, accepted_endos, axis_expansion, box_cosets,
+                      oracle_endos, weighted_plane)
 from toricpush import (Decomposition, EndoError, IntMatrix,
                        VerificationReport, build_endo, class_group, compose,
                        coset_table, decompose_pushforward, degree, h0_class,
@@ -56,6 +58,20 @@ def line_pairings(endo, coeffs):
     _, step, d = walk_cosets(endo.matrix.transpose(), forms)
     return (step[:fan.nrays], [endo.mults[rho] for rho in endo.pi_inverse],
             d)
+
+
+def axis_table(endo, coeffs):
+    """coset_table's rows from the reference expansion of walk_cosets, each
+    coset led by its floor numerators, sorted as coset_table sorts them."""
+    fan = endo.fan
+    pic = class_group(fan)
+    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
+    mults = [endo.mults[rho] for rho in endo.pi_inverse]
+    rows = []
+    for vec in axis_expansion(endo.matrix.transpose(), forms):
+        witness = tuple(x // c for x, c in zip(vec, mults))
+        rows.append((pic.class_of(witness), witness, vec[len(mults):]))
+    return sorted(rows)
 
 
 def reference_iterate(endo, coeffs, k):
@@ -306,7 +322,41 @@ class TestBeyondTheWalk:
             assert sum(n for _, n in dec.multiplicities) == degree(endo)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coset_table_expands_the_walk(data):
+    # every endomorphism of the exhaustive sets, Picard rank 1 to 3, and
+    # divisors with coefficients of both signs
+    endo = data.draw(st.sampled_from(oracle_endos(
+        data.draw(st.sampled_from(sorted(ORACLE_FANS))))))
+    coeffs = tuple(data.draw(st.lists(st.integers(-3, 3),
+                                      min_size=endo.fan.nrays,
+                                      max_size=endo.fan.nrays)))
+    assert coset_table(endo, coeffs) == axis_table(endo, coeffs)
+
+
 class TestVerifyDecomposition:
+    # h0_class (hits, misses) of one cold verify_decomposition, box 2: a
+    # lookup for h0(D + f*E) and one per summand class at each twist E, and
+    # on trivial D one per nontrivial class, pinned so that no rewrite of
+    # the twist loop adds or drops a lookup.
+    @pytest.mark.parametrize("fan, q, divisor, hits, misses", [
+        (P1XP1, 3, (0, 0, 0, 0), 71, 57),
+        (P1XP1, 3, (1, 0, 0, 0), 68, 57),
+        (hirzebruch(1), 2, (0, 0, 0, 0), 51, 51),
+        (hirzebruch(1), 2, (1, 0, 0, 0), 48, 52),
+    ])
+    def test_h0_class_cache_traffic(self, fan, q, divisor, hits, misses):
+        endo = multiplication_endo(fan, q)
+        dec = decompose_pushforward(endo, divisor)
+        h0_class.cache_clear()
+        assert verify_decomposition(endo, divisor, dec).passed
+        info = h0_class.cache_info()
+        assert (info.hits, info.misses) == (hits, misses)
+        nclasses = len(dec.multiplicities)
+        nontrivial = nclasses - 1 if not any(divisor) else 0
+        assert hits + misses == 5 ** 2 * (1 + nclasses) + nontrivial
+
     @pytest.mark.parametrize("box, error", [(-1, ValueError),
                                             (True, TypeError),
                                             (1.0, TypeError)])
