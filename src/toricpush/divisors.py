@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import FanError
+from .errors import FanError, LatticeError
 from .fans import Fan, _is_complete
 from .feasibility import feasible_point, lattice_point_counter
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
@@ -70,6 +70,21 @@ def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
     return coeffs
 
 
+def _class_coordinates(fan: Fan, cls) -> tuple[int, ...]:
+    """A class's coordinates as ints, checked to be one per Picard rank."""
+    cls, rank = as_ints(cls), class_group(fan).rank
+    if len(cls) != rank:
+        raise LatticeError("dimension mismatch: class has %d coordinates, "
+                           "Picard rank is %d" % (len(cls), rank))
+    return cls
+
+
+def _bounded(count):
+    if count is None:
+        raise FanError("section polytope unbounded; fan is not complete")
+    return count
+
+
 @lru_cache(maxsize=None)
 def _section_counter(fan: Fan):
     """count(a): the lattice points of the section polytope
@@ -81,30 +96,36 @@ def _section_counter(fan: Fan):
     return lattice_point_counter(rows, k + fan.dim, k)
 
 
+@lru_cache(maxsize=None)
+def _class_counter(fan: Fan):
+    """count(c): h0 of the class c, from one elimination of the polytope
+    lift_mat[rho] . c + <m, v_rho> >= 0 with c as parameters."""
+    lift = class_group(fan).lift_mat.entries
+    rows = [((*lift[rho], *ray), 0) for rho, ray in enumerate(fan.rays)]
+    return lattice_point_counter(rows, len(lift[0]) + fan.dim, len(lift[0]))
+
+
 def h0(fan: Fan, coeffs) -> int:
     """Number of global sections: lattice points of the section polytope,
     counted by the fan's section counter.  That counter's one elimination
     is cached per fan until the caches are cleared: once per CLI process,
-    and once per benchmark pass, which clears every lru_cache."""
-    count = _section_counter(fan)(_coefficients(fan, coeffs))
-    if count is None:
-        raise FanError("section polytope unbounded; fan is not complete")
-    return count
+    and once per benchmark pass, which clears every lru_cache.  It takes
+    ray coefficients, so it answers where the class group has torsion."""
+    return _bounded(_section_counter(fan)(_coefficients(fan, coeffs)))
 
 
 def h0_class(fan: Fan, cls) -> int:
-    """h0 of the canonical lift of a divisor class, cached per (fan, class)
-    as h0 is class-invariant; a miss calls h0, whose per-fan section
-    counter is cached alongside.  cls is checked before the cache is read, as
-    a bool or float class would compare equal to an int one there.
-    verify_decomposition checks its decomposition's classes once, then
-    reads _h0_class directly on their sums with the twist box's ints."""
-    return _h0_class(fan, as_ints(cls))
+    """h0 of a divisor class, cached per (fan, class); a miss counts with
+    the fan's class counter, lifting no divisor.  cls is checked (ints, one
+    per Picard rank) before the cache is read, as a bool or float class
+    would compare equal to an int one there.  verify_decomposition checks
+    its classes once, then reads _h0_class on their sums with the twists."""
+    return _h0_class(fan, _class_coordinates(fan, cls))
 
 
 @lru_cache(maxsize=None)
 def _h0_class(fan: Fan, cls: tuple[int, ...]) -> int:
-    return h0(fan, class_group(fan).lift(cls))
+    return _bounded(_class_counter(fan)(cls))
 
 
 # the cache's handles, so that it can be inspected and cleared as before

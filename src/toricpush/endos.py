@@ -4,6 +4,7 @@ action on the Picard lattice, and the int-amplified decision."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -88,8 +89,9 @@ def pullback_divisor(endo: ToricEndomorphism, coeffs) -> tuple[int, ...]:
                  for rho in range(endo.fan.nrays))
 
 
+@lru_cache(maxsize=None)
 def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
-    """Matrix of f* on the Picard lattice in the canonical basis."""
+    """Matrix of f* on the Picard lattice in the canonical basis (cached)."""
     if pic.fan != endo.fan:
         raise EndoError("Picard lattice belongs to a different fan")
     cols = []

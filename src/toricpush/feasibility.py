@@ -238,10 +238,10 @@ def _fibers(levels, prefix, depth):
 def lattice_point_counter(cons, nvars: int, nparams: int, depth: int = 0):
     """count(p): the number of integer points satisfying every constraint
     with x_0..x_{nparams-1} = p, or None if that fiber is nonempty and
-    unbounded.  With depth > 0, count(p) lists those points fiber by fiber
-    instead: a tuple of the pairs (x, count) for every integer x of the next
-    depth coordinates whose fiber holds count > 0 of them, in lexicographic
-    order.
+    unbounded; a p of another length is a ValueError.  With depth > 0,
+    count(p) lists those points fiber by fiber instead: a tuple of the pairs
+    (x, count) for every integer x of the next depth coordinates whose fiber
+    holds count > 0 of them, in lexicographic order.
 
     Only x_nparams..x_{nvars-1} are eliminated, once for every p.  The rows
     left free of them are the conditions on p for a nonempty fiber; which
@@ -250,13 +250,17 @@ def lattice_point_counter(cons, nvars: int, nparams: int, depth: int = 0):
     systems = list(islice(_projections(cons, nvars), nvars - nparams + 1))
     conditions = systems[-1]
     empty = () if depth else 0
-    if conditions is None:
-        return lambda p: empty
-    levels = [_level(systems[nvars - 1 - k], k)
-              for k in range(nparams, nvars)]
+    if conditions is None:  # no point for any p: one row 0 >= 1
+        conditions, levels = [((0,) * nparams, 1)], []
+    else:
+        levels = [_level(systems[nvars - 1 - k], k)
+                  for k in range(nparams, nvars)]
     bounded = all(lower and upper for lower, upper in levels)
 
     def count(p):
+        if len(p) != nparams:
+            raise ValueError("count(p) needs len(p) == %d, got %d"
+                             % (nparams, len(p)))
         if any(sum(map(mul, c, p)) < r for c, r in conditions):
             return empty
         if not bounded:

@@ -6,9 +6,11 @@ O(w_u) per coset u of Z^n / F^T Z^n, w_{pi(rho)} = floor((a_rho + <u, v_rho>)
 / c_rho).  As F v_rho = c_rho v_{pi(rho)}, moving u by F^T m moves w_u by the
 principal divisor <m, v>, so each coset of class lambda holds one u with
 w_u = L = lift(lambda): O(lambda) occurs once per integer u in the bounded
-slab 0 <= a_rho - c_rho L_{pi(rho)} + <u, v_rho> <= c_rho - 1.  One
-lattice_point_counter per endomorphism counts it fiber by fiber over
-lambda, visiting no coset; coset_table walks the cosets to list them.
+slab 0 <= a_rho - c_rho L_{pi(rho)} + <u, v_rho> <= c_rho - 1.  Moving D
+by div chi^m moves u by m, so a = lift(delta) serves for D of class delta:
+one lattice_point_counter per endomorphism, with delta as parameters,
+counts the slab fiber by fiber over lambda, visiting no coset; coset_table
+walks the cosets to list them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from operator import add, floordiv, mul
 
-from .divisors import _coefficients, _h0_class, class_group
+from .divisors import (_class_coordinates, _coefficients, _h0_class,
+                       class_group)
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
 from .fans import Fan
 from .feasibility import lattice_point_counter
@@ -48,22 +51,22 @@ class Decomposition:
 @lru_cache(maxsize=None)
 def _slab_counter(fan: Fan, pi: tuple[int, ...], mults: tuple[int, ...]):
     """The slab's counter for the endomorphism that (pi, mults) determine:
-    two rows per ray over (a, lambda, u), with the ray coefficients a as
-    parameters, counted fiber by fiber over lambda."""
-    pic = class_group(fan)
-    k, rank = fan.nrays, pic.rank
+    two rows per ray over (delta, lambda, u), lift_mat[rho] . delta in place
+    of a_rho, with the class delta of D as parameters, counted fiber by
+    fiber over lambda (see the module)."""
+    lift = class_group(fan).lift_mat.entries
+    rank = len(lift[0])
     rows = []
     for rho, (ray, c) in enumerate(zip(fan.rays, mults)):
-        low = (*(int(i == rho) for i in range(k)),
-               *(-c * x for x in pic.lift_mat.entries[pi[rho]]), *ray)
+        low = (*lift[rho], *(-c * x for x in lift[pi[rho]]), *ray)
         rows += [(low, 0), (tuple(-x for x in low), 1 - c)]
-    return lattice_point_counter(rows, k + rank + fan.dim, k, rank)
+    return lattice_point_counter(rows, 2 * rank + fan.dim, rank, rank)
 
 
 def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
-    """f_* O(D) by the slab polytope's fiber counts (see the module)."""
-    coeffs = _coefficients(endo.fan, coeffs)
-    return Decomposition(_slab_counter(endo.fan, endo.pi, endo.mults)(coeffs))
+    """f_* O(D) by the slab's fiber counts over D's class (see the module)."""
+    cls = class_group(endo.fan).class_of(_coefficients(endo.fan, coeffs))
+    return Decomposition(_slab_counter(endo.fan, endo.pi, endo.mults)(cls))
 
 
 def coset_table(endo: ToricEndomorphism, coeffs):
@@ -134,8 +137,8 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
     fan = endo.fan
     pic = class_group(fan)
     coeffs = _coefficients(fan, coeffs)
-    for lam, _ in dec.multiplicities:  # ints, before any cache is read
-        as_ints(lam)
+    for lam, _ in dec.multiplicities:  # before any cache is read
+        _class_coordinates(fan, lam)
     report = VerificationReport(passed=True, checks=0)
 
     d = degree(endo)

@@ -96,6 +96,13 @@ def weighted_plane(name):
     return fan
 
 
+def labelled_fans():
+    """(label, fan) for every bundled, ORACLE_FANS and weighted fan."""
+    yield from bundled_fans().items()
+    yield from ((name, fan) for name, (fan, _) in sorted(ORACLE_FANS.items()))
+    yield from ((name, weighted_plane(name)) for name in sorted(WEIGHTED))
+
+
 def fraction_inverse(rows):
     """Reference inverse of a square integer matrix by Gauss-Jordan over
     Fraction."""

@@ -5,15 +5,16 @@ import pytest
 import toricpush.cox as cox_module
 import toricpush.lattice as lattice_module
 import toricpush.pushforward as pushforward_module
-from conftest import (ORACLE_FANS, WEIGHTED, bundled_fans, half_plane_fan,
-                      oracle_endos, weighted_plane)
+from conftest import (ORACLE_FANS, half_plane_fan, labelled_fans,
+                      oracle_endos)
 from toricpush import (Decomposition, EndoError, FanError, IntMatrix,
                        VerificationError, build_endo, class_group,
                        contracting_exponent, cox_ring, decompose_pushforward,
                        graded_dimension, h0, hirzebruch, induced_cox_endo,
                        is_int_amplified, module_shifts, multiplication_endo,
                        pic_coset_decomposition, product_fan, projective_space,
-                       pullback_matrix, rank_bookkeeping, smith_normal_form)
+                       pullback_matrix, rank_bookkeeping, smith_normal_form,
+                       verify_decomposition)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -237,19 +238,12 @@ class TestModuleShifts:
             module_shifts(e, (0, 0))
 
 
-def degree_matrix_fans():
-    """(label, fan) for every bundled, ORACLE_FANS and weighted fan."""
-    yield from bundled_fans().items()
-    yield from ((name, fan) for name, (fan, _) in sorted(ORACLE_FANS.items()))
-    yield from ((name, weighted_plane(name)) for name in sorted(WEIGHTED))
-
-
 class TestDegreeMatrix:
     """graded_dimension reads every solution of deg e = cls off one Smith
     normal form of the degree matrix deg, which needs deg onto."""
 
-    @pytest.mark.parametrize("label, fan", list(degree_matrix_fans()),
-                             ids=[label for label, _ in degree_matrix_fans()])
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
+                             ids=[label for label, _ in labelled_fans()])
     def test_degree_matrix_is_onto(self, label, fan):
         pic = class_group(fan)
         assert (smith_normal_form(pic.to_class_mat).invariant_factors()
@@ -293,3 +287,17 @@ class TestRankBookkeeping:
     def test_whole_corpus(self, pairs):
         for label, fan, endo in pairs:
             rank_bookkeeping(endo, cox_ring(fan), class_group(fan))
+
+
+def test_pullback_matrix_computed_once_per_endomorphism():
+    # the oracle's twist loop, the rank bookkeeping and the Pic cosets all
+    # read f*; a new endomorphism object equal to a cached one is a hit
+    endo, pic = multiplication_endo(P1XP1, 3), class_group(P1XP1)
+    pullback_matrix.cache_clear()
+    dec = decompose_pushforward(endo, (1, 0, 0, 0))
+    assert verify_decomposition(endo, (1, 0, 0, 0), dec).passed
+    assert rank_bookkeeping(endo, cox_ring(P1XP1), pic)["pic_index"] == 9
+    assert len(pic_coset_decomposition(multiplication_endo(P1XP1, 3),
+                                       pic)) == 9
+    info = pullback_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -4,13 +4,15 @@ from math import comb
 
 import pytest
 
+import toricpush.divisors as divisors
 from conftest import (WEIGHTED, bundled_fans, fraction_kleiman_forms,
-                      half_plane_fan, weighted_plane)
-from toricpush import (FanError, Positivity, class_group,
-                       decompose_pushforward, h0, hirzebruch, is_projective,
-                       multiplication_endo, positivity, product_fan,
-                       projective_space, pullback_divisor,
+                      half_plane_fan, labelled_fans, weighted_plane)
+from toricpush import (FanError, PicLattice, Positivity, class_group,
+                       decompose_pushforward, h0, h0_class, hirzebruch,
+                       is_projective, multiplication_endo, positivity,
+                       product_fan, projective_space, pullback_divisor,
                        verify_decomposition, validate_fan)
+from toricpush.divisors import _class_counter
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -145,6 +147,35 @@ class TestH0:
             shifted = tuple(a + sum(mi * vi for mi, vi in zip(m, ray))
                             for ray, a in zip(fan.rays, coeffs))
             assert h0(fan, coeffs) == h0(fan, shifted)
+
+
+class TestClassCounter:
+    """h0_class counts with the rank coordinates of the class as the
+    counter's parameters, not through a lift to ray coefficients."""
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
+                             ids=[label for label, _ in labelled_fans()])
+    def test_counts_h0_of_the_lift(self, label, fan):
+        pic = class_group(fan)
+        count = _class_counter(fan)
+        for cls in product(range(-3, 4), repeat=pic.rank):
+            assert count(cls) == h0(fan, pic.lift(cls)), cls
+
+    def test_miss_lifts_nothing_and_calls_no_h0(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an h0_class miss went through a divisor")
+
+        monkeypatch.setattr(PicLattice, "lift", refuse)
+        monkeypatch.setattr(divisors, "h0", refuse)
+        h0_class.cache_clear()
+        assert h0_class(P2, (2,)) == 6
+        assert h0_class(P1XP1, (1, 2)) == 6
+        assert h0_class(F1, (-1, 0)) == 0
+        assert h0_class.cache_info().misses == 3
+
+    def test_unbounded_class_count_refused(self):
+        with pytest.raises(FanError, match="unbounded"):
+            h0_class(half_plane_fan(), (1,))
 
 
 class TestIsProjective:

@@ -220,6 +220,25 @@ def test_non_integer_input_refused(call, error):
         call()
 
 
+@pytest.mark.parametrize("fan", [projective_space(2),
+                                 product_fan(projective_space(1),
+                                             projective_space(1))],
+                         ids=["P2", "P1xP1"])
+@pytest.mark.parametrize("length", ["short", "long", "empty"])
+@pytest.mark.parametrize("count", ["h0_class", "graded_dimension"])
+def test_wrong_length_class_refused(fan, length, count):
+    # a class needs one coordinate per Picard rank; a counter taking the
+    # class as parameters would otherwise read a prefix of it
+    rank = class_group(fan).rank
+    cls = {"short": (1,) * (rank - 1), "long": (1,) * (rank + 1),
+           "empty": ()}[length]
+    call = {"h0_class": lambda: h0_class(fan, cls),
+            "graded_dimension": lambda: graded_dimension(cox_ring(fan),
+                                                         cls)}[count]
+    with pytest.raises(LatticeError, match="dimension mismatch"):
+        call()
+
+
 class TestStandardFans:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
     def test_projective_space_validates(self, n):

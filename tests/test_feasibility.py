@@ -315,6 +315,18 @@ class TestCountLatticePoints:
             fibers = lattice_point_counter(cons, nvars, nparams, d)(p)
             assert sum(n for _, n in fibers) == total
 
+    @pytest.mark.parametrize("cons", [
+        [([1, 1], 0), ([-1, -1], -2)],  # 0 <= x + y <= 2
+        [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)],  # infeasible
+    ], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_parameters_of_the_wrong_length_refused(self, cons, depth):
+        # count(p) reads p with zip, which would truncate a longer p
+        count = lattice_point_counter(cons, 2, 1, depth)
+        for p in [(), (0, 0), (0, 0, 0)]:
+            with pytest.raises(ValueError, match=r"needs len\(p\) == 1, got"):
+                count(p)
+
     def test_fibers_of_an_infeasible_system(self):
         # x + y >= 3 with x, y <= 1: no fiber, at any parameter
         cons = [([1, 1], 3), ([-1, 0], -1), ([0, -1], -1)]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import toricpush
-from toricpush import divisors, pushforward
+from toricpush import divisors, endos, pushforward
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -220,3 +220,10 @@ def test_section_counter_is_an_lru_cache():
 
 def test_slab_counter_is_an_lru_cache():
     assert isinstance(pushforward._slab_counter, type(lru_cache(len)))
+
+
+@pytest.mark.parametrize("cached", [divisors._class_counter,
+                                    endos.pullback_matrix],
+                         ids=["class_counter", "pullback_matrix"])
+def test_per_fan_and_per_endomorphism_memos_are_lru_caches(cached):
+    assert isinstance(cached, type(lru_cache(len)))

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
 from conftest import (ORACLE_FANS, accepted_endos, axis_expansion, box_cosets,
-                      oracle_endos, weighted_plane)
-from toricpush import (Decomposition, EndoError, IntMatrix,
+                      corpus_pairs, oracle_endos, weighted_plane)
+from toricpush import (Decomposition, EndoError, IntMatrix, LatticeError,
                        VerificationReport, build_endo, class_group, compose,
                        coset_table, decompose_pushforward, degree, h0_class,
                        hirzebruch, iterate_coherence, multiplication_endo,
@@ -231,6 +231,23 @@ class TestDecomposeDifferential:
                     rng.randint(-9, 9) for _ in range(fan.nrays)))
 
 
+    @pytest.mark.parametrize("label, fan, endo", corpus_pairs(),
+                             ids=[label for label, _, _ in corpus_pairs()])
+    def test_principal_divisor_moves_nothing(self, label, fan, endo):
+        # the slab counter takes the class of D, so D and D + div chi^m
+        # decompose alike; the floor formula on the moved coefficients
+        # themselves agrees
+        rng = random.Random(label)
+        for _ in range(4):
+            coeffs = tuple(rng.randint(-5, 5) for _ in range(fan.nrays))
+            m = [rng.randint(-5, 5) for _ in range(fan.dim)]
+            moved = tuple(a + sum(x * v for x, v in zip(m, ray))
+                          for a, ray in zip(coeffs, fan.rays))
+            assert (decompose_pushforward(endo, moved)
+                    == decompose_pushforward(endo, coeffs))
+            assert_matches_reference(endo, moved)
+
+
 def test_decomposition_memory():
     # the summands are one shared tuple per class, counted per class:
     # 3375 summands of P3 mul:15 need no per-coset tuple or sort entry
@@ -356,6 +373,25 @@ class TestVerifyDecomposition:
         nclasses = len(dec.multiplicities)
         nontrivial = nclasses - 1 if not any(divisor) else 0
         assert hits + misses == 5 ** 2 * (1 + nclasses) + nontrivial
+
+    @pytest.mark.parametrize("fan, divisor", [(P2, (1, 0, 0)),
+                                              (P1XP1, (1, 0, 0, 0))],
+                             ids=["P2", "P1xP1"])
+    @pytest.mark.parametrize("length", ["padded", "cut"])
+    def test_class_length_refused_cold_and_warm(self, fan, divisor, length):
+        # the twist loop adds E to each summand class with map(add, ...),
+        # which would drop a padded class's extra coordinate
+        e = multiplication_endo(fan, 2)
+        dec = decompose_pushforward(e, divisor)
+        bad = Decomposition(tuple((lam + (0,) if length == "padded"
+                                   else lam[:-1], mult)
+                                  for lam, mult in dec.multiplicities))
+        h0_class.cache_clear()
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            verify_decomposition(e, divisor, bad)
+        assert verify_decomposition(e, divisor, dec).passed
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            verify_decomposition(e, divisor, bad)
 
     @pytest.mark.parametrize("box, error", [(-1, ValueError),
                                             (True, TypeError),
