@@ -106,31 +106,24 @@ def cmd_intamp(x):
             {"int_amplified": True, "certificate": list(cert)})
 
 
-def _decomposition(x):
-    """f_* O(D) as its coset table and the table's JSON payload."""
-    table = pushforward.coset_table(x.endo, x.divisor)
-    summands, witnesses, cosets = zip(*table)
-    return table, {"summands": [list(s) for s in summands],
-                   "witness_divisors": [list(w) for w in witnesses],
-                   "cosets": [list(u) for u in cosets]}
-
-
 def cmd_pushforward(x):
-    table, payload = _decomposition(x)
+    table = pushforward.coset_table(x.endo, x.divisor)
     lines = ["coset           class           witness"]
     lines += ["%-15s %-15s %s" % tuple(",".join(map(str, v))
                                        for v in (u, cls, w))
               for cls, w, u in table]
-    return "\n".join(lines), payload
+    return "\n".join(lines), {
+        key: [list(v) for v in column] for key, column in
+        zip(("summands", "witness_divisors", "cosets"), zip(*table))}
 
 
 def cmd_verify(x):
-    table, payload = _decomposition(x)
-    dec = pushforward.Decomposition.from_summands(row[0] for row in table)
+    dec = pushforward.decompose_pushforward(x.endo, x.divisor)
     report = pushforward.verify_decomposition(x.endo, x.divisor, dec,
                                               box=x.box)
-    payload.update(passed=report.passed, checks=report.checks,
-                   violations=report.violations)
+    payload = {"summands": [list(s) for s in dec.summands],
+               "passed": report.passed, "checks": report.checks,
+               "violations": report.violations}
     if report.passed:
         return "pass (%d checks)" % report.checks, payload, EXIT_OK
     return ("FAIL\n" + "\n".join(report.violations), payload,

@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 from itertools import product
 from operator import mul
 
-from .divisors import PicLattice, _coefficients, class_group
+from .divisors import PicLattice, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
 from .errors import EndoError, FanError, VerificationError
 from .fans import Fan
@@ -147,9 +147,9 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
     than section-polytope points.
     """
     box = _twist_box(box)
-    coeffs = _coefficients(endo.fan, coeffs)
-    dec = decompose_pushforward(endo, coeffs)
-    for mu, lhs, rhs in _twist_sums(endo, coeffs, dec.multiplicities,
+    dec = decompose_pushforward(endo, coeffs)  # checks coeffs
+    d_class = class_group(endo.fan).class_of(coeffs)
+    for mu, lhs, rhs in _twist_sums(endo, d_class, dec.multiplicities,
                                     partial(graded_dimension,
                                             cox_ring(endo.fan)), box):
         if lhs != rhs:
@@ -162,6 +162,8 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
 def rank_bookkeeping(endo: ToricEndomorphism, ring: CoxRing,
                      pic: PicLattice) -> dict:
     """Check prod_rho c_rho = deg(f) * |Pic / f*Pic| and report the numbers."""
+    if ring.fan != endo.fan:
+        raise EndoError("ring and endomorphism live on different fans")
     prod_c = math.prod(endo.mults)
     deg = degree(endo)
     index = abs(pullback_matrix(endo, pic).det())

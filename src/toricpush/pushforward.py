@@ -9,8 +9,9 @@ w_u = L = lift(lambda): O(lambda) occurs once per integer u in the bounded
 slab 0 <= a_rho - c_rho L_{pi(rho)} + <u, v_rho> <= c_rho - 1.  Moving D
 by div chi^m moves u by m, so a = lift(delta) serves for D of class delta:
 one lattice_point_counter per endomorphism, with delta as parameters,
-counts the slab fiber by fiber over lambda, visiting no coset; coset_table
-walks the cosets to list them.
+counts the slab fiber by fiber over lambda, visiting no coset: every
+decomposition verified is these counts.  coset_table walks the cosets only
+to list them.
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ from .lattice import _axis, as_ints, walk_cosets
 class Decomposition:
     """f_* O(D) = direct sum of O(lambda)^mult over the multiplicities
     (lambda, mult), sorted by class so that the output is deterministic.
-    summands lists each class mult times, one shared tuple per class, and
-    from_summands counts such a list; coset_table lists the cosets behind."""
+    summands lists each class mult times, one shared tuple per class."""
 
     multiplicities: tuple[tuple[tuple[int, ...], int], ...]
-
-    @classmethod
-    def from_summands(cls, summands) -> Decomposition:
-        return cls(tuple(sorted(Counter(summands).items())))
 
     @property
     def summands(self) -> tuple[tuple[int, ...], ...]:
@@ -63,10 +59,15 @@ def _slab_counter(fan: Fan, pi: tuple[int, ...], mults: tuple[int, ...]):
     return lattice_point_counter(rows, 2 * rank + fan.dim, rank, rank)
 
 
+def _push(endo: ToricEndomorphism, cls: tuple[int, ...]):
+    """The pairs (lambda, mult) of f_* O(D) for D of class cls."""
+    return _slab_counter(endo.fan, endo.pi, endo.mults)(cls)
+
+
 def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
     """f_* O(D) by the slab's fiber counts over D's class (see the module)."""
     cls = class_group(endo.fan).class_of(_coefficients(endo.fan, coeffs))
-    return Decomposition(_slab_counter(endo.fan, endo.pi, endo.mults)(cls))
+    return Decomposition(_push(endo, cls))
 
 
 def coset_table(endo: ToricEndomorphism, coeffs):
@@ -107,15 +108,14 @@ def _twist_box(box) -> int:
     return box
 
 
-def _twist_sums(endo: ToricEndomorphism, coeffs, multiplicities, count,
+def _twist_sums(endo: ToricEndomorphism, d_class, multiplicities, count,
                 box: int):
     """The projection formula twist by twist: yield (E, h0(D + f*E),
     sum_lambda mult * count(lambda + E)) for every class E in the
-    Pic-coordinate box [-box, box]^rank, where D has ray coefficients
-    coeffs and the pairs (lambda, mult) are the summand classes."""
+    Pic-coordinate box [-box, box]^rank, where D has class d_class and the
+    pairs (lambda, mult) are the summand classes."""
     fan = endo.fan
     pic = class_group(fan)
-    d_class = pic.class_of(coeffs)
     rows = pullback_matrix(endo, pic).entries
     for twist in product(range(-box, box + 1), repeat=pic.rank):
         lhs = _h0_class(fan, tuple([d + sum(map(mul, row, twist))
@@ -131,27 +131,32 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
     Checks rank = deg f, the projection-formula dimension identity
     h0(D + f*E) = sum_i h0(lift(lambda_i) + lift(E)) for every class E in the
     box (box >= 0), and (for trivial D) the single-trivial-summand law, each
-    check counted once per summand it covers.
+    check counted once per summand it covers.  Each class must be listed
+    once, with an int multiplicity >= 1.
     """
     box = _twist_box(box)
     fan = endo.fan
     pic = class_group(fan)
-    coeffs = _coefficients(fan, coeffs)
-    for lam, _ in dec.multiplicities:  # before any cache is read
-        _class_coordinates(fan, lam)
+    d_class = pic.class_of(_coefficients(fan, coeffs))
+    # every class and multiplicity is checked before any cache is read
+    classes = [_class_coordinates(fan, lam) for lam, _ in dec.multiplicities]
+    if len(set(classes)) < len(classes):
+        raise ValueError("a summand class is listed twice")
+    if min(as_ints(m for _, m in dec.multiplicities), default=1) < 1:
+        raise ValueError("a summand multiplicity is below 1")
     report = VerificationReport(passed=True, checks=0)
 
     d = degree(endo)
     rank = sum(mult for _, mult in dec.multiplicities)
     report.check(rank == d, "rank %d does not equal degree %d", rank, d)
-    for twist, lhs, rhs in _twist_sums(endo, coeffs, dec.multiplicities,
+    for twist, lhs, rhs in _twist_sums(endo, d_class, dec.multiplicities,
                                        partial(_h0_class, fan), box):
         report.check(lhs == rhs,
                      "twist %s: h0(D + f*E) = %d but summands give %d",
                      twist, lhs, rhs)
 
     zero = pic.zero()
-    if pic.class_of(coeffs) == zero:
+    if d_class == zero:
         trivial = dict(dec.multiplicities).get(zero, 0)
         report.check(trivial == 1,
                      "trivial summand count %d (expected exactly 1)", trivial)
@@ -166,24 +171,21 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
 def iterate_coherence(endo: ToricEndomorphism, coeffs,
                       k: int = 2) -> VerificationReport:
     """Check f^k_* O(D) against k-fold application of the single-step formula."""
+    (k,) = as_ints((k,))
     if k < 2:
         raise ValueError("iteration order must be >= 2")
-    fan = endo.fan
-    pic = class_group(fan)
-    coeffs = _coefficients(fan, coeffs)
+    d_class = class_group(endo.fan).class_of(_coefficients(endo.fan, coeffs))
 
     iterate = endo
     for _ in range(k - 1):
         iterate = compose(iterate, endo)
-    direct = Counter(dict(
-        decompose_pushforward(iterate, coeffs).multiplicities))
+    direct = Counter(dict(_push(iterate, d_class)))
     # push each class once, carrying its multiplicity
-    stepped = Counter([pic.class_of(coeffs)])
+    stepped = Counter([d_class])
     for _ in range(k):
         pushed = Counter()
         for cls, mult in stepped.items():
-            for lam, n in decompose_pushforward(endo,
-                                                pic.lift(cls)).multiplicities:
+            for lam, n in _push(endo, cls):
                 pushed[lam] += mult * n
         stepped = pushed
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -6,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from toricpush import (EndoError, IntMatrix, build_endo, compose, hirzebruch,
-                       multiplication_endo, product_fan, projective_space,
-                       smith_normal_form, validate_fan)
+from toricpush import (Decomposition, EndoError, IntMatrix, build_endo,
+                       compose, hirzebruch, multiplication_endo, product_fan,
+                       projective_space, smith_normal_form, validate_fan)
 from toricpush.io import parse_fan
 from toricpush.lattice import scaled_inverse
 
@@ -36,6 +37,11 @@ def bundled_fans():
         fans[path.name.split(".")[0]] = validate_fan(
             doc.dim, doc.rays, doc.cones, name=path.name)[0]
     return fans
+
+
+def decomposition(summands):
+    """The Decomposition that lists the given summand classes, counted."""
+    return Decomposition(tuple(sorted(Counter(summands).items())))
 
 
 def swap_endo(p1xp1):

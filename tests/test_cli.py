@@ -119,9 +119,8 @@ EXACT_OUTPUT = {
     "verify-json": (
         ["verify", P1, "--endo", "mul:2", "--divisor", "1,0", "--box", "1",
          "--json"],
-        '{"checks": 4, "cosets": [[0], [1]], "passed": true, '
-        '"summands": [[0], [0]], "violations": [], '
-        '"witness_divisors": [[0, 0], [1, -1]]}\n'),
+        '{"checks": 4, "passed": true, "summands": [[0], [0]], '
+        '"violations": []}\n'),
     "cox-shifts": (["cox-shifts", P1, "--endo", "mul:3", "--divisor", "1,0"],
                    "-1\n0\n0\n"),
     "cox-shifts-json": (
@@ -186,6 +185,25 @@ class TestCommands:
         assert run_command(["verify", P1XP1, "--endo", SWAP,
                             "--divisor", "1,0,-1,2", "--box", "2"]) == 0
         assert capsys.readouterr().out.startswith("pass")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    def test_verify_walks_no_coset(self, monkeypatch, json_flag, capsys):
+        # P2 mul:300 has 90000 cosets; verify reads the slab's counts
+        def refuse(*args):
+            raise AssertionError("verify walked the cosets")
+
+        for name in ("walk_cosets", "coset_table"):
+            monkeypatch.setattr(pushforward, name, refuse)
+        assert run_command(["verify", P2, "--endo", "mul:300",
+                            "--divisor", "0,0,0"] + json_flag) == 0
+        out = capsys.readouterr().out
+        if json_flag:
+            data = json.loads(out)
+            assert (data["passed"], data["checks"]) == (True, 90006)
+            assert len(data["summands"]) == 90000
+        else:
+            assert out == "pass (90006 checks)\n"
 
     def test_cox_shifts(self, capsys):
         assert run_command(["cox-shifts", P1, "--endo", "mul:2",
@@ -376,15 +394,14 @@ class TestExitCodes:
 
     def test_failed_verification(self, monkeypatch, capsys):
         # P1 mul:3 on O is (-1) + (-1) + (0); one (-1) turned into (0) fails
-        real = pushforward.coset_table
+        real = pushforward.decompose_pushforward
 
         def corrupted(endo, coeffs):
-            table = real(endo, coeffs)
-            assert [row[0] for row in table] == [(-1,), (-1,), (0,)]
-            table[1] = ((0,),) + table[1][1:]
-            return table
+            dec = real(endo, coeffs)
+            assert dec.multiplicities == (((-1,), 2), ((0,), 1))
+            return pushforward.Decomposition((((-1,), 1), ((0,), 2)))
 
-        monkeypatch.setattr(pushforward, "coset_table", corrupted)
+        monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
         assert run_command(["verify", P1, "--endo", "mul:3",
                             "--divisor", "0,0", "--box", "1"]) == 1
         assert capsys.readouterr().out == (

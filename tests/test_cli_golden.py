@@ -63,6 +63,21 @@ def test_transcript_replays():
         assert replay(record["argv"]) == record
 
 
+def test_verify_lists_the_walks_summands():
+    # verify lists the slab's counts and pushforward the coset walk's class
+    # column, so a regeneration cannot bless a split between the two
+    summands = {}
+    for line in GOLDEN.read_text().splitlines():
+        record = json.loads(line)
+        command, *rest = record["argv"]
+        if command in ("verify", "pushforward") and "--json" in rest:
+            payload = json.loads(record["stdout"])
+            summands.setdefault(tuple(rest), {})[command] = payload["summands"]
+    assert len(summands) == 22
+    for key, pair in summands.items():
+        assert pair["verify"] == pair["pushforward"], key
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("".join(json.dumps(replay(argv)) + "\n"
                               for argv in grid()))

@@ -5,13 +5,13 @@ import pytest
 import toricpush.cox as cox_module
 import toricpush.lattice as lattice_module
 import toricpush.pushforward as pushforward_module
-from conftest import (ORACLE_FANS, half_plane_fan, labelled_fans,
-                      oracle_endos)
-from toricpush import (Decomposition, EndoError, FanError, IntMatrix,
-                       VerificationError, build_endo, class_group,
-                       contracting_exponent, cox_ring, decompose_pushforward,
-                       graded_dimension, h0, hirzebruch, induced_cox_endo,
-                       is_int_amplified, module_shifts, multiplication_endo,
+from conftest import (ORACLE_FANS, decomposition, half_plane_fan,
+                      labelled_fans, oracle_endos)
+from toricpush import (EndoError, FanError, IntMatrix, VerificationError,
+                       build_endo, class_group, contracting_exponent,
+                       cox_ring, decompose_pushforward, graded_dimension, h0,
+                       hirzebruch, induced_cox_endo, is_int_amplified,
+                       module_shifts, multiplication_endo,
                        pic_coset_decomposition, product_fan, projective_space,
                        pullback_matrix, rank_bookkeeping, smith_normal_form,
                        verify_decomposition)
@@ -231,7 +231,7 @@ class TestModuleShifts:
         real = decompose_pushforward(e, (0, 0))
         corrupted = real.summands[:-1] + (tuple(x + 1 for x in
                                                 real.summands[-1]),)
-        fake = Decomposition.from_summands(corrupted)
+        fake = decomposition(corrupted)
         monkeypatch.setattr(cox_module, "decompose_pushforward",
                             lambda endo, coeffs: fake)
         with pytest.raises(VerificationError):
@@ -287,6 +287,18 @@ class TestRankBookkeeping:
     def test_whole_corpus(self, pairs):
         for label, fan, endo in pairs:
             rank_bookkeeping(endo, cox_ring(fan), class_group(fan))
+
+    def test_ring_of_another_fan_refused(self, monkeypatch):
+        # nothing else reads the ring: a P2 endomorphism with P1's ring
+        # used to return P2's numbers
+        def refuse(*args):
+            raise AssertionError("work before the ring check")
+
+        for name in ("degree", "pullback_matrix"):
+            monkeypatch.setattr(cox_module, name, refuse)
+        with pytest.raises(EndoError, match="different fans"):
+            rank_bookkeeping(multiplication_endo(P2, 2), cox_ring(P1),
+                             class_group(P2))
 
 
 def test_pullback_matrix_computed_once_per_endomorphism():

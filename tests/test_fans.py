@@ -13,9 +13,10 @@ import pytest
 from conftest import HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans
 from toricpush import (Fan, FanError, IntMatrix, LatticeError, class_group,
                        cox_ring, decompose_pushforward, graded_dimension, h0,
-                       h0_class, hirzebruch, module_shifts,
-                       multiplication_endo, product_fan, projective_space,
-                       smith_normal_form, validate_fan, verify_decomposition)
+                       h0_class, hirzebruch, iterate_coherence,
+                       module_shifts, multiplication_endo, product_fan,
+                       projective_space, smith_normal_form, validate_fan,
+                       verify_decomposition)
 from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import feasible_point
 
@@ -208,13 +209,19 @@ def _shifts_in_box(box):
     (lambda: _verify_in_box(True), TypeError),
     (lambda: _verify_in_box(1.0), TypeError),
     (lambda: _shifts_in_box(True), TypeError),
+    # True read as k = 1 used to raise ValueError, and 2.0 passed the
+    # order check to fail only in range()
+    (lambda: iterate_coherence(multiplication_endo(projective_space(1), 2),
+                               (0, 0), k=True), TypeError),
+    (lambda: iterate_coherence(multiplication_endo(projective_space(1), 2),
+                               (0, 0), k=2.0), TypeError),
 ], ids=["ray", "cone-index", "h0-float", "h0-str", "h0-fraction",
         "graded-dimension", "from-rows", "ray-bool", "cone-index-bool",
         "h0-bool", "graded-dimension-bool", "from-rows-bool",
         "h0-class-float", "h0-class-bool", "h0-class-cached-float",
         "dim-bool", "dim-float", "projective-space-bool", "mul-bool",
         "mul-float", "verify-box-bool", "verify-box-float",
-        "module-shifts-box-bool"])
+        "module-shifts-box-bool", "k-bool", "k-float"])
 def test_non_integer_input_refused(call, error):
     with pytest.raises(error):
         call()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
 from conftest import (ORACLE_FANS, accepted_endos, axis_expansion, box_cosets,
-                      corpus_pairs, oracle_endos, weighted_plane)
+                      corpus_pairs, decomposition, oracle_endos,
+                      weighted_plane)
 from toricpush import (Decomposition, EndoError, IntMatrix, LatticeError,
                        VerificationReport, build_endo, class_group, compose,
                        coset_table, decompose_pushforward, degree, h0_class,
@@ -76,16 +77,16 @@ def axis_table(endo, coeffs):
 
 def reference_iterate(endo, coeffs, k):
     """iterate_coherence with the stepped side expanded as a flat list, one
-    decomposition per summand (through the module, so a patch applies)."""
-    pic = class_group(endo.fan)
+    push per summand (through the module, so a patch applies)."""
+    d_class = class_group(endo.fan).class_of(coeffs)
     iterate = endo
     for _ in range(k - 1):
         iterate = compose(iterate, endo)
-    direct = sorted(pushforward.decompose_pushforward(iterate, coeffs).summands)
-    classes = [pic.class_of(coeffs)]
+    direct = sorted(Decomposition(pushforward._push(iterate, d_class)).summands)
+    classes = [d_class]
     for _ in range(k):
         classes = [lam for cls in classes for lam in
-                   pushforward.decompose_pushforward(endo, pic.lift(cls)).summands]
+                   Decomposition(pushforward._push(endo, cls)).summands]
     stepped = sorted(classes)
     report = VerificationReport(passed=direct == stepped, checks=1)
     if not report.passed:
@@ -412,7 +413,7 @@ class TestVerifyDecomposition:
         e = multiplication_endo(P1, 2)
         g = ray_class(P1, 0)
         two_g = tuple(2 * x for x in g)
-        dec = Decomposition.from_summands((g, g, (0,), two_g, g))
+        dec = decomposition((g, g, (0,), two_g, g))
         assert dec.multiplicities == (((0,), 1), (g, 3), (two_g, 1))
         rep = verify_decomposition(e, (0, 0), dec, box=0)
         assert rep.checks == 1 + 1 + 1 + 4
@@ -427,7 +428,7 @@ class TestVerifyDecomposition:
         # decomposition is verified, a float or bool class compares equal to
         # a cached int one there
         e = multiplication_endo(P1, 2)
-        bad = Decomposition.from_summands(summands)
+        bad = decomposition(summands)
         h0_class.cache_clear()
         with pytest.raises(TypeError):
             verify_decomposition(e, (0, 0), bad)
@@ -436,12 +437,37 @@ class TestVerifyDecomposition:
         with pytest.raises(TypeError):
             verify_decomposition(e, (0, 0), bad)
 
+    @pytest.mark.parametrize("pairs, error", [
+        # a vacuous pair: +1 and -1 of classes with no sections cancel
+        ((((-11,), -1), ((-10,), 1), ((-1,), 3), ((0,), 1)), ValueError),
+        ((((-1,), 3), ((0,), 1), ((5,), 0)), ValueError),
+        ((((-1,), 3.0), ((0,), 1)), TypeError),
+        ((((-1,), 3), ((0,), True)), TypeError),
+        ((((-1,), 2), ((0,), 1), ((-1,), 1)), ValueError),
+        ((((-1,), 3), ((0,), 1), ((0,), 0)), ValueError),
+    ], ids=["cancelling", "zero", "float", "bool", "repeated", "repeated-0"])
+    def test_bad_multiplicities_refused_cold_and_warm(self, pairs, error):
+        # each used to pass, or fail with a wrong count or no violation;
+        # they are refused before the h0 cache is read
+        e = multiplication_endo(P2, 2)
+        dec = decompose_pushforward(e, (0, 0, 0))
+        assert dec.multiplicities == (((-1,), 3), ((0,), 1))
+        bad = Decomposition(pairs)
+        h0_class.cache_clear()
+        for warm in (False, True):
+            if warm:
+                assert verify_decomposition(e, (0, 0, 0), dec).passed
+            info = h0_class.cache_info()
+            with pytest.raises(error):
+                verify_decomposition(e, (0, 0, 0), bad)
+            assert h0_class.cache_info() == info
+
     def test_corrupted_decomposition_is_caught(self):
         e = multiplication_endo(P2, 2)
         dec = decompose_pushforward(e, (1, 0, 0))
         shifted = tuple(tuple(x + (1 if i == 0 else 0) for x in s)
                         for i, s in enumerate(dec.summands))
-        bad = Decomposition.from_summands(shifted)
+        bad = decomposition(shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=2)
         assert not report.passed
         assert any("twist" in v for v in report.violations)
@@ -449,7 +475,7 @@ class TestVerifyDecomposition:
     def test_wrong_rank_is_caught(self):
         e = multiplication_endo(P1, 2)
         dec = decompose_pushforward(e, (0, 0))
-        bad = Decomposition.from_summands(dec.summands + ((0,),))
+        bad = decomposition(dec.summands + ((0,),))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert any("degree" in v for v in report.violations)
@@ -459,7 +485,7 @@ class TestVerifyDecomposition:
         e = multiplication_endo(P1, 3)
         dec = decompose_pushforward(e, (0, 0))
         assert dec.summands == ((-1,), (-1,), (0,))
-        bad = Decomposition.from_summands(((-1,), (0,), (0,)))
+        bad = decomposition(((-1,), (0,), (0,)))
         report = verify_decomposition(e, (0, 0), bad, box=1)
         assert not report.passed
         assert ("twist (0,): h0(D + f*E) = 1 but summands give 2"
@@ -492,7 +518,7 @@ class TestVerifyDecomposition:
         report = verify_decomposition(e, (1, 0, 0), dec, box=0)
         assert report.passed and report.checks == 2  # rank + one twist
         shifted = ((dec.summands[0][0] + 1,),) + dec.summands[1:]
-        bad = Decomposition.from_summands(shifted)
+        bad = decomposition(shifted)
         report = verify_decomposition(e, (1, 0, 0), bad, box=0)
         assert not report.passed
         assert any("twist (0,)" in v for v in report.violations)
@@ -613,19 +639,20 @@ class TestIterateCoherence:
             reference_iterate(endo, coeffs, k))
 
     def test_violation_text(self, monkeypatch):
-        # corrupt one summand of every single-step decomposition (mul:2),
-        # leaving the direct one (mul:4) alone
+        # corrupt one summand of every single-step push (mul:2), leaving
+        # the direct one (mul:4) alone
         step = multiplication_endo(P1, 2)
-        decompose = pushforward.decompose_pushforward
+        push = pushforward._push
 
-        def corrupted(endo, coeffs):
-            dec = decompose(endo, coeffs)
+        def corrupted(endo, cls):
+            pairs = push(endo, cls)
             if endo != step:
-                return dec
-            first = tuple(x + 1 for x in dec.summands[0])
-            return Decomposition.from_summands((first,) + dec.summands[1:])
+                return pairs
+            summands = Decomposition(pairs).summands
+            first = tuple(x + 1 for x in summands[0])
+            return decomposition((first,) + summands[1:]).multiplicities
 
-        monkeypatch.setattr(pushforward, "decompose_pushforward", corrupted)
+        monkeypatch.setattr(pushforward, "_push", corrupted)
         rep = iterate_coherence(step, (0, 0), k=2)
         assert not rep.passed and rep.checks == 1
         assert rep.violations == [
