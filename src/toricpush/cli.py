@@ -206,7 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    args = build_parser().parse_args(argv)
+    words = []  # argparse reads -1,0,0 as an option: join it to --divisor
+    for arg in argv:
+        if words[-1:] == ["--divisor"]:
+            words[-1] += "=" + arg
+        else:
+            words.append(arg)
+    args = build_parser().parse_args(words)
     command, inputs = COMMANDS[args.command]
     try:
         human, payload, *code = command(_load(args, inputs))

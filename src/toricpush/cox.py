@@ -5,10 +5,10 @@ Pic / f*Pic coset bookkeeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import PicLattice, class_group
 from .endos import ToricEndomorphism, degree, pullback_matrix
@@ -19,8 +19,7 @@ from .lattice import as_ints, coset_representatives, smith_normal_form
 from .pushforward import _twist_box, _twist_sums, decompose_pushforward
 
 
-@dataclass(frozen=True)
-class CoxRing:
+class CoxRing(NamedTuple):
     """Polynomial ring with one variable per ray, graded by the Picard lattice."""
 
     fan: Fan
@@ -28,8 +27,7 @@ class CoxRing:
     degrees: tuple[tuple[int, ...], ...]  # degree_of(x_rho) = class of D_rho
 
 
-@dataclass(frozen=True)
-class CoxEndomorphism:
+class CoxEndomorphism(NamedTuple):
     """Monomial substitution x_{rho'} -> x_{source}^{exponent} induced by f."""
 
     ring: CoxRing

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .errors import FanError, LatticeError
 from .fans import Fan, _is_complete
@@ -13,8 +13,7 @@ from .feasibility import feasible_point, lattice_point_counter
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
-@dataclass(frozen=True)
-class PicLattice:
+class PicLattice(NamedTuple):
     """Class group Cl(X) of a complete simplicial toric variety, torsion-free,
     in a canonical basis: Pic(X) if the fan is smooth, else its classes are
     Weil divisor classes.

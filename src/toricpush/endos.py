@@ -3,10 +3,10 @@ action on the Picard lattice, and the int-amplified decision."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import PicLattice, _coefficients, is_projective, kleiman_forms
 from .errors import EndoError
@@ -15,8 +15,7 @@ from .feasibility import feasible_point
 from .lattice import IntMatrix, as_ints
 
 
-@dataclass(frozen=True)
-class ToricEndomorphism:
+class ToricEndomorphism(NamedTuple):
     """Lattice self-map F with F v_rho = c_rho * v_{pi(rho)} for every ray."""
 
     fan: Fan

@@ -1,6 +1,7 @@
 """Simplicial fans: validation, which reports smoothness (from the minors
 of each cone's rays) and completeness rather than requiring them, and the
-standard smooth builders."""
+standard smooth builders, which construct their fans directly: validate_fan
+is the check for fan data from outside the package."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import FanError
 from .feasibility import feasible_point
@@ -39,8 +41,7 @@ class Fan:
         return [self.rays[i] for i in cone]
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     smooth: bool
     complete: bool
 
@@ -149,29 +150,30 @@ def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
 
 def projective_space(n: int) -> Fan:
     """Fan of P^n: standard basis rays plus their negative sum."""
+    (n,) = as_ints((n,))
     if n < 1:
         raise FanError("projective_space needs n >= 1")
-    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    cones = [tuple(sorted(set(range(n + 1)) - {i})) for i in range(n + 1)]
-    return validate_fan(n, rays, cones, name="P%d" % n)[0]
+    rays = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    cones = [tuple(j for j in range(n + 1) if j != i) for i in range(n + 1)]
+    return Fan(dim=n, rays=(*rays, (-1,) * n), max_cones=tuple(cones),
+               name="P%d" % n)
 
 
 def product_fan(f: Fan, g: Fan, name="") -> Fan:
-    """Fan of the product variety."""
-    dim = f.dim + g.dim
-    rays = [r + (0,) * g.dim for r in f.rays]
-    rays += [(0,) * f.dim + r for r in g.rays]
-    cones = [tuple(c1) + tuple(f.nrays + i for i in c2)
-             for c1 in f.max_cones for c2 in g.max_cones]
-    return validate_fan(dim, rays, cones,
-                        name=name or "%sx%s" % (f.name, g.name))[0]
+    """Fan of the product variety: the cones c1 x c2, each sorted because
+    g's rays are numbered after f's; f and g are trusted to be fans."""
+    rays = tuple(r + (0,) * g.dim for r in f.rays)
+    rays += tuple((0,) * f.dim + r for r in g.rays)
+    cones = tuple(c1 + tuple(f.nrays + i for i in c2)
+                  for c1 in f.max_cones for c2 in g.max_cones)
+    return Fan(dim=f.dim + g.dim, rays=rays, max_cones=cones,
+               name=name or "%sx%s" % (f.name, g.name))
 
 
 def hirzebruch(a: int) -> Fan:
     """Hirzebruch surface F_a with rays e1, e2, -e1 + a*e2, -e2."""
+    (a,) = as_ints((a,))
     if a < 0:
         raise FanError("hirzebruch needs a >= 0")
-    rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    return validate_fan(2, rays, cones, name="F%d" % a)[0]
+    return Fan(dim=2, rays=((1, 0), (0, 1), (-1, a), (0, -1)),
+               max_cones=((0, 1), (1, 2), (2, 3), (0, 3)), name="F%d" % a)

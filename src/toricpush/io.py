@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class FanDocument:
+class FanDocument(NamedTuple):
     dim: int
     rays: tuple[tuple[int, ...], ...]
     cones: tuple[tuple[int, ...], ...]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import index, mul
+from typing import NamedTuple
 
 from .errors import LatticeError
 
@@ -118,8 +119,7 @@ def _bareiss(a, n) -> int:
     return sign * prev
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """U @ A @ V = S with U, V unimodular and S diagonal (divisibility chain)."""
 
     U: IntMatrix

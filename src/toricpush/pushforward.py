@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from operator import add, floordiv, mul
+from typing import NamedTuple
 
 from .divisors import (_class_coordinates, _coefficients, _h0_class,
                        class_group)
@@ -30,8 +31,7 @@ from .feasibility import lattice_point_counter
 from .lattice import _axis, as_ints, walk_cosets
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """f_* O(D) = direct sum of O(lambda)^mult over the multiplicities
     (lambda, mult), sorted by class so that the output is deterministic.
     summands lists each class mult times, one shared tuple per class."""

@@ -449,6 +449,21 @@ class TestIntegerInputs:
                          "0,0,0", "--box", "+1"], capsys) == (
             0, "pass (8 checks)\n", "")
 
+    @pytest.mark.parametrize("argv, out", [
+        (["h0", P2], "0\n"), (["positivity", P2], "not-nef\n"),
+        (["verify", P2, "--endo", "mul:2"], None)],
+        ids=["h0", "positivity", "verify"])
+    def test_leading_minus_divisor(self, argv, out, capsys):
+        # argparse alone reads -40,0,0 as an option and exits 2; both
+        # spellings must give one answer.  verify's verdict is not pinned:
+        # no twist in the box has sections here, so it compares 0 with 0.
+        spaced = _outcome(argv + ["--divisor", "-40,0,0"], capsys)
+        joined = _outcome(argv + ["--divisor=-40,0,0"], capsys)
+        assert spaced == joined
+        assert spaced[0] != 2 and spaced[2] == ""
+        if out is not None:
+            assert spaced == (0, out, "")
+
 
 def test_python_m_toricpush():
     # the one test of a real CLI process: python -m toricpush from a checkout

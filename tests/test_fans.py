@@ -5,18 +5,18 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import combinations, permutations
 
 import pytest
 
 from conftest import HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans
-from toricpush import (Fan, FanError, IntMatrix, LatticeError, class_group,
-                       cox_ring, decompose_pushforward, graded_dimension, h0,
-                       h0_class, hirzebruch, iterate_coherence,
-                       module_shifts, multiplication_endo, product_fan,
-                       projective_space, smith_normal_form, validate_fan,
-                       verify_decomposition)
+from toricpush import (Fan, FanError, FanReport, IntMatrix, LatticeError,
+                       class_group, cox_ring, decompose_pushforward, fans,
+                       graded_dimension, h0, h0_class, hirzebruch,
+                       iterate_coherence, module_shifts, multiplication_endo,
+                       product_fan, projective_space, smith_normal_form,
+                       validate_fan, verify_decomposition)
 from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import feasible_point
 
@@ -204,6 +204,9 @@ def _shifts_in_box(box):
     (lambda: validate_fan(True, [(1,), (-1,)], [(0,), (1,)]), TypeError),
     (lambda: validate_fan(1.0, [(1,), (-1,)], [(0,), (1,)]), TypeError),
     (lambda: projective_space(True), TypeError),
+    (lambda: projective_space(2.0), TypeError),
+    (lambda: hirzebruch(True), TypeError),
+    (lambda: hirzebruch(2.0), TypeError),
     (lambda: multiplication_endo(projective_space(2), True), TypeError),
     (lambda: multiplication_endo(projective_space(2), 2.0), TypeError),
     (lambda: _verify_in_box(True), TypeError),
@@ -219,8 +222,9 @@ def _shifts_in_box(box):
         "graded-dimension", "from-rows", "ray-bool", "cone-index-bool",
         "h0-bool", "graded-dimension-bool", "from-rows-bool",
         "h0-class-float", "h0-class-bool", "h0-class-cached-float",
-        "dim-bool", "dim-float", "projective-space-bool", "mul-bool",
-        "mul-float", "verify-box-bool", "verify-box-float",
+        "dim-bool", "dim-float", "projective-space-bool",
+        "projective-space-float", "hirzebruch-bool", "hirzebruch-float",
+        "mul-bool", "mul-float", "verify-box-bool", "verify-box-float",
         "module-shifts-box-bool", "k-bool", "k-float"])
 def test_non_integer_input_refused(call, error):
     with pytest.raises(error):
@@ -247,11 +251,22 @@ def test_wrong_length_class_refused(fan, length, count):
 
 
 class TestStandardFans:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    """The builders construct their fans without validate_fan, so its
+    verdict on their data is checked here: the same fan, with rays and
+    cones in the builder's order, smooth and complete."""
+
+    @staticmethod
+    def assert_valid(fan):
+        checked, report = validate_fan(fan.dim, fan.rays, fan.max_cones,
+                                       name=fan.name)
+        assert checked == fan  # dim, rays and cones, in the same order
+        assert {type(x) for ray in fan.rays for x in ray} == {int}
+        assert report == FanReport(smooth=True, complete=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_projective_space_validates(self, n):
         fan = projective_space(n)
-        _, report = validate_fan(fan.dim, fan.rays, fan.max_cones)
-        assert report.smooth and report.complete
+        self.assert_valid(fan)
         assert fan.nrays == n + 1
         assert len(fan.max_cones) == n + 1
 
@@ -261,17 +276,31 @@ class TestStandardFans:
         assert len(fan.max_cones) == 2
 
     def test_product(self):
-        fan = product_fan(projective_space(1), projective_space(1))
+        p1, p2 = projective_space(1), projective_space(2)
+        for parts in ([p1] * 2, [p1] * 3, [p1] * 4, [p2, p1],
+                      [hirzebruch(1), p1], [hirzebruch(2), p2]):
+            fan = reduce(product_fan, parts)
+            self.assert_valid(fan)
+            assert fan.name == "x".join(f.name for f in parts)
+            assert fan.nrays == sum(f.nrays for f in parts)
+            assert len(fan.max_cones) == math.prod(len(f.max_cones)
+                                                   for f in parts)
+        fan = product_fan(p1, p1)
         assert set(fan.rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-        assert len(fan.max_cones) == 4
-        _, report = validate_fan(fan.dim, fan.rays, fan.max_cones)
-        assert report.smooth and report.complete
 
-    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
     def test_hirzebruch_validates(self, a):
-        fan = hirzebruch(a)
-        _, report = validate_fan(fan.dim, fan.rays, fan.max_cones)
-        assert report.smooth and report.complete
+        self.assert_valid(hirzebruch(a))
+
+    def test_builders_solve_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a builder ran a feasibility solve")
+
+        monkeypatch.setattr(fans, "feasible_point", refuse)
+        projective_space(4), hirzebruch(3)
+        reduce(product_fan, [projective_space(1)] * 4)
+        with pytest.raises(AssertionError, match="feasibility solve"):
+            validate_fan(1, [(1,), (-1,)], [(0,), (1,)])
 
     def test_bad_params(self):
         with pytest.raises(FanError):

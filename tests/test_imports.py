@@ -1,11 +1,13 @@
 import ast
+import pickle
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import toricpush
-from toricpush import divisors, endos, pushforward
+from toricpush import IntMatrix, divisors, endos, pushforward
+from toricpush.io import parse_fan
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricpush"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -37,6 +39,81 @@ def test_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dataclass_names(source):
+    """Names of the classes a module decorates with @dataclass or
+    @dataclass(...)."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "dataclass" for d in node.decorator_list))
+
+
+def test_dataclass_detector():
+    assert dataclass_names("@dataclass\nclass A: pass\n"
+                           "@dataclass(frozen=True)\nclass B: pass\n"
+                           "@other\nclass C: pass\nclass D(NamedTuple): pass\n"
+                           ) == ["A", "B"]
+
+
+# Creating a frozen dataclass generates each method by a separate exec, about
+# 1 ms per class per import, paid by every CLI process and by each of the
+# benchmark's set-up imports; a NamedTuple costs a tenth of that.  Only the
+# classes that need a dataclass keep it: Fan (cached hash, name left out of
+# equality), IntMatrix (validated entries) and VerificationReport (mutable).
+def test_dataclasses_only_where_needed():
+    assert sorted(name for path in SOURCES for name in
+                  dataclass_names(path.read_text(encoding="utf-8"))) \
+        == ["Fan", "IntMatrix", "VerificationReport"]
+
+
+RECORD_FIELDS = {
+    "PicLattice": ("fan", "rank", "to_class_mat", "lift_mat"),
+    "ToricEndomorphism": ("fan", "matrix", "pi", "mults"),
+    "CoxRing": ("fan", "pic", "degrees"),
+    "CoxEndomorphism": ("ring", "endo", "sources", "exponents"),
+    "SnfResult": ("U", "S", "V"),
+    "Decomposition": ("multiplicities",),
+    "FanReport": ("smooth", "complete"),
+    "FanDocument": ("dim", "rays", "cones", "name"),
+}
+
+
+def _record(name):
+    fan = toricpush.projective_space(2)
+    endo = toricpush.multiplication_endo(fan, 2)
+    ring = toricpush.cox_ring(fan)
+    return {
+        "PicLattice": lambda: toricpush.class_group(fan),
+        "ToricEndomorphism": lambda: endo,
+        "CoxRing": lambda: ring,
+        "CoxEndomorphism": lambda: toricpush.induced_cox_endo(endo, ring),
+        "SnfResult": lambda: toricpush.smith_normal_form(
+            IntMatrix.from_rows([[2, 4], [6, 8]])),
+        "Decomposition": lambda: toricpush.decompose_pushforward(
+            endo, (1, 0, 0)),
+        "FanReport": lambda: toricpush.validate_fan(
+            fan.dim, fan.rays, fan.max_cones)[1],
+        "FanDocument": lambda: parse_fan(
+            '{"dim": 1, "rays": [[1], [-1]], "cones": [[0], [1]]}'),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_are_immutable_values(name):
+    record = _record(name)
+    assert type(record).__name__ == name
+    fields = RECORD_FIELDS[name]
+    copy = type(record)(**{field: getattr(record, field) for field in fields})
+    assert copy == record and hash(copy) == hash(record)
+    assert copy is not record
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def imported_modules(source):
