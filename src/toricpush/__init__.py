@@ -16,7 +16,7 @@ from .fans import (Fan, FanReport, hirzebruch, product_fan, projective_space,
                    validate_fan)
 from .lattice import (IntMatrix, SnfResult, coset_representatives,
                       smith_normal_form)
-from .pushforward import (Decomposition, VerificationReport, coset_table,
+from .pushforward import (Decomposition, VerificationReport,
                           decompose_pushforward, iterate_coherence,
                           verify_decomposition)
 
@@ -28,7 +28,7 @@ __all__ = [
     "PicLattice", "Positivity", "SnfResult", "ToricEndomorphism",
     "ToricError", "VerificationError", "VerificationReport", "build_endo",
     "class_group", "compose", "contracting_exponent",
-    "coset_representatives", "coset_table", "cox_ring",
+    "coset_representatives", "cox_ring",
     "decompose_pushforward", "degree", "graded_dimension",
     "h0", "h0_class", "hirzebruch", "induced_cox_endo", "is_int_amplified",
     "is_projective", "iterate_coherence", "module_shifts",

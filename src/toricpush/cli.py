@@ -107,14 +107,10 @@ def cmd_intamp(x):
 
 
 def cmd_pushforward(x):
-    table = pushforward.coset_table(x.endo, x.divisor)
-    lines = ["coset           class           witness"]
-    lines += ["%-15s %-15s %s" % tuple(",".join(map(str, v))
-                                       for v in (u, cls, w))
-              for cls, w, u in table]
-    return "\n".join(lines), {
-        key: [list(v) for v in column] for key, column in
-        zip(("summands", "witness_divisors", "cosets"), zip(*table))}
+    pairs = pushforward.decompose_pushforward(x.endo, x.divisor).multiplicities
+    return ("\n".join("%s %d" % (",".join(map(str, cls)), mult)
+                      for cls, mult in pairs),
+            {"multiplicities": [[list(cls), mult] for cls, mult in pairs]})
 
 
 def cmd_verify(x):

@@ -1,6 +1,7 @@
-"""Exact integer linear algebra: Smith normal form, coset enumeration, and
-one fraction-free Gauss-Jordan elimination (_bareiss) behind both the
-determinant and the inverse (scaled_inverse).
+"""Exact integer linear algebra: Smith normal form, coset representatives
+walked axis by axis as ranges, and one fraction-free Gauss-Jordan
+elimination (_bareiss) behind both the determinant and the inverse
+(scaled_inverse).
 
 Everything here works over arbitrary-precision Python ints: no Fraction and
 no floating point.
@@ -229,30 +230,23 @@ def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:
             sign * a[0][0])
 
 
-def walk_cosets(F: IntMatrix, forms=()):
-    """Canonical representatives u of Z^n / F(Z^n), F nonsingular, streamed
-    one line at a time.
+def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
+    """Canonical representatives u of Z^n / F(Z^n), F nonsingular.
 
     With U F V = S, u = U^{-1} w for w in prod_i range(S_ii) in
     itertools.product order (mixed radix, last axis fastest), so the choice
-    is reproducible byte-for-byte.  Each (row, offset) in the sequence forms
-    puts offset + <row, u> in front of u.  A line is the d cosets that differ
-    only in the last axis, whose factor d is the largest (S_11 | ... | S_nn):
-    the walk returns (starts, step, d), and start + j * step for j in
-    range(d) are the line at each start in starts, in order.  One step per
-    axis (a column of U^{-1} led by its pairings) keeps the forms with u, so
-    a line costs one vector addition, and no line is kept once passed.
+    is reproducible byte-for-byte.  Each axis steps by one column of U^{-1},
+    as one arithmetic progression per coordinate: no coset costs a matrix
+    product.
     """
     snf = smith_normal_form(F)
     radices = snf.invariant_factors()
     if F.nrows != F.ncols or 0 in radices:
         raise LatticeError("not a finite-index sublattice")
-    steps = [tuple(sum(map(mul, row, col)) for row, _ in forms) + col
-             for col in zip(*scaled_inverse(snf.U)[0].entries)]
-    starts = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
-    for step, d in zip(steps, radices[:-1]):
-        starts = _axis(starts, step, d)
-    return starts, steps[-1], radices[-1]
+    reps = [(0,) * F.ncols]
+    for step, d in zip(zip(*scaled_inverse(snf.U)[0].entries), radices):
+        reps = _axis(reps, step, d)
+    return list(reps)
 
 
 def _axis(prefixes, step, d):
@@ -261,9 +255,3 @@ def _axis(prefixes, step, d):
     for vec in prefixes:
         yield from zip(*[range(s, s + d * t, t) if t else repeat(s, d)
                          for s, t in zip(vec, step)])
-
-
-def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:
-    """The walk_cosets representatives of Z^n / F(Z^n), as a list."""
-    return list(_axis(*walk_cosets(F)))
-

@@ -10,8 +10,7 @@ slab 0 <= a_rho - c_rho L_{pi(rho)} + <u, v_rho> <= c_rho - 1.  Moving D
 by div chi^m moves u by m, so a = lift(delta) serves for D of class delta:
 one lattice_point_counter per endomorphism, with delta as parameters,
 counts the slab fiber by fiber over lambda, visiting no coset: every
-decomposition verified is these counts.  coset_table walks the cosets only
-to list them.
+decomposition, printed or verified, is these counts.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, product, repeat
-from operator import add, floordiv, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .divisors import (_class_coordinates, _coefficients, _h0_class,
@@ -28,7 +27,7 @@ from .divisors import (_class_coordinates, _coefficients, _h0_class,
 from .endos import ToricEndomorphism, compose, degree, pullback_matrix
 from .fans import Fan
 from .feasibility import lattice_point_counter
-from .lattice import _axis, as_ints, walk_cosets
+from .lattice import as_ints
 
 
 class Decomposition(NamedTuple):
@@ -68,20 +67,6 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
     """f_* O(D) by the slab's fiber counts over D's class (see the module)."""
     cls = class_group(endo.fan).class_of(_coefficients(endo.fan, coeffs))
     return Decomposition(_push(endo, cls))
-
-
-def coset_table(endo: ToricEndomorphism, coeffs):
-    """Every coset's row (class, witness divisor, coset u) of f_* O(D),
-    sorted by class, then witness, then coset; the class column is
-    decompose_pushforward's summands.  walk_cosets leads each coset with the
-    numerators a_rho + <u, v_rho> in the order of the rays pi(rho)."""
-    coeffs = _coefficients(endo.fan, coeffs)
-    pic = class_group(endo.fan)
-    forms = [(endo.fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    mults = [endo.mults[rho] for rho in endo.pi_inverse]
-    rows = [(tuple(map(floordiv, vec, mults)), vec[len(mults):])
-            for vec in _axis(*walk_cosets(endo.matrix.transpose(), forms))]
-    return sorted((pic.class_of(w), w, u) for w, u in rows)
 
 
 @dataclass

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from toricpush import (Decomposition, EndoError, IntMatrix, build_endo,
-                       compose, hirzebruch, multiplication_endo, product_fan,
-                       projective_space, smith_normal_form, validate_fan)
+                       class_group, compose, hirzebruch, multiplication_endo,
+                       product_fan, projective_space, smith_normal_form,
+                       validate_fan)
 from toricpush.io import parse_fan
 from toricpush.lattice import scaled_inverse
 
@@ -186,15 +187,14 @@ def box_cosets(F):
             for w in product(*[range(d) for d in snf.invariant_factors()])]
 
 
-def axis_expansion(F, forms=()):
-    """Reference expansion of walk_cosets: the same steps (columns of U^{-1}
-    led by the forms' pairings), every axis walked one vector addition at a
-    time in mixed-radix order, last axis fastest."""
+def axis_expansion(F):
+    """Reference expansion of coset_representatives: the same steps (the
+    columns of U^{-1}), every axis walked one vector addition at a time in
+    mixed-radix order, last axis fastest."""
     snf = smith_normal_form(F)
-    steps = [tuple(sum(a * b for a, b in zip(row, col)) for row, _ in forms)
-             + col for col in zip(*scaled_inverse(snf.U)[0].entries)]
-    vecs = [tuple(offset for _, offset in forms) + (0,) * F.ncols]
-    for step, d in zip(steps, snf.invariant_factors()):
+    vecs = [(0,) * F.ncols]
+    for step, d in zip(zip(*scaled_inverse(snf.U)[0].entries),
+                       snf.invariant_factors()):
         out = []
         for vec in vecs:
             for _ in range(d):
@@ -202,6 +202,21 @@ def axis_expansion(F, forms=()):
                 vec = tuple(a + b for a, b in zip(vec, step))
         vecs = out
     return vecs
+
+
+def reference_decompose(endo, coeffs):
+    """The floor formula coset by coset: the box cosets, then one n-term sum
+    per ray and one class_of product per coset, as (class, witness, coset)
+    rows sorted by class, then witness, then coset."""
+    fan = endo.fan
+    pic = class_group(fan)
+    rows = []
+    for u in box_cosets(endo.matrix.transpose()):
+        witness = tuple(
+            (coeffs[rho] + sum(a * b for a, b in zip(u, fan.rays[rho])))
+            // endo.mults[rho] for rho in endo.pi_inverse)
+        rows.append((pic.class_of(witness), witness, u))
+    return sorted(rows)
 
 
 def sample_divisors(fan, bound=2, limit=200, seed=0):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import FIXTURE_DIR, HALF_PLANE, QUADRANTS
-from toricpush import pushforward
+from toricpush import cox, lattice, pushforward
 from toricpush.cli import COMMANDS, build_parser, run_command
 from toricpush.errors import InputError
 from toricpush.io import parse_endo, parse_fan
@@ -89,31 +89,18 @@ EXACT_OUTPUT = {
                "yes, certificate H=(3,2)\n"),
     "intamp-json": (["intamp", P2, "--endo", "mul:1", "--json"],
                     '{"certificate": null, "int_amplified": false}\n'),
+    # one line per summand class: the class, then its multiplicity
     "pushforward": (
         ["pushforward", P1, "--endo", "mul:3", "--divisor", "1,0"],
-        "coset           class           witness\n"
-        "1               -1              0,-1\n"
-        "0               0               0,0\n"
-        "2               0               1,-1\n"),
-    # classes (0,-1) and (0,0) have two witnesses each: rows are sorted by
-    # class, then witness, then coset
+        "-1 1\n0 2\n"),
+    # nine cosets count into four classes, (0,-1) five times
     "pushforward-witnesses": (
         ["pushforward", F1, "--endo", "mul:3", "--divisor", "1,0,0,0"],
-        "coset           class           witness\n"
-        "1,0             -1,0            0,0,-1,0\n"
-        "0,1             0,-1            0,0,0,-1\n"
-        "0,2             0,-1            0,0,0,-1\n"
-        "1,1             0,-1            0,0,0,-1\n"
-        "1,2             0,-1            0,0,0,-1\n"
-        "2,1             0,-1            1,0,-1,-1\n"
-        "0,0             0,0             0,0,0,0\n"
-        "2,0             0,0             1,0,-1,0\n"
-        "2,2             1,-1            1,0,0,-1\n"),
+        "-1,0 1\n0,-1 5\n0,0 2\n1,-1 1\n"),
     "pushforward-json": (
         ["pushforward", P1XP1, "--endo", SWAP, "--divisor", "0,0,0,0",
          "--json"],
-        '{"cosets": [[1, 0], [0, 0]], "summands": [[0, -1], [0, 0]], '
-        '"witness_divisors": [[0, 0, 0, -1], [0, 0, 0, 0]]}\n'),
+        '{"multiplicities": [[[0, -1], 1], [[0, 0], 1]]}\n'),
     "verify": (["verify", P2, "--endo", "mul:2", "--divisor", "1,0,0",
                 "--box", "1"], "pass (4 checks)\n"),
     "verify-json": (
@@ -171,15 +158,14 @@ class TestCommands:
     def test_pushforward_table(self, capsys):
         assert run_command(["pushforward", P2, "--endo", "mul:2",
                             "--divisor", "1,0,0"]) == 0
-        out = capsys.readouterr().out
-        # 4 summand rows plus header
-        assert len(out.strip().splitlines()) == 5
+        # O(H) pushes forward to O^3 + O(-1), one line per class
+        assert capsys.readouterr().out == "-1 1\n0 3\n"
 
     def test_pushforward_json(self, capsys):
         assert run_command(["pushforward", P1, "--endo", "mul:2",
                             "--divisor", "0,0", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert sorted(map(tuple, data["summands"])) == [(-1,), (0,)]
+        assert data == {"multiplicities": [[[-1], 1], [[0], 1]]}
 
     def test_verify(self, capsys):
         assert run_command(["verify", P1XP1, "--endo", SWAP,
@@ -189,21 +175,36 @@ class TestCommands:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]],
                              ids=["text", "json"])
     def test_verify_walks_no_coset(self, monkeypatch, json_flag, capsys):
-        # P2 mul:300 has 90000 cosets; verify reads the slab's counts
+        # P2 mul:300 has 90000 cosets; verify and pushforward read the
+        # slab's counts, and pushforward prints one line per class
         def refuse(*args):
-            raise AssertionError("verify walked the cosets")
+            raise AssertionError("the CLI walked the cosets")
 
-        for name in ("walk_cosets", "coset_table"):
-            monkeypatch.setattr(pushforward, name, refuse)
-        assert run_command(["verify", P2, "--endo", "mul:300",
-                            "--divisor", "0,0,0"] + json_flag) == 0
-        out = capsys.readouterr().out
+        for module in (lattice, cox):
+            monkeypatch.setattr(module, "coset_representatives", refuse)
+        argv = [P2, "--endo", "mul:300", "--divisor", "0,0,0"] + json_flag
+        assert run_command(["verify"] + argv) == 0
+        verified = capsys.readouterr().out
+        assert run_command(["pushforward"] + argv) == 0
+        pushed = capsys.readouterr().out
         if json_flag:
-            data = json.loads(out)
+            data = json.loads(verified)
             assert (data["passed"], data["checks"]) == (True, 90006)
             assert len(data["summands"]) == 90000
+            assert json.loads(pushed) == {"multiplicities": [
+                [[-2], 44551], [[-1], 45448], [[0], 1]]}
         else:
-            assert out == "pass (90006 checks)\n"
+            assert verified == "pass (90006 checks)\n"
+            assert pushed == "-2 44551\n-1 45448\n0 1\n"
+
+    def test_pushforward_beyond_the_walk(self, capsys):
+        # P2 mul:2^20 has 2^40 cosets: q_*O = O + O(-1)^((q^2 + 3q - 4)/2)
+        # + O(-2)^((q - 1)(q - 2)/2), printed in class order
+        q = 2 ** 20
+        assert run_command(["pushforward", P2, "--endo", "mul:%d" % q,
+                            "--divisor", "0,0,0"]) == 0
+        assert capsys.readouterr().out == "-2 %d\n-1 %d\n0 1\n" % (
+            (q - 1) * (q - 2) // 2, (q * q + 3 * q - 4) // 2)
 
     def test_cox_shifts(self, capsys):
         assert run_command(["cox-shifts", P1, "--endo", "mul:2",

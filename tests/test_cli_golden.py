@@ -16,10 +16,12 @@ and review its diff.
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from toricpush.cli import COMMANDS, run_command
+from conftest import reference_decompose
+from toricpush.cli import COMMANDS, _load, build_parser, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
@@ -46,12 +48,16 @@ def grid():
     return calls
 
 
+def rooted(argv):
+    """argv with the fan and endomorphism files named from the root."""
+    return [str(ROOT / a) if a.startswith("fans/") else a for a in argv]
+
+
 def replay(argv):
     """One in-process CLI call as a transcript record."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run_command([str(ROOT / a) if a.startswith("fans/") else a
-                            for a in argv])
+        code = run_command(rooted(argv))
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
@@ -64,18 +70,26 @@ def test_transcript_replays():
 
 
 def test_verify_lists_the_walks_summands():
-    # verify lists the slab's counts and pushforward the coset walk's class
-    # column, so a regeneration cannot bless a split between the two
-    summands = {}
+    # pushforward's multiplicities count the class column of the test-side
+    # coset walk, and verify lists each class that many times, so a
+    # regeneration cannot bless a wrong count or a split between the two
+    payloads = {}
     for line in GOLDEN.read_text().splitlines():
         record = json.loads(line)
         command, *rest = record["argv"]
         if command in ("verify", "pushforward") and "--json" in rest:
-            payload = json.loads(record["stdout"])
-            summands.setdefault(tuple(rest), {})[command] = payload["summands"]
-    assert len(summands) == 22
-    for key, pair in summands.items():
-        assert pair["verify"] == pair["pushforward"], key
+            payloads.setdefault(tuple(rest), {})[command] = json.loads(
+                record["stdout"])
+    assert len(payloads) == 22
+    for rest, pair in payloads.items():
+        x = _load(build_parser().parse_args(rooted(["pushforward", *rest])),
+                  ("endo", "divisor"))
+        walk = Counter(row[0] for row in reference_decompose(x.endo,
+                                                             x.divisor))
+        expected = [[list(cls), n] for cls, n in sorted(walk.items())]
+        assert pair["pushforward"]["multiplicities"] == expected, rest
+        assert pair["verify"]["summands"] == [
+            cls for cls, n in expected for _ in range(n)], rest
 
 
 if __name__ == "__main__":

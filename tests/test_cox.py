@@ -5,8 +5,8 @@ import pytest
 import toricpush.cox as cox_module
 import toricpush.lattice as lattice_module
 import toricpush.pushforward as pushforward_module
-from conftest import (ORACLE_FANS, decomposition, half_plane_fan,
-                      labelled_fans, oracle_endos)
+from conftest import (ORACLE_FANS, box_cosets, decomposition,
+                      half_plane_fan, labelled_fans, oracle_endos)
 from toricpush import (EndoError, FanError, IntMatrix, VerificationError,
                        build_endo, class_group, contracting_exponent,
                        cox_ring, decompose_pushforward, graded_dimension, h0,
@@ -185,6 +185,15 @@ class TestPicCosets:
         pic = class_group(P1XP1)
         assert pic_coset_decomposition(multiplication_endo(P1XP1, 1), pic) \
             == [(0, 0)]
+
+    def test_p1_cubed_at_q_40(self):
+        # f* = 40 I on Pic = Z^3: 40^3 cosets, walked axis by axis, in the
+        # order of the one-product-per-coset reference
+        fan = ORACLE_FANS["P1^3"][0]
+        endo, pic = multiplication_endo(fan, 40), class_group(fan)
+        reps = pic_coset_decomposition(endo, pic)
+        assert len(reps) == 64000
+        assert reps == box_cosets(pullback_matrix(endo, pic))
 
 
 class TestModuleShifts:

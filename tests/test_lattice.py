@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import axis_expansion, box_cosets
 from toricpush import (FanError, IntMatrix, LatticeError,
                        coset_representatives, smith_normal_form, validate_fan)
-from toricpush.lattice import _axis, scaled_inverse, walk_cosets
+from toricpush.lattice import scaled_inverse
 
 
 def mat(rows):
@@ -104,8 +104,8 @@ def coset_reduce(F: IntMatrix, x) -> tuple[int, ...]:
 
 
 class TestCosetOrder:
-    """coset_representatives expands the walk's lines in walk order, the
-    order that the pushforward tables and the CLI print."""
+    """coset_representatives walks the SNF axes in mixed-radix order, last
+    axis fastest: the order that coset-count prints."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
@@ -126,14 +126,17 @@ class TestCosetOrder:
         ([[-5]], (-1,), 5, True),
     ])
     def test_ranges_of_every_sign(self, rows, step, d, diagonal):
+        # the last axis steps by the last column of U^{-1}, d times
         f = mat(rows)
-        assert walk_cosets(f)[1:] == (step, d)
-        uinv = scaled_inverse(smith_normal_form(f).U)[0].entries
+        snf = smith_normal_form(f)
+        uinv = scaled_inverse(snf.U)[0].entries
+        assert (tuple(row[-1] for row in uinv),
+                snf.invariant_factors()[-1]) == (step, d)
         assert diagonal == all(x == 0 for i, row in enumerate(uinv)
                                for j, x in enumerate(row) if i != j)
-        assert coset_representatives(f) == axis_expansion(f)
-        forms = [((1,) * len(rows), 3), ((-2,) + (0,) * (len(rows) - 1), 0)]
-        assert list(_axis(*walk_cosets(f, forms))) == axis_expansion(f, forms)
+        reps = coset_representatives(f)
+        assert reps == axis_expansion(f)
+        assert reps[:d] == [tuple(j * t for t in step) for j in range(d)]
 
 
 class TestCosetRepresentatives:
@@ -175,21 +178,21 @@ class TestCosetRepresentatives:
     @pytest.mark.parametrize("rows", [[[2, 1, 0], [0, 3, 1], [1, 0, 4]],
                                       [[6, 0], [0, 4]], [[0, 2], [1, 0]],
                                       [[-5]]])
-    def test_lines_carry_the_forms(self, rows):
-        # each line runs along the last (largest) SNF axis, and its vectors
-        # are the box cosets led by offset + <row, u> for every form
+    def test_lines_run_along_the_last_axis(self, rows):
+        # the representatives are the box cosets, in runs of d, the last
+        # (largest) SNF factor, each run one step of U^{-1}'s last column
+        # apart
         f = mat(rows)
-        n = len(rows)
-        forms = [(tuple(range(1, n + 1)), 5), ((-2,) + (1,) * (n - 1), -3)]
-        last = smith_normal_form(f).invariant_factors()[-1]
-        starts, step, d = walk_cosets(f, forms)
-        starts = list(starts)
-        assert len(starts) == abs(f.det()) // last
-        assert d == last
-        assert [tuple(a + j * b for a, b in zip(start, step))
-                for start in starts for j in range(d)] == [
-            tuple(off + sum(x * y for x, y in zip(row, u))
-                  for row, off in forms) + u for u in box_cosets(f)]
+        snf = smith_normal_form(f)
+        d = snf.invariant_factors()[-1]
+        step = tuple(row[-1] for row in scaled_inverse(snf.U)[0].entries)
+        reps = coset_representatives(f)
+        assert reps == box_cosets(f)
+        assert len(reps) == abs(f.det())
+        for start in range(0, len(reps), d):
+            assert reps[start:start + d] == [
+                tuple(a + j * b for a, b in zip(reps[start], step))
+                for j in range(d)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),

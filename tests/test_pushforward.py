@@ -5,21 +5,18 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
-from conftest import (ORACLE_FANS, accepted_endos, axis_expansion, box_cosets,
-                      corpus_pairs, decomposition, oracle_endos,
+from conftest import (ORACLE_FANS, accepted_endos, corpus_pairs,
+                      decomposition, oracle_endos, reference_decompose,
                       weighted_plane)
 from toricpush import (Decomposition, EndoError, IntMatrix, LatticeError,
                        VerificationReport, build_endo, class_group, compose,
-                       coset_table, decompose_pushforward, degree, h0_class,
-                       hirzebruch, iterate_coherence, multiplication_endo,
-                       product_fan, projective_space, pullback_divisor,
-                       pullback_matrix, validate_fan, verify_decomposition)
-from toricpush.lattice import walk_cosets
+                       decompose_pushforward, degree, h0_class, hirzebruch,
+                       iterate_coherence, multiplication_endo, product_fan,
+                       projective_space, pullback_divisor, pullback_matrix,
+                       validate_fan, verify_decomposition)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -27,52 +24,11 @@ P1XP1 = product_fan(P1, P1)
 SWAP = build_endo(P1XP1, IntMatrix.from_rows([[0, 1], [2, 0]]))
 
 
-def reference_decompose(endo, coeffs):
-    """The floor formula coset by coset: the box cosets, then one n-term sum
-    per ray and one class_of product per coset, as (class, witness, coset)
-    rows sorted as coset_table sorts them."""
-    fan = endo.fan
-    pic = class_group(fan)
-    rows = []
-    for u in box_cosets(endo.matrix.transpose()):
-        witness = tuple(
-            (coeffs[rho] + sum(a * b for a, b in zip(u, fan.rays[rho])))
-            // endo.mults[rho] for rho in endo.pi_inverse)
-        rows.append((pic.class_of(witness), witness, u))
-    return sorted(rows)
-
-
 def assert_matches_reference(endo, coeffs):
-    """decompose_pushforward is the class column of the reference rows, and
-    coset_table is the reference rows themselves."""
+    """decompose_pushforward is the class column of the reference rows."""
     rows = reference_decompose(endo, coeffs)
     assert (decompose_pushforward(endo, coeffs).summands
             == tuple(row[0] for row in rows)), (endo.matrix, coeffs)
-    assert coset_table(endo, coeffs) == rows, (endo.matrix, coeffs)
-
-
-def line_pairings(endo, coeffs):
-    """(<du, v_rho> per ray in pi_inverse order, c_rho likewise, line length
-    d): how the floor numerators move along a line of the coset box."""
-    fan = endo.fan
-    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    _, step, d = walk_cosets(endo.matrix.transpose(), forms)
-    return (step[:fan.nrays], [endo.mults[rho] for rho in endo.pi_inverse],
-            d)
-
-
-def axis_table(endo, coeffs):
-    """coset_table's rows from the reference expansion of walk_cosets, each
-    coset led by its floor numerators, sorted as coset_table sorts them."""
-    fan = endo.fan
-    pic = class_group(fan)
-    forms = [(fan.rays[rho], coeffs[rho]) for rho in endo.pi_inverse]
-    mults = [endo.mults[rho] for rho in endo.pi_inverse]
-    rows = []
-    for vec in axis_expansion(endo.matrix.transpose(), forms):
-        witness = tuple(x // c for x, c in zip(vec, mults))
-        rows.append((pic.class_of(witness), witness, vec[len(mults):]))
-    return sorted(rows)
 
 
 def reference_iterate(endo, coeffs, k):
@@ -141,9 +97,9 @@ class TestGoldenDecompositions:
 
 
 class TestDecomposeDifferential:
-    """decompose_pushforward and coset_table against the coset-by-coset
-    floor formula, compared by value (summand classes are shared tuples, so
-    pickled bytes may differ while every entry is equal)."""
+    """decompose_pushforward against the coset-by-coset floor formula,
+    compared by value (summand classes are shared tuples, so pickled bytes
+    may differ while every entry is equal)."""
 
     @pytest.mark.parametrize("name", ["P1xP1", "F1", "F2", "P2"])
     def test_every_small_endo_on_surfaces(self, name):
@@ -159,10 +115,9 @@ class TestDecomposeDifferential:
                 assert_matches_reference(endo, d)
 
     def test_negative_steps(self):
-        # mul:q on P2 moves the ray -(e1 + e2) backwards along every line
+        # mul:5 on P2: the ray -(e1 + e2) pairs negatively with every box
+        # coset but 0, so its floor numerators fall below a_rho
         endo = multiplication_endo(P2, 5)
-        steps, _, _ = line_pairings(endo, (0, 0, 0))
-        assert min(steps) < 0
         for coeffs in [(0, 0, 0), (3, -7, 2), (-11, 4, 9)]:
             assert_matches_reference(endo, coeffs)
 
@@ -172,19 +127,16 @@ class TestDecomposeDifferential:
         # so its floor jumps at every step, by more than 1 on F_3
         fan = hirzebruch(a)
         endo = multiplication_endo(fan, 2)
-        steps, mults, _ = line_pairings(endo, (0,) * fan.nrays)
-        assert max(abs(s) - c for s, c in zip(steps, mults)) == a - 2
         for coeffs in sample_coeffs(fan) + [(5, -3, 7, -9), (-13, 2, 1, 6)]:
             assert_matches_reference(endo, coeffs)
 
     @pytest.mark.parametrize("fan", [P2, P1XP1, hirzebruch(1)],
                              ids=["P2", "P1xP1", "F1"])
     def test_degree_one_lines(self, fan):
-        # an automorphism has one coset: one line with last radix 1
+        # an automorphism has one coset
         autos = [e for e in accepted_endos(fan, 1) if degree(e) == 1]
         assert autos
         for endo in autos:
-            assert line_pairings(endo, (0,) * fan.nrays)[2] == 1
             for coeffs in sample_coeffs(fan):
                 assert_matches_reference(endo, coeffs)
 
@@ -332,25 +284,12 @@ class TestBeyondTheWalk:
         pushforward._slab_counter.cache_clear()
         for name, module in sys.modules.items():
             if name.startswith("toricpush"):
-                for attr in ("walk_cosets", "smith_normal_form"):
+                for attr in ("coset_representatives", "smith_normal_form"):
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, refuse)
         for endo in endos:
             dec = decompose_pushforward(endo, (1,) * endo.fan.nrays)
             assert sum(n for _, n in dec.multiplicities) == degree(endo)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_coset_table_expands_the_walk(data):
-    # every endomorphism of the exhaustive sets, Picard rank 1 to 3, and
-    # divisors with coefficients of both signs
-    endo = data.draw(st.sampled_from(oracle_endos(
-        data.draw(st.sampled_from(sorted(ORACLE_FANS))))))
-    coeffs = tuple(data.draw(st.lists(st.integers(-3, 3),
-                                      min_size=endo.fan.nrays,
-                                      max_size=endo.fan.nrays)))
-    assert coset_table(endo, coeffs) == axis_table(endo, coeffs)
 
 
 class TestVerifyDecomposition:
@@ -577,7 +516,7 @@ class TestStructuralInvariants:
             pic = class_group(fan)
             ft = endo.matrix.transpose()
             pi_inv = endo.pi_inverse
-            for cls, _, u in coset_table(endo, (1,) * fan.nrays):
+            for cls, _, u in reference_decompose(endo, (1,) * fan.nrays):
                 for m in product(range(-1, 2), repeat=fan.dim):
                     shifted_u = tuple(a + b for a, b in
                                       zip(u, ft.mul_vector(m)))
@@ -598,7 +537,7 @@ class TestStructuralInvariants:
             return sorted(
                 tuple(sorted(h0(fan, tuple(a + b for a, b in zip(w, d)))
                              for d in product((-1, 0, 1), repeat=fan.nrays)))
-                for _, w, _ in coset_table(endo, coeffs))
+                for _, w, _ in reference_decompose(endo, coeffs))
 
         fan = hirzebruch(1)
         perm = [2, 0, 3, 1]
