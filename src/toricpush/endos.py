@@ -1,5 +1,6 @@
-"""Finite toric endomorphisms: fan-compatible lattice self-maps, the pullback
-action on the Picard lattice, and the int-amplified decision."""
+"""Finite toric endomorphisms: fan-compatible lattice self-maps (build_endo
+checks a matrix from outside; mul:q and compositions are built from their
+ray data), the pullback on Picard lattices, and the int-amplified decision."""
 
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ def multiplication_endo(fan: Fan, q: int) -> ToricEndomorphism:
     (q,) = as_ints((q,))
     if q < 1:
         raise EndoError("multiplication factor must be positive")
-    return build_endo(fan, IntMatrix.identity(fan.dim).scale(q))
+    return ToricEndomorphism(fan, IntMatrix.identity(fan.dim).scale(q),
+                             tuple(range(fan.nrays)), (q,) * fan.nrays)
 
 
 def degree(endo: ToricEndomorphism) -> int:
@@ -78,7 +80,10 @@ def compose(e1: ToricEndomorphism, e2: ToricEndomorphism) -> ToricEndomorphism:
     """The endomorphism e1 after e2 (lattice matrix F1 @ F2)."""
     if e1.fan != e2.fan:
         raise EndoError("cannot compose endomorphisms of different fans")
-    return build_endo(e1.fan, e1.matrix @ e2.matrix)
+    # F1 F2 v = c2 F1 v_{pi2} = c2 c1_{pi2} v_{pi1(pi2)}: built, not derived
+    return ToricEndomorphism(
+        e1.fan, e1.matrix @ e2.matrix, tuple(e1.pi[j] for j in e2.pi),
+        tuple(c * e1.mults[j] for c, j in zip(e2.mults, e2.pi)))
 
 
 def pullback_divisor(endo: ToricEndomorphism, coeffs) -> tuple[int, ...]:

@@ -19,8 +19,9 @@ and variable_bounds take exact Fraction bounds.  lattice_point_counter
 eliminates once per coefficient matrix, keeping its leading coordinates as
 parameters, and returns a count, or fiber counts at a chosen depth, for any
 value of them: it takes integer ceil/floor bounds, so it visits only
-prefixes of points of the projections, and counts the last two coordinates
-together in closed form, by floor sums along the bounding lines' envelopes.
+prefixes of points of the projections, counts the last two coordinates
+together in closed form, by floor sums along the bounding lines' envelopes,
+and sweeps the coordinate before them with its rows evaluated once.
 """
 
 from __future__ import annotations
@@ -165,7 +166,11 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 def _envelope_sum(lines, lo: int, hi: int) -> int:
     """Sum of min_j floor((a_j x + b_j) / m_j) over lo <= x <= hi, for lines
-    (a, b, m) with m > 0: one floor sum per piece of the lower envelope."""
+    (a, b, m) with m > 0 and hi >= lo - 1: one floor sum per piece of the
+    lower envelope."""
+    if len(lines) == 1:  # a one-line envelope is its single floor sum
+        a, b, m = lines[0]
+        return _floor_sum(hi - lo + 1, m, a, a * lo + b)
     total = 0
     while lo <= hi:
         # the line lowest at lo, ties to the least slope, stays lowest up to
@@ -199,6 +204,28 @@ def _plane_count(lo: int, hi: int, level, prefix) -> int:
             + _envelope_sum(downs, lo, hi))
 
 
+def _sweep(levels, prefix) -> int:
+    """Integer points (x, y, z) over a prefix of the projections, x swept in
+    place: each row of the y and z levels is evaluated over the prefix once,
+    as t + a x with t = c . prefix - r and a its coefficient on x, so each x
+    costs one multiply-add per row for the y-span (as in _span) and for the
+    plane's lines (as in _plane_count)."""
+    lo, hi = _span(levels[0], prefix)
+    k = len(prefix)
+    (ylow, yup), (zlow, zup) = [
+        [[(sum(map(mul, c, prefix)) - r, c[k], c[-1], e) for c, r, e in rows]
+         for rows in level] for level in levels[1:]]
+    total = 0
+    for x in range(lo, hi + 1):
+        ylo = max([-((t + a * x) // e) for t, a, _, e in ylow])
+        yhi = min([-(t + a * x) // e for t, a, _, e in yup])
+        total += (yhi - ylo + 1 + _envelope_sum(
+            [(d, t + a * x, -e) for t, a, d, e in zup], ylo, yhi)
+            + _envelope_sum([(d, t + a * x, e) for t, a, d, e in zlow],
+                            ylo, yhi))
+    return total
+
+
 def _span(level, prefix) -> tuple[int, int]:
     """The integer (min, max) of the coordinate level bounds over prefix."""
     lower, upper = level
@@ -213,6 +240,8 @@ def _walk(levels, prefix) -> int:
     dropped counter alive until the cyclic garbage collector runs."""
     if not levels:
         return 1
+    if len(levels) == 3:
+        return _sweep(levels, prefix)
     lo, hi = _span(levels[0], prefix)
     if len(levels) == 1:
         return hi - lo + 1

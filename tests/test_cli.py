@@ -15,6 +15,7 @@ P2 = str(FIXTURE_DIR / "p2.fan.json")
 P1 = str(FIXTURE_DIR / "p1.fan.json")
 P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
 F1 = str(FIXTURE_DIR / "hirzebruch1.fan.json")
+ODA3 = str(FIXTURE_DIR / "oda3.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
 
 
@@ -364,6 +365,18 @@ class TestExitCodes:
         assert json.loads(out) == {"complete": False, "projective": False,
                                    "rays": HALF_PLANE["rays"],
                                    "smooth": True}
+
+    def test_non_projective_fan(self, capsys):
+        # Oda's smooth complete 3-fold has no ample class: validate says so,
+        # and intamp reaches the "no ample class" error on a real input
+        code, out, err = _outcome(["validate", ODA3, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "complete": True, "projective": False, "smooth": True,
+            "rays": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1],
+                     [0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+        assert _outcome(["intamp", ODA3, "--endo", "mul:2"], capsys) == (
+            2, "", "error: no ample class found; fan may be non-projective\n")
 
     def test_class_group_with_torsion(self, tmp_path, capsys):
         # P2 / (Z/3) is a valid complete fan: validate and h0 answer, and

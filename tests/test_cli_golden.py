@@ -80,7 +80,7 @@ def test_verify_lists_the_walks_summands():
         if command in ("verify", "pushforward") and "--json" in rest:
             payloads.setdefault(tuple(rest), {})[command] = json.loads(
                 record["stdout"])
-    assert len(payloads) == 22
+    assert len(payloads) == 25  # 8 fans x mul:1..3, and the swap
     for rest, pair in payloads.items():
         x = _load(build_parser().parse_args(rooted(["pushforward", *rest])),
                   ("endo", "divisor"))

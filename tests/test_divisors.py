@@ -181,7 +181,9 @@ class TestClassCounter:
 class TestIsProjective:
     @pytest.mark.parametrize("name", sorted(bundled_fans()))
     def test_bundled_fans(self, name):
-        assert is_projective(bundled_fans()[name])
+        # Oda's smooth complete 3-fold is the one bundled fan with no ample
+        # class (Fulton, Introduction to Toric Varieties, 3.4)
+        assert is_projective(bundled_fans()[name]) == (name != "oda3")
 
     @pytest.mark.parametrize("name", sorted(WEIGHTED))
     def test_weighted_planes(self, name):

@@ -6,13 +6,15 @@ import pytest
 
 import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
-from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, bundled_fans,
-                      corpus_fans, corpus_pairs, fraction_kleiman_forms,
-                      half_plane_fan, oracle_endos, weighted_plane)
+from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, accepted_endos,
+                      bundled_fans, corpus_fans, corpus_pairs,
+                      fraction_kleiman_forms, half_plane_fan, labelled_fans,
+                      oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
-                       compose, degree, is_int_amplified, multiplication_endo,
-                       positivity, Positivity, product_fan, projective_space,
-                       pullback_divisor, pullback_matrix, validate_fan)
+                       compose, degree, is_int_amplified, iterate_coherence,
+                       multiplication_endo, positivity, Positivity,
+                       product_fan, projective_space, pullback_divisor,
+                       pullback_matrix, validate_fan)
 from toricpush.cli import run_command
 from toricpush.divisors import kleiman_forms
 
@@ -162,6 +164,61 @@ class TestDegreeAndCompose:
         lhs = pullback_matrix(compose(a, b), pic)
         rhs = pullback_matrix(b, pic) @ pullback_matrix(a, pic)
         assert lhs == rhs
+
+
+class TestBuiltFromRayData:
+    # multiplication_endo and compose construct their ray data; build_endo,
+    # which derives it from the matrix and checks it, must agree
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
+                             ids=[label for label, _ in labelled_fans()])
+    def test_multiplication_is_what_build_endo_derives(self, label, fan):
+        for q in (1, 2, 3):
+            assert multiplication_endo(fan, q) == build_endo(
+                fan, IntMatrix.identity(fan.dim).scale(q))
+
+    @pytest.mark.parametrize("name", sorted(bundled_fans()))
+    def test_compose_accepted_is_what_build_endo_derives(self, name):
+        fan = bundled_fans()[name]
+        endos = accepted_endos(fan, 3 if fan.dim <= 2 else 1)
+        assert endos
+        for e1 in endos:
+            for e2 in endos:
+                assert compose(e1, e2) == build_endo(fan,
+                                                     e1.matrix @ e2.matrix)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FANS))
+    def test_compose_oracle_is_what_build_endo_derives(self, name):
+        endos = oracle_endos(name)
+        for e1 in endos:
+            for e2 in endos:
+                assert compose(e1, e2) == build_endo(e1.fan,
+                                                     e1.matrix @ e2.matrix)
+
+    def test_nothing_derived(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("build_endo called")
+
+        monkeypatch.setattr(endos_module, "build_endo", refuse)
+        mul3 = multiplication_endo(P2, 3)
+        assert compose(mul3, mul3) == (P2, IntMatrix.identity(2).scale(9),
+                                       (0, 1, 2), (9, 9, 9))
+        assert iterate_coherence(mul3, (1, 0, 0), 2).passed
+        fixture = str(FIXTURE_DIR / "p2.fan.json")
+        assert run_command(["pushforward", fixture, "--endo", "mul:3",
+                            "--divisor", "0,0,0"]) == 0
+        assert capsys.readouterr().out == "-2 1\n-1 7\n0 1\n"
+
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_nonpositive_factor_refused(self, q):
+        with pytest.raises(EndoError,
+                           match="^multiplication factor must be positive$"):
+            multiplication_endo(P2, q)
+
+    def test_different_fans_refused(self):
+        with pytest.raises(EndoError, match="^cannot compose endomorphisms "
+                                            "of different fans$"):
+            compose(multiplication_endo(P2, 2), multiplication_endo(P1, 2))
 
 
 class TestPullback:

@@ -271,6 +271,26 @@ class TestBeyondTheWalk:
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2] > 0
 
+    def test_one_walk_per_class_on_p3(self, monkeypatch):
+        # on P3 each class's fiber of u is one 3-dimensional count, which
+        # sweeps its first coordinate in place instead of walking once per
+        # value of it (17, 152 and 1502 calls when it did)
+        calls = []
+        walk = feasibility._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(feasibility, "_walk", counted)
+        p3 = projective_space(3)
+        for q in (5, 50, 500):
+            calls.clear()
+            dec = decompose_pushforward(multiplication_endo(p3, q),
+                                        (0, 0, 0, 0))
+            assert len(calls) == len(dec.multiplicities) == 4
+            assert sum(n for _, n in dec.multiplicities) == q ** 3
+
     def test_no_coset_walk_and_no_snf(self, monkeypatch):
         # the class group is the fan's, cached; neither F^T nor anything
         # else is put in Smith normal form, and no coset is walked
