@@ -16,7 +16,7 @@ from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 class PicLattice(NamedTuple):
     """Class group Cl(X) of a complete simplicial toric variety, torsion-free,
     in a canonical basis: Pic(X) if the fan is smooth, else its classes are
-    Weil divisor classes.
+    Weil divisor classes.  class_group builds it on no other fan.
 
     to_class_mat projects ray-coefficient space onto Z^rank; lift_mat is an
     integer right-inverse section.  Both come from the Smith normal form of
@@ -40,8 +40,8 @@ class PicLattice(NamedTuple):
 
 @lru_cache(maxsize=None)
 def class_group(fan: Fan) -> PicLattice:
-    """Cl(X) = Z^rays / (image of the character lattice), via SNF: Pic(X) on
-    a smooth fan, Weil divisor classes on a simplicial non-smooth one."""
+    """Cl(X) = Z^rays / (image of the character lattice), via SNF.  Class-level
+    work starts here, so this alone refuses a fan that is not complete."""
     n, k = fan.dim, fan.nrays
     ray_matrix = IntMatrix.from_rows(fan.rays)  # k x n, rows are rays
     snf = smith_normal_form(ray_matrix)
@@ -55,6 +55,8 @@ def class_group(fan: Fan) -> PicLattice:
     rank = k - n
     if rank < 1:
         raise FanError("Picard rank zero is not supported")
+    if not _is_complete(fan):
+        raise FanError("class group needs a complete fan; fan is not complete")
     uinv, _ = scaled_inverse(snf.U)  # U is unimodular, so X = U^{-1}
     to_class = IntMatrix.from_rows(snf.U.entries[n:])
     lift = IntMatrix.from_rows([row[n:] for row in uinv.entries])
@@ -115,19 +117,20 @@ def h0(fan: Fan, coeffs) -> int:
 
 def h0_class(fan: Fan, cls) -> int:
     """h0 of a divisor class, cached per (fan, class); a miss counts with
-    the fan's class counter, lifting no divisor.  cls is checked (ints, one
-    per Picard rank) before the cache is read, as a bool or float class
-    would compare equal to an int one there.  verify_decomposition checks
-    its classes once, then reads _h0_class on their sums with the twists."""
+    the fan's class counter, lifting no divisor, and is finite because
+    class_group demands a complete fan.  cls is checked (ints, one per
+    Picard rank) before the cache is read, as a bool or float class would
+    compare equal to an int one there.  verify_decomposition checks its
+    classes once, then reads _h0_class on their sums with the twists."""
     return _h0_class(fan, _class_coordinates(fan, cls))
 
 
 @lru_cache(maxsize=None)
 def _h0_class(fan: Fan, cls: tuple[int, ...]) -> int:
-    return _bounded(_class_counter(fan)(cls))
+    return _class_counter(fan)(cls)
 
 
-# the cache's handles, so that it can be inspected and cleared as before
+# bench/run.py and tests clear the cache by these handles; tests read misses
 h0_class.cache_info = _h0_class.cache_info
 h0_class.cache_clear = _h0_class.cache_clear
 

@@ -11,7 +11,9 @@ After a deliberate change of output, rewrite the transcript with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review its diff.
+It reads the committed transcript first and prints, per subcommand, how
+many records (keyed by argv) the rewrite adds, removes, changes and leaves
+byte-identical.  Then review the diff of the records it changed.
 """
 
 import io
@@ -62,6 +64,37 @@ def replay(argv):
             "stderr": err.getvalue()}
 
 
+KINDS = ("added", "removed", "changed", "unchanged")
+
+
+def review(old_lines, new_lines):
+    """{subcommand: Counter of KINDS}: what rewriting the transcript lines
+    old_lines as new_lines does to each record, keyed by argv."""
+    def keyed(lines):
+        return {tuple(json.loads(line)["argv"]): line for line in lines}
+
+    old, new = keyed(old_lines), keyed(new_lines)
+    tally = {}
+    for argv in {**old, **new}:
+        kind = ("added" if argv not in old else "removed" if argv not in new
+                else "unchanged" if old[argv] == new[argv] else "changed")
+        tally.setdefault(argv[0], Counter())[kind] += 1
+    return tally
+
+
+def test_review_counts_by_subcommand():
+    def line(argv, stdout):
+        return json.dumps({"argv": argv, "stdout": stdout})
+
+    old = [line(["h0", "a"], "1"), line(["h0", "b"], "2"),
+           line(["verify", "a"], "ok")]
+    new = [line(["h0", "a"], "1"), line(["h0", "b"], "3"),
+           line(["intamp", "a"], "yes")]
+    assert review(old, new) == {
+        "h0": Counter(unchanged=1, changed=1), "verify": Counter(removed=1),
+        "intamp": Counter(added=1)}
+
+
 def test_transcript_replays():
     records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     assert [record["argv"] for record in records] == grid()
@@ -93,5 +126,9 @@ def test_verify_lists_the_walks_summands():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(json.dumps(replay(argv)) + "\n"
-                              for argv in grid()))
+    old = GOLDEN.read_text().splitlines() if GOLDEN.exists() else []
+    new = [json.dumps(replay(argv)) for argv in grid()]
+    for command, counts in review(old, new).items():
+        print("%-12s" % command,
+              "  ".join("%s %d" % (kind, counts[kind]) for kind in KINDS))
+    GOLDEN.write_text("".join(line + "\n" for line in new))

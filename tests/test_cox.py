@@ -128,10 +128,19 @@ class TestInducedEndo:
             induced_cox_endo(multiplication_endo(P2, 2), cox_ring(P1XP1))
 
     def test_degree_zero_variable_rejected(self):
-        # the half-plane fan's ray (0, 1) is principal: D_1 = div(chi^(0,1))
+        # the half-plane fan's ray (0, 1) is principal: D_1 = div(chi^(0,1));
+        # its Cox ring is refused, as the fan is not complete, and on a
+        # complete fan no variable has degree zero (the test below)
         fan = half_plane_fan()
-        with pytest.raises(EndoError, match="degree zero"):
+        with pytest.raises(FanError, match="fan is not complete$"):
             induced_cox_endo(multiplication_endo(fan, 2), cox_ring(fan))
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
+                             ids=[label for label, _ in labelled_fans()])
+    def test_no_variable_has_degree_zero(self, label, fan):
+        # -v_rho lies in some cone of a complete fan, so no D_rho is
+        # principal, and induced_cox_endo needs no degree-zero check
+        assert class_group(fan).zero() not in cox_ring(fan).degrees
 
 
 class TestContracting:

@@ -5,11 +5,13 @@ from math import comb
 import pytest
 
 import toricpush.divisors as divisors
-from conftest import (WEIGHTED, bundled_fans, fraction_kleiman_forms,
-                      half_plane_fan, labelled_fans, weighted_plane)
+from conftest import (HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans,
+                      decomposition, fraction_kleiman_forms, half_plane_fan,
+                      labelled_fans, weighted_plane)
 from toricpush import (FanError, PicLattice, Positivity, class_group,
-                       decompose_pushforward, h0, h0_class, hirzebruch,
-                       is_projective, multiplication_endo, positivity,
+                       cox_ring, decompose_pushforward, graded_dimension, h0,
+                       h0_class, hirzebruch, is_projective, iterate_coherence,
+                       module_shifts, multiplication_endo, positivity,
                        product_fan, projective_space, pullback_divisor,
                        verify_decomposition, validate_fan)
 from toricpush.divisors import _class_counter
@@ -20,6 +22,7 @@ P1XP1 = product_fan(P1, P1)
 F1 = hirzebruch(1)
 F2 = hirzebruch(2)
 F3 = hirzebruch(3)
+NOT_COMPLETE = "class group needs a complete fan; fan is not complete"
 
 
 def brute_h0(fan, coeffs):
@@ -174,8 +177,63 @@ class TestClassCounter:
         assert h0_class.cache_info().misses == 3
 
     def test_unbounded_class_count_refused(self):
-        with pytest.raises(FanError, match="unbounded"):
+        # refused in class_group, before any count could be unbounded
+        with pytest.raises(FanError, match="^%s$" % NOT_COMPLETE):
             h0_class(half_plane_fan(), (1,))
+
+
+def _refusal(call):
+    """The message of the FanError that call() raises, else None."""
+    try:
+        call()
+    except FanError as error:
+        return str(error)
+    return None
+
+
+class TestClassLevelNeedsACompleteFan:
+    """class_group refuses a fan that is not complete, and every class-level
+    entry point reaches it first; divisor-level functions stay general."""
+
+    def test_class_level_refused_divisor_level_answers(self):
+        fans = {name: validate_fan(spec["dim"], spec["rays"],
+                                   spec["cones"])[0]
+                for name, spec in (("quadrants", QUADRANTS),
+                                   ("half-plane", HALF_PLANE))}
+        refusals = {}
+        for name, fan in fans.items():
+            endo = multiplication_endo(fan, 2)
+            zero, coeffs = (0,) * (fan.nrays - fan.dim), (0,) * fan.nrays
+            calls = {
+                "class_group": lambda: class_group(fan),
+                "cox_ring": lambda: cox_ring(fan),
+                "h0_class": lambda: h0_class(fan, zero),
+                "graded_dimension":
+                    lambda: graded_dimension(cox_ring(fan), zero),
+                "decompose_pushforward":
+                    lambda: decompose_pushforward(endo, coeffs),
+                "verify_decomposition": lambda: verify_decomposition(
+                    endo, coeffs, decomposition([zero] * 4)),
+                "iterate_coherence": lambda: iterate_coherence(endo, coeffs),
+                "module_shifts": lambda: module_shifts(endo, coeffs),
+            }
+            for label, call in calls.items():
+                # an lru_cache keeps no exception: a warm call refuses too
+                class_group.cache_clear()
+                cox_ring.cache_clear()
+                for attempt in ("cold", "warm"):
+                    refusals[name, label, attempt] = _refusal(call)
+        assert refusals == dict.fromkeys(refusals, NOT_COMPLETE)
+
+        quadrants, half_plane = fans["quadrants"], fans["half-plane"]
+        assert h0(quadrants, (0, 0, 0, 0)) == 1
+        assert h0(half_plane, (-1, 0, -1)) == 0
+        assert _refusal(lambda: h0(half_plane, (1, 1, 1))) == (
+            "section polytope unbounded; fan is not complete")
+        for fan in fans.values():
+            assert not is_projective(fan)
+            assert _refusal(lambda: positivity(fan, (0,) * fan.nrays)) == (
+                "positivity needs a complete fan")
 
 
 class TestIsProjective:
