@@ -1,6 +1,7 @@
 """Finite toric endomorphisms: fan-compatible lattice self-maps (build_endo
 checks a matrix from outside; mul:q and compositions are built from their
-ray data), the pullback on Picard lattices, and the int-amplified decision."""
+ray data), the pullback on Picard lattices, and the int-amplified decision,
+made on class rows built from the Kleiman forms."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .divisors import PicLattice, _coefficients, is_projective, kleiman_forms
+from .divisors import PicLattice, _coefficients, kleiman_forms
 from .errors import EndoError
 from .fans import Fan
 from .feasibility import feasible_point
@@ -106,34 +107,28 @@ def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
     return IntMatrix.from_rows(list(zip(*cols)))
 
 
-def _strict_class_constraints(fan: Fan, pic: PicLattice, transform: IntMatrix):
-    """Kleiman forms composed with h -> lift(transform @ h), margins >= 1,
-    as integer rows: a form g / s gives g . lift(transform h) >= s, the
-    same half-space."""
-    columns = (pic.lift_mat @ transform).transpose().entries
-    return [([sum(map(mul, g, col)) for col in columns], s)
-            for g, s in kleiman_forms(fan)]
-
-
 def is_int_amplified(endo: ToricEndomorphism,
                      pic: PicLattice) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether some ample H has f*H - H ample; returns a certificate.
 
-    Both strict inequality systems are scale-invariant, so strictness is
-    normalized to margins >= 1 and decided in one exact feasibility solve
-    of integer rows.  Clearing the witness's denominators scales every
-    margin by a positive integer, so H and f*H - H are ample by
-    construction.  Only a "no" asks is_projective, to tell a fan with no
-    ample class apart.
+    Each Kleiman form (g, s) gives the class row a . h >= s with
+    a_j = g . lift(e_j): H is ample iff every a . h > 0, and the strict
+    systems are scale-invariant, so margin s is as good.  By linearity the
+    row of f*H - H is a . f*[:, j] - a_j.  One exact solve of both row sets
+    decides; clearing the witness's denominators scales every margin by a
+    positive integer, so H and f*H - H are ample by construction.  A "no"
+    solves the ample rows alone, to tell a fan with no ample class apart.
     """
     r = pic.rank
-    ident = IntMatrix.identity(r)
-    pb = pullback_matrix(endo, pic)
-    ample = _strict_class_constraints(endo.fan, pic, ident)
-    point = feasible_point(
-        ample + _strict_class_constraints(endo.fan, pic, pb - ident), r)
+    pb = pullback_matrix(endo, pic).transpose().entries
+    lift = pic.lift_mat.transpose().entries
+    ample = [([sum(map(mul, g, col)) for col in lift], s)
+             for g, s in kleiman_forms(endo.fan)]
+    point = feasible_point(ample + [
+        ([sum(map(mul, a, col)) - x for col, x in zip(pb, a)], s)
+        for a, s in ample], r)
     if point is None:
-        if not is_projective(endo.fan):
+        if feasible_point(ample, r) is None:
             raise EndoError("no ample class found; fan may be non-projective")
         return False, None
     scale = lcm(*[x.denominator for x in point])

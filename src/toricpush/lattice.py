@@ -79,15 +79,6 @@ class IntMatrix:
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * e for e in row) for row in self.entries))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LatticeError("dimension mismatch in sum")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
     def det(self) -> int:
         """Exact determinant, by the fraction-free elimination of _bareiss."""
         if self.nrows != self.ncols:

@@ -71,16 +71,20 @@ def decompose_pushforward(endo: ToricEndomorphism, coeffs) -> Decomposition:
 
 @dataclass
 class VerificationReport:
-    passed: bool
+    """checks counts the facts checked; the report passed iff none failed."""
+
     checks: int
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def check(self, ok: bool, message: str, *args, times: int = 1):
         """Record times checks of one fact; if it fails, each of them is a
         violation, message % args (formatted only then)."""
         self.checks += times
         if not ok:
-            self.passed = False
             self.violations += [message % args] * times
 
 
@@ -129,7 +133,7 @@ def verify_decomposition(endo: ToricEndomorphism, coeffs, dec: Decomposition,
         raise ValueError("a summand class is listed twice")
     if min(as_ints(m for _, m in dec.multiplicities), default=1) < 1:
         raise ValueError("a summand multiplicity is below 1")
-    report = VerificationReport(passed=True, checks=0)
+    report = VerificationReport(checks=0)
 
     d = degree(endo)
     rank = sum(mult for _, mult in dec.multiplicities)
@@ -174,8 +178,8 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
                 pushed[lam] += mult * n
         stepped = pushed
 
-    report = VerificationReport(passed=direct == stepped, checks=1)
-    if not report.passed:
+    report = VerificationReport(checks=1)
+    if direct != stepped:
         report.violations.append(
             "multiset mismatch: direct %s vs stepped %s"
             % (sorted(direct.elements()), sorted(stepped.elements())))

@@ -16,7 +16,7 @@ from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        product_fan, projective_space, pullback_divisor,
                        pullback_matrix, validate_fan)
 from toricpush.cli import run_command
-from toricpush.divisors import kleiman_forms
+from toricpush.divisors import is_projective, kleiman_forms
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -332,10 +332,11 @@ class TestIntAmplified:
 
     @pytest.mark.parametrize("endo, solves", [
         (SWAP, (1, 0)), (multiplication_endo(P2, 3), (1, 0)),
-        (multiplication_endo(P1XP1, 1), (1, 1))])
+        (multiplication_endo(P1XP1, 1), (2, 0))])
     def test_one_solve_unless_no(self, endo, solves, monkeypatch):
-        # (solves in endos, solves in divisors): a "yes" is one solve; only
-        # a "no" asks is_projective, which solves the ample system alone
+        # (solves in endos, solves in divisors): a "yes" is one solve; a
+        # "no" solves its own ample rows alone a second time, and never
+        # asks divisors
         calls = []
         for module in (endos_module, divisors_module):
             real = module.feasible_point
@@ -387,17 +388,28 @@ class TestIntAmplified:
             assert is_int_amplified(compose(endo, endo), pic)[0]
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The row lists that is_int_amplified hands to feasible_point."""
+    seen = []
+    real = endos_module.feasible_point
+    monkeypatch.setattr(endos_module, "feasible_point",
+                        lambda rows, n: seen.append(rows) or real(rows, n))
+    return seen
+
+
 class TestStrictClassConstraints:
     @pytest.mark.parametrize("kind, name", [
         *(("corpus", name) for name in sorted(corpus_fans())),
         *(("oracle", name) for name in sorted(ORACLE_FANS)),
         *(("weighted", name) for name in sorted(WEIGHTED))])
-    def test_integer_multiples_of_the_kleiman_rows(self, kind, name):
+    def test_integer_multiples_of_the_kleiman_rows(self, kind, name, solves):
         # each Kleiman form (g, s) is s times the Fraction reference form,
         # with s = 1 on every smooth fan; the engine takes integer rows
-        # only, and each strict row form . lift(T h) >= 1, for T the
-        # identity and each f* - id of the corpus pairs or the exhaustive
-        # oracle set, is (g . lift(T col) for each column of T, s)
+        # only: the strict rows form . lift(h) >= 1 and form . lift((f* -
+        # id) h) >= 1, scaled by s, for the corpus pairs or the exhaustive
+        # oracle set, with f* - id taken entry by entry; a "no" solves the
+        # ample rows again alone
         if kind == "oracle":
             fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
         elif kind == "corpus":
@@ -417,25 +429,48 @@ class TestStrictClassConstraints:
         else:
             assert {s for _, s in forms} == {1}
         pic = class_group(fan)
-        ident = IntMatrix.identity(pic.rank)
-        for transform in [ident] + [pullback_matrix(e, pic) - ident
-                                    for e in endos]:
-            rows = endos_module._strict_class_constraints(fan, pic, transform)
-            columns = transform.transpose().entries
-            assert rows == [
-                ([sum(a * b for a, b in zip(g, pic.lift(col)))
-                  for col in columns], s) for g, s in forms]
 
-    def test_non_smooth_cone_row(self):
+        def rows(columns):
+            return [([s * sum(a * b for a, b in zip(form, pic.lift(col)))
+                      for col in columns], s)
+                    for (_, s), form in zip(forms, reference)]
+
+        units = [[int(i == j) for i in range(pic.rank)]
+                 for j in range(pic.rank)]
+        ample = rows(units)
+        for endo in endos:
+            pb = pullback_matrix(endo, pic).entries
+            solves.clear()
+            yes, _ = is_int_amplified(endo, pic)
+            amplified = rows([[pb[i][j] - (i == j) for i in range(pic.rank)]
+                              for j in range(pic.rank)])
+            assert solves == [ample + amplified] + ([] if yes else [ample])
+
+    def test_non_smooth_cone_row(self, solves):
         # on P(1,1,2) the cone {(-1,-2), (1,0)} has index 2, so its form
         # (1/2, 1, 1/2) is the pair ((1, 2, 1), 2) and its strict row reads
         # g . lift(h) >= 2; verdict and certificate are those the
         # lcm-scaled Fraction rows gave
         fan = weighted_plane("P(1,1,2)")
-        assert kleiman_forms(fan)[-1] == ((1, 2, 1), 2)
-        pic = class_group(fan)
-        rows = endos_module._strict_class_constraints(
-            fan, pic, IntMatrix.identity(pic.rank))
-        assert rows[-1][1] == 2
-        assert is_int_amplified(multiplication_endo(fan, 2), pic) \
-            == (True, (2,))
+        forms = kleiman_forms(fan)
+        assert forms[-1] == ((1, 2, 1), 2)
+        assert is_int_amplified(multiplication_endo(fan, 2),
+                                class_group(fan)) == (True, (2,))
+        (rows,) = solves
+        assert rows[len(forms) - 1][1] == 2
+
+
+@pytest.mark.parametrize("label, fan", list(labelled_fans()))
+def test_ample_rows_agree_with_is_projective(label, fan):
+    # is_int_amplified decides "no ample class" on its own class rows;
+    # is_projective decides it in gauge coordinates; Oda3 is the fan
+    # where both say no
+    endo = multiplication_endo(fan, 1)
+    projective = label != "oda3"
+    assert is_projective(fan) == projective
+    if projective:
+        assert is_int_amplified(endo, class_group(fan)) == (False, None)
+    else:
+        with pytest.raises(EndoError, match="^no ample class found; fan may "
+                                            "be non-projective$"):
+            is_int_amplified(endo, class_group(fan))

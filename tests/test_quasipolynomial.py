@@ -1,0 +1,77 @@
+"""q as a variable: for D = 0, O(lambda) occurs in q_* O_X once per lattice
+point of q Q_lambda, Q_lambda the half-open polytope L_rho <= <theta, v_rho>
+< L_rho + 1 (L = lift(lambda)), so by Ehrhart-Macdonald each multiplicity
+is a quasi-polynomial in q of degree <= n (Beck and Robins, *Computing the
+Continuous Discretely*, Ch. 3).  These tests read the multiplicities off
+the slab counts and fit them exactly over Fraction."""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import ORACLE_FANS, corpus_fans
+from toricpush import decompose_pushforward, multiplication_endo
+
+QS = range(1, 31)
+
+# fan -> (least period, number of summand classes over q <= 30)
+EXPECTED = {"P1": (1, 2), "P2": (1, 3), "P3": (1, 4), "P1xP1": (1, 4),
+            "F1": (1, 4), "F2": (2, 5), "F3": (3, 6), "P2xP1": (1, 6),
+            "F1xP1": (1, 8)}
+
+
+FANS = {**corpus_fans(), "P2xP1": ORACLE_FANS["P2xP1"][0],
+        "F1xP1": ORACLE_FANS["F1xP1"][0]}
+
+
+def multiplicities(fan, q):
+    endo = multiplication_endo(fan, q)
+    return dict(decompose_pushforward(endo, (0,) * fan.nrays).multiplicities)
+
+
+def interpolant(points):
+    """The exact Lagrange interpolant through the (x, y) points."""
+    def value(x):
+        total = Fraction(0)
+        for i, (xi, yi) in enumerate(points):
+            term = Fraction(yi)
+            for j, (xj, _) in enumerate(points):
+                if j != i:
+                    term *= Fraction(x - xj, xi - xj)
+            total += term
+        return total
+    return value
+
+
+def fits(table, classes, degree, period):
+    """The interpolants per (class, residue) if each one, fitted through the
+    first degree + 1 values with q = r mod period, predicts every other
+    q <= 30; else None."""
+    fitted = {}
+    for lam in classes:
+        for r in range(period):
+            values = [(q, table[q].get(lam, 0)) for q in QS
+                      if q % period == r]
+            f = interpolant(values[:degree + 1])
+            if any(f(q) != m for q, m in values[degree + 1:]):
+                return None
+            fitted[lam, r] = f
+    return fitted
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_multiplicities_are_quasi_polynomials(name):
+    fan = FANS[name]
+    table = {q: multiplicities(fan, q) for q in QS}
+    classes = sorted(set().union(*table.values()))
+    period, nclasses = EXPECTED[name]
+    assert len(classes) == nclasses
+    found, fitted = next((p, f) for p in range(1, 7) if (
+        f := fits(table, classes, fan.dim, p)) is not None)
+    assert found == period
+    for r in range(period):
+        q = 1024 * period + r
+        far = multiplicities(fan, q)
+        assert set(far) <= set(classes)
+        assert {lam: fitted[lam, r](q) for lam in classes} \
+            == {lam: far.get(lam, 0) for lam in classes}
