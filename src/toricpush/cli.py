@@ -44,14 +44,14 @@ def _load_endo(fan, spec: str):
 
 
 def _load(args, inputs) -> argparse.Namespace:
-    """Read the fan and each of the subcommand's other inputs, once each.
+    """Read the fan, each of the subcommand's other inputs once, and --json.
     Only validate answers on a fan that is not complete: the paper's
     statements are about projective, hence complete, varieties."""
     doc = parse_fan(_read(args.fan))
     fan, report = validate_fan(doc.dim, doc.rays, doc.cones, name=doc.name)
     if not report.complete and args.command != "validate":
         raise InputError("%s needs a complete fan" % args.command)
-    loaded = argparse.Namespace(fan=fan, report=report)
+    loaded = argparse.Namespace(fan=fan, report=report, json=args.json)
     if "endo" in inputs:
         loaded.endo = _load_endo(fan, args.endo)
     if "divisor" in inputs:
@@ -106,20 +106,26 @@ def cmd_intamp(x):
             {"int_amplified": True, "certificate": list(cert)})
 
 
-def cmd_pushforward(x):
-    pairs = pushforward.decompose_pushforward(x.endo, x.divisor).multiplicities
+def _multiplicities(pairs):
+    """One "class multiplicity" line per summand class, and its JSON."""
     return ("\n".join("%s %d" % (",".join(map(str, cls)), mult)
                       for cls, mult in pairs),
             {"multiplicities": [[list(cls), mult] for cls, mult in pairs]})
+
+
+def cmd_pushforward(x):
+    return _multiplicities(
+        pushforward.decompose_pushforward(x.endo, x.divisor).multiplicities)
 
 
 def cmd_verify(x):
     dec = pushforward.decompose_pushforward(x.endo, x.divisor)
     report = pushforward.verify_decomposition(x.endo, x.divisor, dec,
                                               box=x.box)
-    payload = {"summands": [list(s) for s in dec.summands],
-               "passed": report.passed, "checks": report.checks,
+    payload = {"passed": report.passed, "checks": report.checks,
                "violations": report.violations}
+    if x.json:  # deg f summands: listed only where they are printed
+        payload["summands"] = [list(s) for s in dec.summands]
     if report.passed:
         return "pass (%d checks)" % report.checks, payload, EXIT_OK
     return ("FAIL\n" + "\n".join(report.violations), payload,
@@ -127,9 +133,7 @@ def cmd_verify(x):
 
 
 def cmd_cox_shifts(x):
-    shifts = cox.module_shifts(x.endo, x.divisor, box=x.box)
-    return ("\n".join(",".join(map(str, s)) for s in shifts),
-            {"shifts": [list(s) for s in shifts]})
+    return _multiplicities(cox.module_shifts(x.endo, x.divisor, box=x.box))
 
 
 def cmd_contracting(x):

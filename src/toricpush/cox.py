@@ -125,11 +125,11 @@ def pic_coset_decomposition(endo: ToricEndomorphism,
     return coset_representatives(pullback_matrix(endo, pic))
 
 
-def module_shifts(endo: ToricEndomorphism, coeffs,
-                  box: int = 2) -> tuple[tuple[int, ...], ...]:
+def module_shifts(endo: ToricEndomorphism, coeffs, box: int = 2
+                  ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Shifts of the graded pushforward module of O(M), verified degreewise.
 
-    The shift multiset comes from the floor-formula decomposition; the graded
+    The shifts are the decomposition's (class, multiplicity) pairs; the graded
     dimension identity dim(E_M)_mu = sum_i dim R_{lambda_i + mu} is then
     checked exactly for every mu in the given Pic-coordinate box (box >= 0,
     so at least mu = 0 is checked), counting monomials of the Cox ring rather
@@ -145,7 +145,7 @@ def module_shifts(endo: ToricEndomorphism, coeffs,
             raise VerificationError(
                 "graded dimension mismatch at mu=%s: %d != %d (bug or "
                 "counterexample)" % (mu, lhs, rhs))
-    return dec.summands
+    return dec.multiplicities
 
 
 def rank_bookkeeping(endo: ToricEndomorphism, ring: CoxRing,

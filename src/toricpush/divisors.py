@@ -8,15 +8,14 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import FanError, LatticeError
-from .fans import Fan, _is_complete
+from .fans import Fan, _is_complete, _is_smooth
 from .feasibility import feasible_point, lattice_point_counter
 from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
 
 
 class PicLattice(NamedTuple):
-    """Class group Cl(X) of a complete simplicial toric variety, torsion-free,
-    in a canonical basis: Pic(X) if the fan is smooth, else its classes are
-    Weil divisor classes.  class_group builds it on no other fan.
+    """Pic(X) of a smooth complete toric variety, torsion-free, in a
+    canonical basis.  class_group builds it on no other fan.
 
     to_class_mat projects ray-coefficient space onto Z^rank; lift_mat is an
     integer right-inverse section.  Both come from the Smith normal form of
@@ -40,27 +39,20 @@ class PicLattice(NamedTuple):
 
 @lru_cache(maxsize=None)
 def class_group(fan: Fan) -> PicLattice:
-    """Cl(X) = Z^rays / (image of the character lattice), via SNF.  Class-level
-    work starts here, so this alone refuses a fan that is not complete."""
-    n, k = fan.dim, fan.nrays
-    ray_matrix = IntMatrix.from_rows(fan.rays)  # k x n, rows are rays
-    snf = smith_normal_form(ray_matrix)
-    factors = snf.invariant_factors()  # min(k, n) of them
-    if len(factors) < n or 0 in factors:
-        raise FanError("rays do not span R^%d" % n)
-    if factors != (1,) * n:
-        raise FanError("class group has torsion (invariant factors %s); "
-                       "toricpush needs a torsion-free class group"
-                       % ", ".join(map(str, factors)))
-    rank = k - n
-    if rank < 1:
-        raise FanError("Picard rank zero is not supported")
+    """Pic(X) = Z^rays / (image of the character lattice), via SNF.
+    Class-level work starts here, so this alone refuses a fan that is not
+    complete, then one that is not smooth, the paper's hypothesis: then the
+    rays span, and Pic(X) is torsion-free of rank nrays - dim >= 1."""
     if not _is_complete(fan):
         raise FanError("class group needs a complete fan; fan is not complete")
+    if not _is_smooth(fan):
+        raise FanError("class group needs a smooth fan; fan is not smooth")
+    n, snf = fan.dim, smith_normal_form(IntMatrix.from_rows(fan.rays))
     uinv, _ = scaled_inverse(snf.U)  # U is unimodular, so X = U^{-1}
     to_class = IntMatrix.from_rows(snf.U.entries[n:])
     lift = IntMatrix.from_rows([row[n:] for row in uinv.entries])
-    return PicLattice(fan=fan, rank=rank, to_class_mat=to_class, lift_mat=lift)
+    return PicLattice(fan=fan, rank=fan.nrays - n, to_class_mat=to_class,
+                      lift_mat=lift)
 
 
 def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
@@ -78,12 +70,6 @@ def _class_coordinates(fan: Fan, cls) -> tuple[int, ...]:
         raise LatticeError("dimension mismatch: class has %d coordinates, "
                            "Picard rank is %d" % (len(cls), rank))
     return cls
-
-
-def _bounded(count):
-    if count is None:
-        raise FanError("section polytope unbounded; fan is not complete")
-    return count
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +97,11 @@ def h0(fan: Fan, coeffs) -> int:
     counted by the fan's section counter.  That counter's one elimination
     is cached per fan until the caches are cleared: once per CLI process,
     and once per benchmark pass, which clears every lru_cache.  It takes
-    ray coefficients, so it answers where the class group has torsion."""
-    return _bounded(_section_counter(fan)(_coefficients(fan, coeffs)))
+    ray coefficients, so it answers on any simplicial fan."""
+    count = _section_counter(fan)(_coefficients(fan, coeffs))
+    if count is None:
+        raise FanError("section polytope unbounded; fan is not complete")
+    return count
 
 
 def h0_class(fan: Fan, cls) -> int:
@@ -142,13 +131,13 @@ class Positivity(enum.Enum):
 
 
 @lru_cache(maxsize=None)
-def kleiman_forms(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Linear forms on ray-coefficient space, one per (max cone, outside ray).
-
-    Each form, an integer pair (g, s) meaning g / s with s = |det| of the
-    cone's rays (1 on a smooth fan), sends a divisor's coefficients to
-    <m_sigma, v_rho> + a_rho; the divisor is nef iff all values are >= 0 and
-    ample iff all are > 0, so the sign of g . a alone decides (s > 0).
+def kleiman_forms(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """Integer linear forms g on ray-coefficient space, one per (max cone,
+    outside ray), on any complete simplicial fan.  Each g sends a divisor's
+    coefficients to s (<m_sigma, v_rho> + a_rho), with s = |det| of the
+    cone's rays: 1 on a smooth fan, where g is the form itself.  The divisor
+    is nef iff all values are >= 0 and ample iff all are > 0, so the sign of
+    g . a decides.
     """
     if not _is_complete(fan):
         raise FanError("positivity needs a complete fan")
@@ -165,31 +154,31 @@ def kleiman_forms(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
             for idx, x in zip(cone, pairings.mul_vector(fan.rays[rho])):
                 form[idx] = -x
             form[rho] = s
-            forms.append((tuple(form), s))
+            forms.append(tuple(form))
     return tuple(forms)
 
 
 def is_projective(fan: Fan) -> bool:
     """Whether the fan has an ample divisor: False if it is not complete,
-    else whether g . a >= 1 is feasible over the Kleiman forms (g, s).
+    else whether g . a >= 1 is feasible over the Kleiman forms g.
 
     The forms vanish on principal divisors, and the first maximal cone's
     rays are a basis of Q^n, so a positive multiple of any divisor differs
     by a principal divisor from one that is 0 on those rays: only the other
     nrays - n coefficients are variables.  No class_group is needed, so a
-    fan whose class group has torsion answers too.
+    fan that is not smooth answers too.
     """
     if not _is_complete(fan):
         return False
     free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
-    rows = [([g[rho] for rho in free], 1) for g, _ in kleiman_forms(fan)]
+    rows = [([g[rho] for rho in free], 1) for g in kleiman_forms(fan)]
     return feasible_point(rows, len(free)) is not None
 
 
 def positivity(fan: Fan, coeffs) -> Positivity:
     """Toric Kleiman criterion for nefness and ampleness."""
     coeffs = _coefficients(fan, coeffs)
-    values = [sum(map(mul, g, coeffs)) for g, _ in kleiman_forms(fan)]
+    values = [sum(map(mul, g, coeffs)) for g in kleiman_forms(fan)]
     if all(v > 0 for v in values):
         return Positivity.AMPLE
     if all(v >= 0 for v in values):

@@ -111,9 +111,9 @@ def is_int_amplified(endo: ToricEndomorphism,
                      pic: PicLattice) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether some ample H has f*H - H ample; returns a certificate.
 
-    Each Kleiman form (g, s) gives the class row a . h >= s with
+    Each Kleiman form g gives the class row a . h >= 1 with
     a_j = g . lift(e_j): H is ample iff every a . h > 0, and the strict
-    systems are scale-invariant, so margin s is as good.  By linearity the
+    systems are scale-invariant, so margin 1 is as good.  By linearity the
     row of f*H - H is a . f*[:, j] - a_j.  One exact solve of both row sets
     decides; clearing the witness's denominators scales every margin by a
     positive integer, so H and f*H - H are ample by construction.  A "no"
@@ -122,11 +122,11 @@ def is_int_amplified(endo: ToricEndomorphism,
     r = pic.rank
     pb = pullback_matrix(endo, pic).transpose().entries
     lift = pic.lift_mat.transpose().entries
-    ample = [([sum(map(mul, g, col)) for col in lift], s)
-             for g, s in kleiman_forms(endo.fan)]
+    ample = [([sum(map(mul, g, col)) for col in lift], 1)
+             for g in kleiman_forms(endo.fan)]
     point = feasible_point(ample + [
-        ([sum(map(mul, a, col)) - x for col, x in zip(pb, a)], s)
-        for a, s in ample], r)
+        ([sum(map(mul, a, col)) - x for col, x in zip(pb, a)], 1)
+        for a, _ in ample], r)
     if point is None:
         if feasible_point(ample, r) is None:
             raise EndoError("no ample class found; fan may be non-projective")

@@ -11,7 +11,7 @@ class LatticeError(ToricError):
 
 class FanError(ToricError):
     """The ray/cone data is not a simplicial fan, or the fan lacks what an
-    operation needs (completeness, a torsion-free class group)."""
+    operation needs: class-level work needs a smooth complete fan."""
 
 
 class EndoError(ToricError):

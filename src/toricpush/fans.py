@@ -124,6 +124,18 @@ def _is_complete(fan: Fan) -> bool:
     return all(k == 2 for k in walls.values())
 
 
+def _cone_index(fan: Fan, cone) -> int:
+    """gcd of the k x k minors of the cone's k rays (Newman, Integral
+    Matrices, II.15): 0 iff they are dependent, 1 iff they extend to a basis."""
+    return math.gcd(*(IntMatrix.from_rows(cols).det() for cols
+                      in combinations(zip(*fan.cone_rays(cone)), len(cone))))
+
+
+def _is_smooth(fan: Fan) -> bool:
+    """Every maximal cone's rays extend to a basis of the lattice."""
+    return all(_cone_index(fan, c) == 1 for c in fan.max_cones)
+
+
 def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
     """Validate raw fan data; raises FanError if it is not a fan at all.
 
@@ -132,16 +144,10 @@ def validate_fan(dim, rays, max_cones, name="") -> tuple[Fan, FanReport]:
     (dim,) = as_ints((dim,))
     rays, cones = _check_structure(dim, rays, max_cones)
     fan = Fan(dim=dim, rays=rays, max_cones=cones, name=name)
-    smooth = True
-    for c in cones:
-        # the gcd of the k x k minors of k rays is the product of their
-        # invariant factors (Newman, Integral Matrices, II.15): 0 iff the
-        # rays are dependent, 1 iff they extend to a basis
-        index = math.gcd(*(IntMatrix.from_rows(cols).det() for cols
-                           in combinations(zip(*fan.cone_rays(c)), len(c))))
-        if index == 0:
+    smooth = _is_smooth(fan)
+    for c in cones:  # a cone with dependent rays is not smooth
+        if not smooth and _cone_index(fan, c) == 0:
             raise FanError("cone %s has linearly dependent rays" % (c,))
-        smooth = smooth and index == 1
     for c1, c2 in combinations(cones, 2):
         if not _cones_intersect_properly(fan, c1, c2):
             raise FanError("cones %s and %s overlap improperly" % (c1, c2))

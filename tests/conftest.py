@@ -91,10 +91,14 @@ def half_plane_fan():
 
 
 # simplicial, complete, not smooth: the weighted projective planes P(1,1,2)
-# (cone indices 1, 1, 2) and P(1,2,3) (1, 2, 3); the only inputs where a
-# Kleiman form g / s has s > 1
+# (cone indices 1, 1, 2) and P(1,2,3) (1, 2, 3), where some Kleiman form is
+# s > 1 times <m_sigma, v_rho> + a_rho
 WEIGHTED = {"P(1,1,2)": [[1, 0], [0, 1], [-1, -2]],
             "P(1,2,3)": [[1, 0], [0, 1], [-2, -3]]}
+
+# P2 / (Z/3): simplicial, complete, not smooth, with Cl = Z + Z/3
+P2_MOD_3 = {"dim": 2, "rays": [[2, -1], [-1, 2], [-1, -1]],
+            "cones": [[0, 1], [1, 2], [0, 2]]}
 
 
 def weighted_plane(name):
@@ -104,10 +108,20 @@ def weighted_plane(name):
 
 
 def labelled_fans():
-    """(label, fan) for every bundled, ORACLE_FANS and weighted fan."""
+    """(label, fan) for every bundled and ORACLE_FANS fan: each is smooth and
+    complete, so class-level work answers on each."""
     yield from bundled_fans().items()
     yield from ((name, fan) for name, (fan, _) in sorted(ORACLE_FANS.items()))
+
+
+def non_smooth_fans():
+    """(label, fan) for the complete fans that are not smooth: the weighted
+    planes and P2 / (Z/3).  class_group refuses each."""
     yield from ((name, weighted_plane(name)) for name in sorted(WEIGHTED))
+    fan, report = validate_fan(P2_MOD_3["dim"], P2_MOD_3["rays"],
+                               P2_MOD_3["cones"])
+    assert report.complete and not report.smooth
+    yield "P2/(Z/3)", fan
 
 
 def fraction_inverse(rows):

@@ -142,7 +142,7 @@ def test_criterion_5_int_amplified_decisions():
 
 
 def test_criterion_6_cox_ring_bridge():
-    """module_shifts agrees with the decomposition class multiset and the
+    """module_shifts agrees with the decomposition's multiplicities and the
     graded-dimension identity holds on the box, on the full corpus."""
     ok = True
     for label, fan, endo in PAIRS:
@@ -151,7 +151,7 @@ def test_criterion_6_cox_ring_bridge():
         for coeffs in ((0,) * fan.nrays, first_ray, mixed):
             shifts = module_shifts(endo, coeffs, box=2)  # raises on mismatch
             dec = decompose_pushforward(endo, coeffs)
-            if sorted(shifts) != sorted(dec.summands):
+            if shifts != dec.multiplicities:
                 ok = False
     report("6 Cox-ring bridge", ok)
 

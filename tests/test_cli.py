@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from conftest import FIXTURE_DIR, HALF_PLANE, QUADRANTS
-from toricpush import cox, lattice, pushforward
+from conftest import (FIXTURE_DIR, HALF_PLANE, P2_MOD_3, QUADRANTS,
+                      non_smooth_fans)
+from toricpush import class_group, cox, cox_ring, lattice, pushforward
 from toricpush.cli import COMMANDS, build_parser, run_command
 from toricpush.errors import InputError
 from toricpush.io import parse_endo, parse_fan
@@ -17,6 +18,7 @@ P1XP1 = str(FIXTURE_DIR / "p1xp1.fan.json")
 F1 = str(FIXTURE_DIR / "hirzebruch1.fan.json")
 ODA3 = str(FIXTURE_DIR / "oda3.fan.json")
 SWAP = str(FIXTURE_DIR / "swap2.endo.json")
+NOT_SMOOTH = "class group needs a smooth fan; fan is not smooth"
 
 
 def _validate_text(tmp_path, capsys, text):
@@ -110,11 +112,11 @@ EXACT_OUTPUT = {
         '{"checks": 4, "passed": true, "summands": [[0], [0]], '
         '"violations": []}\n'),
     "cox-shifts": (["cox-shifts", P1, "--endo", "mul:3", "--divisor", "1,0"],
-                   "-1\n0\n0\n"),
+                   "-1 1\n0 2\n"),
     "cox-shifts-json": (
         ["cox-shifts", P1XP1, "--endo", SWAP, "--divisor", "0,0,0,0",
          "--json"],
-        '{"shifts": [[0, -1], [0, 0]]}\n'),
+        '{"multiplicities": [[[0, -1], 1], [[0, 0], 1]]}\n'),
     "contracting": (["contracting", P1XP1, "--endo", SWAP], "2\n"),
     "contracting-json": (["contracting", P2, "--endo", "mul:1", "--json"],
                          '{"contracting_exponent": null}\n'),
@@ -207,11 +209,23 @@ class TestCommands:
         assert capsys.readouterr().out == "-2 %d\n-1 %d\n0 1\n" % (
             (q - 1) * (q - 2) // 2, (q * q + 3 * q - 4) // 2)
 
+    def test_text_verify_lists_no_summands(self, monkeypatch, capsys):
+        # deg f = 2^40 summands: only --json lists them, so text mode must
+        # never expand the decomposition
+        def refuse(dec):
+            raise AssertionError("summands expanded")
+
+        monkeypatch.setattr(pushforward.Decomposition, "summands",
+                            property(refuse))
+        assert _outcome(["verify", P2, "--endo", "mul:%d" % 2 ** 20,
+                         "--divisor", "0,0,0"], capsys) == (
+            0, "pass (%d checks)\n" % (1 + 5 + 2 ** 40), "")
+
     def test_cox_shifts(self, capsys):
         assert run_command(["cox-shifts", P1, "--endo", "mul:2",
                             "--divisor", "0,0", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert sorted(map(tuple, data["shifts"])) == [(-1,), (0,)]
+        assert data == {"multiplicities": [[[-1], 1], [[0], 1]]}
 
     def test_coset_count(self, capsys):
         assert run_command(["coset-count", P2, "--endo", "mul:3",
@@ -380,18 +394,43 @@ class TestExitCodes:
 
     def test_class_group_with_torsion(self, tmp_path, capsys):
         # P2 / (Z/3) is a valid complete fan: validate and h0 answer, and
-        # intamp refuses its class group, not the fan
+        # intamp refuses its class group, as the fan is not smooth
         fan = tmp_path / "p2z3.fan.json"
-        fan.write_text(json.dumps({"dim": 2, "rays": [[2, -1], [-1, 2],
-                                                      [-1, -1]],
-                                   "cones": [[0, 1], [1, 2], [0, 2]]}))
+        fan.write_text(json.dumps(P2_MOD_3))
         assert _outcome(["validate", str(fan)], capsys) == (
             0, "not smooth complete projective\n", "")
         assert _outcome(["h0", str(fan), "--divisor", "1,0,0"], capsys) == (
             0, "1\n", "")
         assert _outcome(["intamp", str(fan), "--endo", "mul:2"], capsys) == (
-            2, "", "error: class group has torsion (invariant factors 1, 3); "
-            "toricpush needs a torsion-free class group\n")
+            2, "", "error: %s\n" % NOT_SMOOTH)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_class_level_subcommand_refuses_a_non_smooth_fan(
+            self, command, tmp_path, capsys):
+        # validate, h0 and positivity answer on any simplicial fan; every
+        # other subcommand reaches class_group, which refuses the fan, in
+        # a cold process and again in a warm one
+        options = {"endo": ["--endo", "mul:2"],
+                   "divisor": ["--divisor", "0,0,1"], "box": []}
+        answers = {
+            "validate": ["not smooth complete projective"] * 3,
+            "h0": ["2", "1", "1"],
+            "positivity": ["ample"] * 3,
+        }
+        for i, (name, fan) in enumerate(non_smooth_fans()):
+            path = tmp_path / ("%d.fan.json" % i)
+            path.write_text(json.dumps({"dim": fan.dim, "rays": fan.rays,
+                                        "cones": fan.max_cones}))
+            argv = [command, str(path)]
+            for option in COMMANDS[command][1]:
+                argv += options[option]
+            class_group.cache_clear()
+            cox_ring.cache_clear()
+            expected = ((0, answers[command][i] + "\n", "")
+                        if command in answers
+                        else (2, "", "error: %s\n" % NOT_SMOOTH))
+            for attempt in ("cold", "warm"):
+                assert _outcome(argv, capsys) == expected, (name, attempt)
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

@@ -5,16 +5,18 @@ from math import comb
 import pytest
 
 import toricpush.divisors as divisors
-from conftest import (HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans,
-                      decomposition, fraction_kleiman_forms, half_plane_fan,
-                      labelled_fans, weighted_plane)
+from conftest import (HALF_PLANE, P2_MOD_3, QUADRANTS, WEIGHTED,
+                      bundled_fans, decomposition, fraction_kleiman_forms,
+                      half_plane_fan, labelled_fans, non_smooth_fans,
+                      weighted_plane)
 from toricpush import (FanError, PicLattice, Positivity, class_group,
                        cox_ring, decompose_pushforward, graded_dimension, h0,
-                       h0_class, hirzebruch, is_projective, iterate_coherence,
+                       h0_class, hirzebruch, is_int_amplified, is_projective,
+                       iterate_coherence,
                        module_shifts, multiplication_endo, positivity,
                        product_fan, projective_space, pullback_divisor,
                        verify_decomposition, validate_fan)
-from toricpush.divisors import _class_counter
+from toricpush.divisors import _class_counter, kleiman_forms
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -23,6 +25,7 @@ F1 = hirzebruch(1)
 F2 = hirzebruch(2)
 F3 = hirzebruch(3)
 NOT_COMPLETE = "class group needs a complete fan; fan is not complete"
+NOT_SMOOTH = "class group needs a smooth fan; fan is not smooth"
 
 
 def brute_h0(fan, coeffs):
@@ -79,15 +82,16 @@ class TestClassGroup:
             assert pic.class_of(div) == pic.zero()
 
     def test_torsion_rejected(self):
-        # the quadric cone's class group is Z/2
+        # the quadric cone's class group is Z/2; one cone is not complete,
+        # which class_group refuses first
         fan, _ = validate_fan(2, [(1, 0), (1, 2)], [(0, 1)])
-        with pytest.raises(FanError):
+        with pytest.raises(FanError, match="^%s$" % NOT_COMPLETE):
             class_group(fan)
 
     def test_rays_must_span(self):
-        # +-e1 in the plane: no torsion to speak of, the rays miss e2
+        # +-e1 in the plane: the rays miss e2, so the fan is not complete
         fan, _ = validate_fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
-        with pytest.raises(FanError, match=r"^rays do not span R\^2$"):
+        with pytest.raises(FanError, match="^%s$" % NOT_COMPLETE):
             class_group(fan)
 
 
@@ -236,6 +240,53 @@ class TestClassLevelNeedsACompleteFan:
                 "positivity needs a complete fan")
 
 
+class TestClassLevelNeedsASmoothFan:
+    """class_group refuses a complete fan that is not smooth, as the
+    paper's theorem needs; every class-level entry point reaches it first,
+    and the divisor-level functions answer."""
+
+    def test_class_level_refused_divisor_level_answers(self):
+        fans = dict(non_smooth_fans())
+        refusals = {}
+        for name, fan in fans.items():
+            endo = multiplication_endo(fan, 2)
+            zero, coeffs = (0,) * (fan.nrays - fan.dim), (0,) * fan.nrays
+            calls = {
+                "class_group": lambda: class_group(fan),
+                "cox_ring": lambda: cox_ring(fan),
+                "h0_class": lambda: h0_class(fan, zero),
+                "graded_dimension":
+                    lambda: graded_dimension(cox_ring(fan), zero),
+                "is_int_amplified":
+                    lambda: is_int_amplified(endo, class_group(fan)),
+                "decompose_pushforward":
+                    lambda: decompose_pushforward(endo, coeffs),
+                "verify_decomposition": lambda: verify_decomposition(
+                    endo, coeffs, decomposition([zero] * 4)),
+                "iterate_coherence": lambda: iterate_coherence(endo, coeffs),
+                "module_shifts": lambda: module_shifts(endo, coeffs),
+            }
+            for label, call in calls.items():
+                class_group.cache_clear()
+                cox_ring.cache_clear()
+                for attempt in ("cold", "warm"):
+                    refusals[name, label, attempt] = _refusal(call)
+        assert refusals == dict.fromkeys(refusals, NOT_SMOOTH)
+
+        # h0 and the Kleiman criterion are meaningful for Weil and
+        # Q-Cartier divisors: D_rho has the weight of ray rho in the one
+        # relation among the rays, and h0 counts monomials of that degree
+        p112, p123 = fans["P(1,1,2)"], fans["P(1,2,3)"]
+        assert h0(p112, (0, 0, 1)) == 2
+        assert h0(p123, (0, 1, 0)) == h0(p123, (0, 0, 3)) == 3
+        assert h0(p123, (6, 0, 0)) == 19
+        assert positivity(p112, (0, 0, 1)) is Positivity.AMPLE
+        assert positivity(p123, (-1, 0, 0)) is Positivity.NOT_NEF
+        for fan in fans.values():
+            assert is_projective(fan)
+            assert h0(fan, (0, 0, 0)) == 1
+
+
 class TestIsProjective:
     @pytest.mark.parametrize("name", sorted(bundled_fans()))
     def test_bundled_fans(self, name):
@@ -248,11 +299,10 @@ class TestIsProjective:
         assert is_projective(weighted_plane(name))
 
     def test_class_group_with_torsion(self):
-        # P2 / (Z/3): complete and projective, Cl = Z + Z/3, no Picard
-        # lattice in class_group's sense
-        fan, _ = validate_fan(2, [(2, -1), (-1, 2), (-1, -1)],
-                              [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(FanError, match="torsion"):
+        # P2 / (Z/3): complete and projective, Cl = Z + Z/3, not smooth
+        fan, _ = validate_fan(P2_MOD_3["dim"], P2_MOD_3["rays"],
+                              P2_MOD_3["cones"])
+        with pytest.raises(FanError, match="^%s$" % NOT_SMOOTH):
             class_group(fan)
         assert is_projective(fan)
 
@@ -290,10 +340,19 @@ class TestPositivity:
 
     @pytest.mark.parametrize("name", sorted(WEIGHTED))
     def test_non_smooth_against_fraction_forms(self, name):
-        # on a simplicial non-smooth fan the forms g / s have s > 1; the
-        # sign of g . a must give the Fraction reference's verdict
+        # on a simplicial non-smooth fan some integer form g is s > 1
+        # times its Fraction reference form; the sign of g . a must give
+        # the reference's verdict
         fan = weighted_plane(name)
         forms = fraction_kleiman_forms(fan)
+        assert len(kleiman_forms(fan)) == len(forms)
+        scales = set()
+        for g, form in zip(kleiman_forms(fan), forms):
+            assert all(type(x) is int for x in g)
+            scale = next(x / a for x, a in zip(g, form) if a)
+            assert scale > 0 and list(g) == [scale * a for a in form]
+            scales.add(scale)
+        assert max(scales) > 1
         verdicts = set()
         for d in product(range(-1, 2), repeat=fan.nrays):
             values = [sum(c * a for c, a in zip(form, d)) for form in forms]

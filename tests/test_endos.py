@@ -6,10 +6,10 @@ import pytest
 
 import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
-from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, accepted_endos,
+from conftest import (FIXTURE_DIR, ORACLE_FANS, accepted_endos,
                       bundled_fans, corpus_fans, corpus_pairs,
                       fraction_kleiman_forms, half_plane_fan, labelled_fans,
-                      oracle_endos, weighted_plane)
+                      non_smooth_fans, oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, iterate_coherence,
                        multiplication_endo, positivity, Positivity,
@@ -170,8 +170,10 @@ class TestBuiltFromRayData:
     # multiplication_endo and compose construct their ray data; build_endo,
     # which derives it from the matrix and checks it, must agree
 
-    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
-                             ids=[label for label, _ in labelled_fans()])
+    @pytest.mark.parametrize("label, fan",
+                             [*labelled_fans(), *non_smooth_fans()],
+                             ids=[label for label, _ in
+                                  [*labelled_fans(), *non_smooth_fans()]])
     def test_multiplication_is_what_build_endo_derives(self, label, fan):
         for q in (1, 2, 3):
             assert multiplication_endo(fan, q) == build_endo(
@@ -356,8 +358,7 @@ class TestIntAmplified:
 
     def test_no_ample_class(self, monkeypatch, capsys):
         # a form and its negative: no class is strictly positive on both
-        # (g, s) = ((1, 0, -2, 0), 2) is the form (1/2, 0, -1, 0)
-        forms = (((1, 0, -2, 0), 2), ((-1, 0, 2, 0), 2))
+        forms = ((1, 0, -2, 0), (-1, 0, 2, 0))
         for module in (endos_module, divisors_module):
             monkeypatch.setattr(module, "kleiman_forms", lambda fan: forms)
         message = "no ample class found; fan may be non-projective"
@@ -366,15 +367,6 @@ class TestIntAmplified:
         fixture = FIXTURE_DIR / "p1xp1.fan.json"
         assert run_command(["intamp", str(fixture), "--endo", "mul:2"]) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
-
-    @pytest.mark.parametrize("name, q, expected", [
-        ("P(1,1,2)", 2, (True, (2,))), ("P(1,1,2)", 3, (True, (2,))),
-        ("P(1,2,3)", 2, (True, (3,))), ("P(1,2,3)", 3, (True, (3,)))])
-    def test_weighted_planes(self, name, q, expected):
-        # simplicial non-smooth fans, where some Kleiman form has s > 1
-        fan = weighted_plane(name)
-        assert is_int_amplified(multiplication_endo(fan, q),
-                                class_group(fan)) == expected
 
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
@@ -401,39 +393,29 @@ def solves(monkeypatch):
 class TestStrictClassConstraints:
     @pytest.mark.parametrize("kind, name", [
         *(("corpus", name) for name in sorted(corpus_fans())),
-        *(("oracle", name) for name in sorted(ORACLE_FANS)),
-        *(("weighted", name) for name in sorted(WEIGHTED))])
+        *(("oracle", name) for name in sorted(ORACLE_FANS))])
     def test_integer_multiples_of_the_kleiman_rows(self, kind, name, solves):
-        # each Kleiman form (g, s) is s times the Fraction reference form,
-        # with s = 1 on every smooth fan; the engine takes integer rows
-        # only: the strict rows form . lift(h) >= 1 and form . lift((f* -
-        # id) h) >= 1, scaled by s, for the corpus pairs or the exhaustive
-        # oracle set, with f* - id taken entry by entry; a "no" solves the
-        # ample rows again alone
+        # on a smooth fan each Kleiman form is the Fraction reference form,
+        # with integer entries; the engine takes integer rows only: the
+        # strict rows form . lift(h) >= 1 and form . lift((f* - id) h) >= 1
+        # for the corpus pairs or the exhaustive oracle set, with f* - id
+        # taken entry by entry; a "no" solves the ample rows again alone
         if kind == "oracle":
             fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
-        elif kind == "corpus":
+        else:
             fan = corpus_fans()[name]
             endos = [e for _, f, e in corpus_pairs() if f == fan]
-        else:
-            fan = weighted_plane(name)
-            endos = [multiplication_endo(fan, q) for q in (2, 3)]
         forms = kleiman_forms(fan)
         reference = fraction_kleiman_forms(fan)
         assert len(forms) == len(reference)
-        for (g, s), form in zip(forms, reference):
-            assert all(type(x) is int for x in (*g, s))
-            assert s >= 1 and list(g) == [s * a for a in form]
-        if kind == "weighted":
-            assert max(s for _, s in forms) > 1
-        else:
-            assert {s for _, s in forms} == {1}
+        for g, form in zip(forms, reference):
+            assert all(type(x) is int for x in g)
+            assert list(g) == list(form)
         pic = class_group(fan)
 
         def rows(columns):
-            return [([s * sum(a * b for a, b in zip(form, pic.lift(col)))
-                      for col in columns], s)
-                    for (_, s), form in zip(forms, reference)]
+            return [([sum(a * b for a, b in zip(g, pic.lift(col)))
+                      for col in columns], 1) for g in forms]
 
         units = [[int(i == j) for i in range(pic.rank)]
                  for j in range(pic.rank)]
@@ -448,16 +430,15 @@ class TestStrictClassConstraints:
 
     def test_non_smooth_cone_row(self, solves):
         # on P(1,1,2) the cone {(-1,-2), (1,0)} has index 2, so its form
-        # (1/2, 1, 1/2) is the pair ((1, 2, 1), 2) and its strict row reads
-        # g . lift(h) >= 2; verdict and certificate are those the
-        # lcm-scaled Fraction rows gave
+        # (1/2, 1, 1/2) is scaled to the integer form (1, 2, 1), whose sign
+        # positivity reads; no class row is ever built from it, as
+        # class_group refuses the fan before is_int_amplified runs
         fan = weighted_plane("P(1,1,2)")
-        forms = kleiman_forms(fan)
-        assert forms[-1] == ((1, 2, 1), 2)
-        assert is_int_amplified(multiplication_endo(fan, 2),
-                                class_group(fan)) == (True, (2,))
-        (rows,) = solves
-        assert rows[len(forms) - 1][1] == 2
+        assert kleiman_forms(fan)[-1] == (1, 2, 1)
+        assert positivity(fan, (-1, 0, 1)) is Positivity.NEF_NOT_AMPLE
+        with pytest.raises(FanError, match="fan is not smooth$"):
+            is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
+        assert solves == []
 
 
 @pytest.mark.parametrize("label, fan", list(labelled_fans()))

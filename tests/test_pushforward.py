@@ -9,8 +9,8 @@ import pytest
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
 from conftest import (ORACLE_FANS, accepted_endos, corpus_pairs,
-                      decomposition, oracle_endos, reference_decompose,
-                      weighted_plane)
+                      decomposition, labelled_fans, oracle_endos,
+                      reference_decompose)
 from toricpush import (Decomposition, EndoError, IntMatrix, LatticeError,
                        VerificationReport, build_endo, class_group, compose,
                        decompose_pushforward, degree, h0_class, hirzebruch,
@@ -148,18 +148,6 @@ class TestDecomposeDifferential:
         endo = multiplication_endo(fan, q)
         for coeffs in sample_coeffs(fan):
             assert_matches_reference(endo, coeffs)
-
-    def test_weighted_plane(self):
-        # P(1,1,2) is simplicial, not smooth: its classes are Weil classes
-        fan = weighted_plane("P(1,1,2)")
-        rng = random.Random(112)
-        endos = accepted_endos(fan, 2) + [multiplication_endo(fan, q)
-                                          for q in (3, 4, 5)]
-        assert len(endos) > 4
-        for endo in endos:
-            for coeffs in sample_coeffs(fan) + [
-                    tuple(rng.randint(-9, 9) for _ in range(fan.nrays))]:
-                assert_matches_reference(endo, coeffs)
 
     @pytest.mark.parametrize("name", ["P1xP1", "P1^3", "P2xP1", "F1xP1"])
     def test_random_diagonal_and_swap_endos(self, name):
@@ -571,6 +559,40 @@ class TestStructuralInvariants:
             permuted = tuple(coeffs[perm[i]] for i in range(4))
             assert (profile(fan, multiplication_endo(fan, q), coeffs)
                     == profile(refan, multiplication_endo(refan, q), permuted))
+
+
+def assert_duality(endo, coeffs):
+    """Grothendieck duality: f is finite and flat on a smooth X, so
+    (f_* O(D))^v = f_* O(R - D) with R = K_X - f*K_X = sum_rho (c_rho - 1)
+    D_rho (Hartshorne, Algebraic Geometry, III Ex. 6.10 and 7.2): the
+    summand classes of R - D are those of D, negated."""
+    dual = tuple(c - 1 - a for c, a in zip(endo.mults, coeffs))
+    negated = sorted((tuple(-x for x in lam), mult) for lam, mult
+                     in decompose_pushforward(endo, coeffs).multiplicities)
+    assert decompose_pushforward(endo, dual).multiplicities == tuple(
+        negated), (endo.matrix, coeffs)
+
+
+class TestGrothendieckDuality:
+    """The one law that pairs a very negative D with a very positive one:
+    it checks the slab against itself at two divisors."""
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
+                             ids=[label for label, _ in labelled_fans()])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    def test_multiplication(self, label, fan, q):
+        rng = random.Random("%s/%d" % (label, q))
+        endo = multiplication_endo(fan, q)
+        for _ in range(5):
+            assert_duality(endo, tuple(rng.randint(-6, 6)
+                                       for _ in range(fan.nrays)))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FANS))
+    def test_exhaustive_endomorphisms(self, name):
+        rng = random.Random(name)
+        for endo in oracle_endos(name):
+            assert_duality(endo, tuple(rng.randint(-6, 6)
+                                       for _ in range(endo.fan.nrays)))
 
 
 class TestIterateCoherence:
