@@ -114,6 +114,14 @@ def labelled_fans():
     yield from ((name, fan) for name, (fan, _) in sorted(ORACLE_FANS.items()))
 
 
+def class_level_cases():
+    """(label, fan) for labelled_fans(), then the weighted planes: a
+    class-level test answers on the first and expects the refusal on the
+    second, where a divisor-level counterpart still answers."""
+    yield from labelled_fans()
+    yield from ((name, weighted_plane(name)) for name in sorted(WEIGHTED))
+
+
 def non_smooth_fans():
     """(label, fan) for the complete fans that are not smooth: the weighted
     planes and P2 / (Z/3).  class_group refuses each."""
@@ -218,19 +226,24 @@ def axis_expansion(F):
     return vecs
 
 
-def reference_decompose(endo, coeffs):
-    """The floor formula coset by coset: the box cosets, then one n-term sum
-    per ray and one class_of product per coset, as (class, witness, coset)
-    rows sorted by class, then witness, then coset."""
+def floor_witnesses(endo, coeffs):
+    """The floor formula coset by coset, at divisor level: the box cosets,
+    then one n-term sum per ray, as (witness, coset) pairs; it needs no
+    class group, so it runs on any simplicial fan."""
     fan = endo.fan
-    pic = class_group(fan)
-    rows = []
     for u in box_cosets(endo.matrix.transpose()):
         witness = tuple(
             (coeffs[rho] + sum(a * b for a, b in zip(u, fan.rays[rho])))
             // endo.mults[rho] for rho in endo.pi_inverse)
-        rows.append((pic.class_of(witness), witness, u))
-    return sorted(rows)
+        yield witness, u
+
+
+def reference_decompose(endo, coeffs):
+    """floor_witnesses with one class_of product per coset, as (class,
+    witness, coset) rows sorted by class, then witness, then coset."""
+    pic = class_group(endo.fan)
+    return sorted((pic.class_of(witness), witness, u)
+                  for witness, u in floor_witnesses(endo, coeffs))
 
 
 def sample_divisors(fan, bound=2, limit=200, seed=0):

@@ -6,9 +6,9 @@ import pytest
 
 import toricpush.divisors as divisors
 from conftest import (HALF_PLANE, P2_MOD_3, QUADRANTS, WEIGHTED,
-                      bundled_fans, decomposition, fraction_kleiman_forms,
-                      half_plane_fan, labelled_fans, non_smooth_fans,
-                      weighted_plane)
+                      bundled_fans, class_level_cases, decomposition,
+                      fraction_kleiman_forms, half_plane_fan,
+                      non_smooth_fans, weighted_plane)
 from toricpush import (FanError, PicLattice, Positivity, class_group,
                        cox_ring, decompose_pushforward, graded_dimension, h0,
                        h0_class, hirzebruch, is_int_amplified, is_projective,
@@ -16,7 +16,7 @@ from toricpush import (FanError, PicLattice, Positivity, class_group,
                        module_shifts, multiplication_endo, positivity,
                        product_fan, projective_space, pullback_divisor,
                        verify_decomposition, validate_fan)
-from toricpush.divisors import _class_counter, kleiman_forms
+from toricpush.divisors import _class_counter
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -160,9 +160,17 @@ class TestClassCounter:
     """h0_class counts with the rank coordinates of the class as the
     counter's parameters, not through a lift to ray coefficients."""
 
-    @pytest.mark.parametrize("label, fan", list(labelled_fans()),
-                             ids=[label for label, _ in labelled_fans()])
+    @pytest.mark.parametrize("label, fan", list(class_level_cases()),
+                             ids=[label for label, _ in class_level_cases()])
     def test_counts_h0_of_the_lift(self, label, fan):
+        if label in WEIGHTED:
+            # no class counter on a weighted plane, as class_group refuses
+            # it; h0 counts its divisors' sections, checked by brute force
+            with pytest.raises(FanError, match="^%s$" % NOT_SMOOTH):
+                _class_counter(fan)
+            for coeffs in product(range(-1, 3), repeat=fan.nrays):
+                assert h0(fan, coeffs) == brute_h0(fan, coeffs), coeffs
+            return
         pic = class_group(fan)
         count = _class_counter(fan)
         for cls in product(range(-3, 4), repeat=pic.rank):
@@ -345,14 +353,6 @@ class TestPositivity:
         # the reference's verdict
         fan = weighted_plane(name)
         forms = fraction_kleiman_forms(fan)
-        assert len(kleiman_forms(fan)) == len(forms)
-        scales = set()
-        for g, form in zip(kleiman_forms(fan), forms):
-            assert all(type(x) is int for x in g)
-            scale = next(x / a for x, a in zip(g, form) if a)
-            assert scale > 0 and list(g) == [scale * a for a in form]
-            scales.add(scale)
-        assert max(scales) > 1
         verdicts = set()
         for d in product(range(-1, 2), repeat=fan.nrays):
             values = [sum(c * a for c, a in zip(form, d)) for form in forms]

@@ -6,10 +6,11 @@ import pytest
 
 import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
-from conftest import (FIXTURE_DIR, ORACLE_FANS, accepted_endos,
-                      bundled_fans, corpus_fans, corpus_pairs,
-                      fraction_kleiman_forms, half_plane_fan, labelled_fans,
-                      non_smooth_fans, oracle_endos, weighted_plane)
+from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, accepted_endos,
+                      bundled_fans, class_level_cases, corpus_fans,
+                      corpus_pairs, fraction_kleiman_forms, half_plane_fan,
+                      labelled_fans, non_smooth_fans, oracle_endos,
+                      weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, iterate_coherence,
                        multiplication_endo, positivity, Positivity,
@@ -368,6 +369,22 @@ class TestIntAmplified:
         assert run_command(["intamp", str(fixture), "--endo", "mul:2"]) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
 
+    @pytest.mark.parametrize("name, q, expected", [
+        ("P(1,1,2)", 2, (0, 1, 0)), ("P(1,1,2)", 3, (0, 1, 0)),
+        ("P(1,2,3)", 2, (0, 1, 0)), ("P(1,2,3)", 3, (0, 1, 0))])
+    def test_weighted_planes(self, name, q, expected):
+        # simplicial non-smooth fans: is_int_amplified is refused, as
+        # class_group is; at divisor level H = D_1, of weight 2 on P(1,1,2)
+        # and 3 on P(1,2,3), is ample and so is f*H - H = (q - 1) H
+        fan = weighted_plane(name)
+        endo = multiplication_endo(fan, q)
+        with pytest.raises(FanError, match="fan is not smooth$"):
+            is_int_amplified(endo, class_group(fan))
+        pulled = pullback_divisor(endo, expected)
+        assert pulled == tuple(q * a for a in expected)
+        for d in (expected, tuple(a - b for a, b in zip(pulled, expected))):
+            assert positivity(fan, d) is Positivity.AMPLE
+
     def test_eigenvalue_cross_check_swap(self):
         pic = class_group(P1XP1)
         yes, _ = is_int_amplified(SWAP, pic)
@@ -393,24 +410,40 @@ def solves(monkeypatch):
 class TestStrictClassConstraints:
     @pytest.mark.parametrize("kind, name", [
         *(("corpus", name) for name in sorted(corpus_fans())),
-        *(("oracle", name) for name in sorted(ORACLE_FANS))])
+        *(("oracle", name) for name in sorted(ORACLE_FANS)),
+        *(("weighted", name) for name in sorted(WEIGHTED))])
     def test_integer_multiples_of_the_kleiman_rows(self, kind, name, solves):
-        # on a smooth fan each Kleiman form is the Fraction reference form,
-        # with integer entries; the engine takes integer rows only: the
-        # strict rows form . lift(h) >= 1 and form . lift((f* - id) h) >= 1
-        # for the corpus pairs or the exhaustive oracle set, with f* - id
-        # taken entry by entry; a "no" solves the ample rows again alone
+        # each Kleiman form is s >= 1 times the Fraction reference form,
+        # with integer entries and s = 1 on every smooth fan; a weighted
+        # plane has some s > 1, and class_group refuses it before any class
+        # row is built.  The engine takes integer rows only: the strict
+        # rows form . lift(h) >= 1 and form . lift((f* - id) h) >= 1 for
+        # the corpus pairs or the exhaustive oracle set, with f* - id taken
+        # entry by entry; a "no" solves the ample rows again alone
         if kind == "oracle":
             fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
-        else:
+        elif kind == "corpus":
             fan = corpus_fans()[name]
             endos = [e for _, f, e in corpus_pairs() if f == fan]
+        else:
+            fan = weighted_plane(name)
         forms = kleiman_forms(fan)
         reference = fraction_kleiman_forms(fan)
         assert len(forms) == len(reference)
+        scales = set()
         for g, form in zip(forms, reference):
             assert all(type(x) is int for x in g)
-            assert list(g) == list(form)
+            s = next(x / a for x, a in zip(g, form) if a)
+            assert s >= 1 and list(g) == [s * a for a in form]
+            scales.add(s)
+        if kind == "weighted":
+            assert max(scales) > 1
+            with pytest.raises(FanError, match="fan is not smooth$"):
+                is_int_amplified(multiplication_endo(fan, 2),
+                                 class_group(fan))
+            assert solves == []
+            return
+        assert scales == {1}
         pic = class_group(fan)
 
         def rows(columns):
@@ -441,15 +474,19 @@ class TestStrictClassConstraints:
         assert solves == []
 
 
-@pytest.mark.parametrize("label, fan", list(labelled_fans()))
+@pytest.mark.parametrize("label, fan", list(class_level_cases()))
 def test_ample_rows_agree_with_is_projective(label, fan):
     # is_int_amplified decides "no ample class" on its own class rows;
     # is_projective decides it in gauge coordinates; Oda3 is the fan
-    # where both say no
+    # where both say no.  is_projective answers on the weighted planes,
+    # where is_int_amplified is refused, as class_group is
     endo = multiplication_endo(fan, 1)
     projective = label != "oda3"
     assert is_projective(fan) == projective
-    if projective:
+    if label in WEIGHTED:
+        with pytest.raises(FanError, match="fan is not smooth$"):
+            is_int_amplified(endo, class_group(fan))
+    elif projective:
         assert is_int_amplified(endo, class_group(fan)) == (False, None)
     else:
         with pytest.raises(EndoError, match="^no ample class found; fan may "

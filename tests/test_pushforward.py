@@ -9,14 +9,15 @@ import pytest
 import toricpush.feasibility as feasibility
 import toricpush.pushforward as pushforward
 from conftest import (ORACLE_FANS, accepted_endos, corpus_pairs,
-                      decomposition, labelled_fans, oracle_endos,
-                      reference_decompose)
-from toricpush import (Decomposition, EndoError, IntMatrix, LatticeError,
-                       VerificationReport, build_endo, class_group, compose,
-                       decompose_pushforward, degree, h0_class, hirzebruch,
-                       iterate_coherence, multiplication_endo, product_fan,
-                       projective_space, pullback_divisor, pullback_matrix,
-                       validate_fan, verify_decomposition)
+                      decomposition, floor_witnesses, labelled_fans,
+                      oracle_endos, reference_decompose, weighted_plane)
+from toricpush import (Decomposition, EndoError, FanError, IntMatrix,
+                       LatticeError, VerificationReport, build_endo,
+                       class_group, compose, decompose_pushforward, degree,
+                       h0, h0_class, hirzebruch, iterate_coherence,
+                       multiplication_endo, product_fan, projective_space,
+                       pullback_divisor, pullback_matrix, validate_fan,
+                       verify_decomposition)
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -148,6 +149,25 @@ class TestDecomposeDifferential:
         endo = multiplication_endo(fan, q)
         for coeffs in sample_coeffs(fan):
             assert_matches_reference(endo, coeffs)
+
+    def test_weighted_plane(self):
+        # P(1,1,2) is simplicial, not smooth: decompose_pushforward is
+        # refused, as class_group is; at divisor level the floor formula's
+        # witnesses W_u still split the sections, h0(D) = sum_u h0(W_u)
+        fan = weighted_plane("P(1,1,2)")
+        rng = random.Random(112)
+        endos = accepted_endos(fan, 2) + [multiplication_endo(fan, q)
+                                          for q in (3, 4, 5)]
+        assert len(endos) > 4
+        for endo in endos:
+            for coeffs in sample_coeffs(fan) + [
+                    tuple(rng.randint(-9, 9) for _ in range(fan.nrays))]:
+                with pytest.raises(FanError, match="fan is not smooth$"):
+                    decompose_pushforward(endo, coeffs)
+                assert h0(fan, coeffs) == sum(
+                    h0(fan, witness)
+                    for witness, _ in floor_witnesses(endo, coeffs)), (
+                    endo.matrix, coeffs)
 
     @pytest.mark.parametrize("name", ["P1xP1", "P1^3", "P2xP1", "F1xP1"])
     def test_random_diagonal_and_swap_endos(self, name):
