@@ -123,87 +123,63 @@ class SnfResult(NamedTuple):
         return tuple(self.S.entries[i][i] for i in range(m))
 
 
-def _select_pivot(a, t, m, n):
-    # smallest-magnitude nonzero entry of the trailing submatrix, ties broken
-    # by row-major position (fixed rule for deterministic output)
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
 def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form over the integers, with both transforms."""
+    """Smith normal form over the integers, with both transforms: U A V = S.
+
+    The work is on one matrix M = [[A, I_m], [I_n, 0]]: an operation on M's
+    first m rows acts on A and U together, one on its first n columns on A
+    and V together, so M ends as [[S, U], [V, 0]].  Each step's pivot is the
+    least (|entry|, i, j) over the nonzero entries of the trailing block of
+    A: smallest magnitude, ties broken by row-major position, a fixed rule
+    for deterministic output.
+    """
     m, n = A.nrows, A.ncols
-    a = [list(row) for row in A.entries]
-    u = [list(row) for row in IntMatrix.identity(m).entries]
-    v = [list(row) for row in IntMatrix.identity(n).entries]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    M = [list(row) + [int(i == k) for k in range(m)]
+         for i, row in enumerate(A.entries)]
+    M += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
 
     def row_op(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+        # row_i -= q * row_j, over A and U
+        M[i] = [x - q * y for x, y in zip(M[i], M[j])]
 
     t = 0
     while t < min(m, n):
-        piv = _select_pivot(a, t, m, n)
+        piv = min(((abs(M[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if M[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        clean = True
+        _, pi, pj = piv
+        M[t], M[pi] = M[pi], M[t]
+        for row in M:
+            row[t], row[pj] = row[pj], row[t]
+        p = M[t][t]
         for i in range(t + 1, m):
-            if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
-                if a[i][t] != 0:
-                    clean = False
+            if M[i][t]:
+                row_op(i, t, M[i][t] // p)
         for j in range(t + 1, n):
-            if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
-                if a[t][j] != 0:
-                    clean = False
-        if not clean:
+            if M[t][j]:
+                # col_j -= q * col_t, over A and V
+                q = M[t][j] // p
+                for row in M:
+                    row[j] -= q * row[t]
+        # a nonzero remainder is smaller than p: pivot again
+        if (any(M[i][t] for i in range(t + 1, m))
+                or any(M[t][j] for j in range(t + 1, n))):
             continue
-        # pivot must divide every remaining entry for the chain to hold
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
+        # p must divide every remaining entry for the chain to hold
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                         if M[i][j] % p), None)
+        if offender is None:
+            t += 1
+        else:
             row_op(t, offender, -1)
-            continue
-        t += 1
 
     for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    return SnfResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a),
-                     IntMatrix.from_rows(v))
+        if M[i][i] < 0:
+            M[i] = [-x for x in M[i]]
+    return SnfResult(IntMatrix.from_rows(row[n:] for row in M[:m]),
+                     IntMatrix.from_rows(row[:n] for row in M[:m]),
+                     IntMatrix.from_rows(row[:n] for row in M[m:]))
 
 
 def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:

@@ -178,9 +178,8 @@ def iterate_coherence(endo: ToricEndomorphism, coeffs,
                 pushed[lam] += mult * n
         stepped = pushed
 
-    report = VerificationReport(checks=1)
-    if direct != stepped:
-        report.violations.append(
-            "multiset mismatch: direct %s vs stepped %s"
-            % (sorted(direct.elements()), sorted(stepped.elements())))
+    report = VerificationReport(checks=0)
+    report.check(direct == stepped,
+                 "multiset mismatch: direct %s vs stepped %s",
+                 sorted(direct.items()), sorted(stepped.items()))
     return report

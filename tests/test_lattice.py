@@ -1,13 +1,16 @@
+import hashlib
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_expansion, box_cosets
-from toricpush import (FanError, IntMatrix, LatticeError,
-                       coset_representatives, smith_normal_form, validate_fan)
+from conftest import axis_expansion, box_cosets, corpus_pairs, labelled_fans
+from toricpush import (FanError, IntMatrix, LatticeError, class_group,
+                       coset_representatives, pullback_matrix,
+                       smith_normal_form, validate_fan)
 from toricpush.lattice import scaled_inverse
 
 
@@ -74,6 +77,27 @@ class TestSmithNormalForm:
     def test_zero_row(self):
         res = check_snf_invariants(mat([[0, 0], [0, 5]]))
         assert res.invariant_factors() == (5, 0)
+
+    def test_transforms_pinned(self):
+        # U, S and V entry for entry, pinned by digest: the pivot rule and the
+        # order of the operations fix the transforms, and with them the
+        # Picard basis and every printed class
+        rng = random.Random(20201)
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(600)]
+        randoms = [[[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+                   for m, n in shapes]
+        for k, rows in enumerate(randoms[::3]):
+            rows[k % len(rows)] = [0] * len(rows[0])
+        mats = []
+        for _, fan in labelled_fans():
+            mats += [mat(fan.rays), class_group(fan).to_class_mat]
+        mats += [pullback_matrix(endo, class_group(fan))
+                 for _, fan, endo in corpus_pairs()]
+        mats += map(mat, randoms)
+        snfs = [smith_normal_form(a) for a in mats]
+        digest = hashlib.md5(repr([(r.U.entries, r.S.entries, r.V.entries)
+                                   for r in snfs]).encode()).hexdigest()
+        assert (len(mats), digest) == (645, "19bcbccbffb919c4c5ae628699ee6c70")
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),

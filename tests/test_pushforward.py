@@ -48,8 +48,25 @@ def reference_iterate(endo, coeffs, k):
     report = VerificationReport(checks=1)
     if direct != stepped:
         report.violations.append(
-            "multiset mismatch: direct %s vs stepped %s" % (direct, stepped))
+            "multiset mismatch: direct %s vs stepped %s"
+            % (sorted(Counter(direct).items()), sorted(Counter(stepped).items())))
     return report
+
+
+def corrupt_single_steps(monkeypatch, step):
+    """Shift the first summand class of every push by step itself by one in
+    each coordinate, leaving the pushes by its iterates alone."""
+    push = pushforward._push
+
+    def corrupted(endo, cls):
+        pairs = push(endo, cls)
+        if endo != step:
+            return pairs
+        summands = Decomposition(pairs).summands
+        first = tuple(x + 1 for x in summands[0])
+        return decomposition((first,) + summands[1:]).multiplicities
+
+    monkeypatch.setattr(pushforward, "_push", corrupted)
 
 
 def sample_coeffs(fan):
@@ -643,20 +660,20 @@ class TestIterateCoherence:
         # corrupt one summand of every single-step push (mul:2), leaving
         # the direct one (mul:4) alone
         step = multiplication_endo(P1, 2)
-        push = pushforward._push
-
-        def corrupted(endo, cls):
-            pairs = push(endo, cls)
-            if endo != step:
-                return pairs
-            summands = Decomposition(pairs).summands
-            first = tuple(x + 1 for x in summands[0])
-            return decomposition((first,) + summands[1:]).multiplicities
-
-        monkeypatch.setattr(pushforward, "_push", corrupted)
+        corrupt_single_steps(monkeypatch, step)
         rep = iterate_coherence(step, (0, 0), k=2)
         assert not rep.passed and rep.checks == 1
         assert rep.violations == [
-            "multiset mismatch: direct [(-1,), (-1,), (-1,), (0,)] "
-            "vs stepped [(0,), (0,), (0,), (0,)]"]
+            "multiset mismatch: direct [((-1,), 3), ((0,), 1)] "
+            "vs stepped [((0,), 4)]"]
         assert vars(rep) == vars(reference_iterate(step, (0, 0), 2))
+
+    def test_violation_text_lists_classes_once(self, monkeypatch):
+        # f^2_* O for mul:10 on P2 has 10^4 summands, but the message names
+        # each class once, with its multiplicity
+        step = multiplication_endo(P2, 10)
+        corrupt_single_steps(monkeypatch, step)
+        rep = iterate_coherence(step, (0, 0, 0), k=2)
+        assert not rep.passed and rep.checks == 1
+        assert len(rep.violations) == 1 and len(rep.violations[0]) < 1000
+        assert vars(rep) == vars(reference_iterate(step, (0, 0, 0), 2))

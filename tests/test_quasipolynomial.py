@@ -3,8 +3,11 @@ point of q Q_lambda, Q_lambda the half-open polytope L_rho <= <theta, v_rho>
 < L_rho + 1 (L = lift(lambda)), so by Ehrhart-Macdonald each multiplicity
 is a quasi-polynomial in q of degree <= n (Beck and Robins, *Computing the
 Continuous Discretely*, Ch. 3).  These tests read the multiplicities off
-the slab counts and fit them exactly over Fraction."""
+the slab counts and fit them exactly over Fraction.  The degree-n
+coefficient of each interpolant is vol(Q_lambda) for every residue, and the
+Q_lambda tile a fundamental domain of Z^n, so these volumes sum to 1."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,11 @@ EXPECTED = {"P1": (1, 2), "P2": (1, 3), "P3": (1, 4), "P1xP1": (1, 4),
             "F1": (1, 4), "F2": (2, 5), "F3": (3, 6), "P2xP1": (1, 6),
             "F1xP1": (1, 8)}
 
+
+# P^n: vol(Q_lambda) on O(-n), ..., O(-1), O is the Eulerian numbers
+# A(n, k) / n!, then 0
+VOLUMES = {"P1": (1, 0), "P2": (Fraction(1, 2), Fraction(1, 2), 0),
+           "P3": (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6), 0)}
 
 FANS = {**corpus_fans(), "P2xP1": ORACLE_FANS["P2xP1"][0],
         "F1xP1": ORACLE_FANS["F1xP1"][0]}
@@ -43,10 +51,17 @@ def interpolant(points):
     return value
 
 
+def leading(points):
+    """The coefficient of x^(len(points) - 1) in the interpolant through the
+    (x, y) points: the divided difference sum_i y_i / prod_(j != i) (x_i - x_j)."""
+    return sum(Fraction(yi, math.prod(xi - xj for xj, _ in points if xj != xi))
+               for xi, yi in points)
+
+
 def fits(table, classes, degree, period):
-    """The interpolants per (class, residue) if each one, fitted through the
-    first degree + 1 values with q = r mod period, predicts every other
-    q <= 30; else None."""
+    """The points of the interpolants per (class, residue) if each one,
+    fitted through the first degree + 1 values with q = r mod period,
+    predicts every other q <= 30; else None."""
     fitted = {}
     for lam in classes:
         for r in range(period):
@@ -55,7 +70,7 @@ def fits(table, classes, degree, period):
             f = interpolant(values[:degree + 1])
             if any(f(q) != m for q, m in values[degree + 1:]):
                 return None
-            fitted[lam, r] = f
+            fitted[lam, r] = values[:degree + 1]
     return fitted
 
 
@@ -73,5 +88,13 @@ def test_multiplicities_are_quasi_polynomials(name):
         q = 1024 * period + r
         far = multiplicities(fan, q)
         assert set(far) <= set(classes)
-        assert {lam: fitted[lam, r](q) for lam in classes} \
+        assert {lam: interpolant(fitted[lam, r])(q) for lam in classes} \
             == {lam: far.get(lam, 0) for lam in classes}
+    # the degree-n coefficient is vol(Q_lambda), whatever the residue
+    volumes = [{leading(fitted[lam, r]) for r in range(period)}
+               for lam in classes]
+    assert all(len(v) == 1 for v in volumes)
+    volumes = tuple(v.pop() for v in volumes)
+    assert sum(volumes) == 1
+    if name in VOLUMES:
+        assert volumes == VOLUMES[name]
