@@ -96,12 +96,13 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     """
     only2 = [i for i in c2 if i not in c1]
     cols = fan.cone_rays(c1) + [tuple(-x for x in fan.rays[i]) for i in only2]
-    outside = [int(i not in c2) for i in c1] + [1] * len(only2)
+    outside = tuple([int(i not in c2) for i in c1] + [1] * len(only2))
     nvars = len(cols)
+    zero = (0,) * nvars
     cons = []
     for row in zip(*cols):  # sum_rho +-x_rho v_rho = 0, as >= and <=
-        cons += [(row, 0), ([-c for c in row], 0)]
-    cons += [([int(i == j) for i in range(nvars)], 0)
+        cons += [(row, 0), (tuple([-c for c in row]), 0)]
+    cons += [(zero[:j] + (1,) + zero[j + 1:], 0)
              for j in range(nvars) if outside[j]]
     cons.append((outside, 1))
     return feasible_point(cons, nvars) is None

@@ -35,23 +35,25 @@ Constraint = tuple[tuple[int, ...], int]  # an integer row, as FM keeps it
 
 
 def _prune(rows) -> list[Constraint] | None:
-    """Normalized rows, the tightest of each parallel family; None if some
-    row reads 0 >= r with r > 0."""
-    tightest: dict[tuple[int, ...], tuple[int, int]] = {}
-    for coeffs, rhs in rows:
+    """Normalized rows, the tightest of each parallel family where the
+    family first appears; None if some row reads 0 >= r with r > 0.  A
+    primitive row (gcd 1, the common case) is kept as the tuple it came as."""
+    tightest: dict[tuple[int, ...], tuple[Constraint, int]] = {}
+    for row in rows:
+        coeffs, rhs = row
         gc = gcd(*coeffs)
         if gc == 0:
             if rhs > 0:
                 return None
             continue
-        key = coeffs if gc == 1 else tuple(c // gc for c in coeffs)
+        key = coeffs if gc == 1 else tuple([c // gc for c in coeffs])
         old = tightest.get(key)
         # key . x >= rhs / gc is tighter than key . x >= old_rhs / old_gc
-        if old is None or rhs * old[1] > old[0] * gc:
-            g = gcd(gc, rhs)
-            tightest[key] = (rhs // g, gc // g)
-    return [(key if gc == 1 else tuple(gc * c for c in key), rhs)
-            for key, (rhs, gc) in tightest.items()]
+        if old is None or rhs * old[1] > old[0][1] * gc:
+            if gc > 1 and (g := gcd(gc, rhs)) > 1:
+                row, gc = (tuple([c // g for c in coeffs]), rhs // g), gc // g
+            tightest[key] = row, gc
+    return [row for row, _ in tightest.values()]
 
 
 def _eliminate(rows: list[Constraint], k: int):
@@ -70,7 +72,7 @@ def _eliminate(rows: list[Constraint], k: int):
         a = cp[k]
         for (cn, rn) in neg:
             b = -cn[k]
-            yield (tuple(b * x + a * y for x, y in zip(cp, cn)),
+            yield (tuple([b * x + a * y for x, y in zip(cp, cn)]),
                    b * rp + a * rn)
 
 

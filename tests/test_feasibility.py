@@ -7,6 +7,7 @@ The generators draw rational rows; the engine takes integer rows only, so
 each row is scaled by the lcm of its denominators (integer_rows) before the
 engine sees it, while the references run on the rational rows as drawn."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricpush.feasibility import (_envelope_sum, _floor_sum, feasible_point,
+import toricpush.divisors as divisors_module
+import toricpush.endos as endos_module
+import toricpush.fans as fans_module
+from conftest import ORACLE_FANS, bundled_fans
+from toricpush import (EndoError, class_group, hirzebruch, is_int_amplified,
+                       is_projective, multiplication_endo, product_fan,
+                       projective_space, validate_fan)
+from toricpush.feasibility import (_envelope_sum, _floor_sum, _projections,
+                                   _prune, feasible_point,
                                    lattice_point_counter, variable_bounds)
 
 
@@ -255,6 +264,69 @@ class TestFixedCases:
         assert variable_bounds(cons, 2, 0) == (2, None)
         assert variable_bounds(cons, 2, 1) == (None, None)
         assert check_against_reference(cons, 2) == [2, 0]
+
+    # _prune keeps the tightest row of each parallel family where the family
+    # first appeared, so each projection keeps its rows in one order
+    def test_prune_tighter_non_primitive_row_replaces(self):
+        # 2x + 2y >= 3 is x + y >= 3/2: it takes x + y >= 1's place
+        rows = [((1, 1), 1), ((0, 1), 0), ((2, 2), 3)]
+        assert _prune(rows) == [((2, 2), 3), ((0, 1), 0)]
+
+    def test_prune_looser_primitive_row_dropped(self):
+        rows = [((2, 2), 3), ((0, 1), 0), ((1, 1), 1)]
+        assert _prune(rows) == [((2, 2), 3), ((0, 1), 0)]
+
+    def test_prune_tie_keeps_the_first_row(self):
+        first, second = ((1, -1), 2), (tuple([1, -1]), 2)
+        kept = _prune([first, ((1, 0), 0), second, ((3, -3), 6)])
+        assert kept == [((1, -1), 2), ((1, 0), 0)]
+        assert kept[0] is first
+
+    def test_prune_divides_out_a_common_factor(self):
+        # 2x + 4y >= 6 is x + 2y >= 3; in 2x + 4y >= 3 the rhs shares no
+        # factor with the coefficients, so that row stays as it is
+        assert _prune([((2, 4), 6), ((0, -3), 3)]) == [((1, 2), 3),
+                                                       ((0, -1), 1)]
+        assert _prune([((2, 4), 3)]) == [((2, 4), 3)]
+
+
+# ------------------------------------------------------ the chain, pinned
+
+def test_chain_pinned(monkeypatch):
+    # every system that validate_fan, is_projective and is_int_amplified
+    # solve, with every projection of its FM chain and its witness, pinned
+    # by digest: pruning may get cheaper, but it keeps the same rows in the
+    # same order
+    solved = []
+
+    def recording(cons, nvars):
+        rows = [(tuple(c), r) for c, r in cons]
+        point = feasible_point(cons, nvars)
+        solved.append((rows, nvars, list(_projections(rows, nvars)), point))
+        return point
+
+    for module in (fans_module, divisors_module, endos_module):
+        monkeypatch.setattr(module, "feasible_point", recording)
+    bundled = list(bundled_fans().values())  # validated as they load
+    oracle = [fan for fan, _ in ORACLE_FANS.values()]
+    # the fan shapes that the fan-validate benchmark relabels
+    p1, f1, f2 = projective_space(1), hirzebruch(1), hirzebruch(2)
+    shapes = [projective_space(4), product_fan(projective_space(3), p1),
+              product_fan(projective_space(2), projective_space(2)),
+              product_fan(f2, p1),
+              product_fan(product_fan(p1, p1), product_fan(p1, p1)),
+              product_fan(f1, f2)]
+    for fan in oracle + shapes:
+        validate_fan(fan.dim, fan.rays, fan.max_cones)
+    for fan in bundled:
+        is_projective(fan)
+    for fan in bundled + oracle:
+        try:
+            is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
+        except EndoError:  # no ample class: Oda's threefold
+            pass
+    digest = hashlib.md5(repr(solved).encode()).hexdigest()
+    assert (len(solved), digest) == (537, "fe96a54518d9aed44391af8224f453bb")
 
 
 # ----------------------------------------------------- lattice-point counts

@@ -5,22 +5,28 @@ is a quasi-polynomial in q of degree <= n (Beck and Robins, *Computing the
 Continuous Discretely*, Ch. 3).  These tests read the multiplicities off
 the slab counts and fit them exactly over Fraction.  The degree-n
 coefficient of each interpolant is vol(Q_lambda) for every residue, and the
-Q_lambda tile a fundamental domain of Z^n, so these volumes sum to 1."""
+Q_lambda tile a fundamental domain of Z^n, so these volumes sum to 1.
+Each vertex of the closure of Q_lambda solves n of the equations
+<theta, v_rho> = L_rho or L_rho + 1 with independent v_rho, so by Cramer's
+rule its denominator divides the determinant of those rays, and the period
+divides the lcm of these determinants."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import ORACLE_FANS, corpus_fans
-from toricpush import decompose_pushforward, multiplication_endo
+from toricpush import IntMatrix, decompose_pushforward, multiplication_endo
 
 QS = range(1, 31)
 
-# fan -> (least period, number of summand classes over q <= 30)
-EXPECTED = {"P1": (1, 2), "P2": (1, 3), "P3": (1, 4), "P1xP1": (1, 4),
-            "F1": (1, 4), "F2": (2, 5), "F3": (3, 6), "P2xP1": (1, 6),
-            "F1xP1": (1, 8)}
+# fan -> (least period, number of summand classes over q <= 30, lcm of
+# |det| over the bases among the rays)
+EXPECTED = {"P1": (1, 2, 1), "P2": (1, 3, 1), "P3": (1, 4, 1),
+            "P1xP1": (1, 4, 1), "F1": (1, 4, 1), "F2": (2, 5, 2),
+            "F3": (3, 6, 3), "P2xP1": (1, 6, 1), "F1xP1": (1, 8, 1)}
 
 
 # P^n: vol(Q_lambda) on O(-n), ..., O(-1), O is the Eulerian numbers
@@ -35,6 +41,14 @@ FANS = {**corpus_fans(), "P2xP1": ORACLE_FANS["P2xP1"][0],
 def multiplicities(fan, q):
     endo = multiplication_endo(fan, q)
     return dict(decompose_pushforward(endo, (0,) * fan.nrays).multiplicities)
+
+
+def basis_lcm(fan):
+    """The lcm of |det| over the n-subsets of the rays that are a basis of
+    Q^n: every vertex denominator of every Q_lambda divides it."""
+    dets = (IntMatrix.from_rows(rays).det()
+            for rays in combinations(fan.rays, fan.dim))
+    return math.lcm(*(abs(d) for d in dets if d))
 
 
 def interpolant(points):
@@ -79,11 +93,12 @@ def test_multiplicities_are_quasi_polynomials(name):
     fan = FANS[name]
     table = {q: multiplicities(fan, q) for q in QS}
     classes = sorted(set().union(*table.values()))
-    period, nclasses = EXPECTED[name]
+    period, nclasses, denominators = EXPECTED[name]
     assert len(classes) == nclasses
+    assert basis_lcm(fan) == denominators
     found, fitted = next((p, f) for p in range(1, 7) if (
         f := fits(table, classes, fan.dim, p)) is not None)
-    assert found == period
+    assert found == period and denominators % period == 0
     for r in range(period):
         q = 1024 * period + r
         far = multiplicities(fan, q)
