@@ -76,8 +76,8 @@ def _check_structure(dim, rays, max_cones):
         raise FanError("fan has no maximal cones")
     if len(set(cones)) != len(cones):
         raise FanError("duplicate maximal cone")
-    for c, d in combinations(cones, 2):
-        if set(c) <= set(d) or set(d) <= set(c):
+    for c, d in combinations(map(set, cones), 2):
+        if c <= d or d <= c:
             raise FanError("maximal cone contained in another")
     return rays, tuple(cones)
 

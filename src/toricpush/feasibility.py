@@ -4,14 +4,17 @@ A row is a pair (coeffs, rhs) meaning  sum_j coeffs[j] * x_j >= rhs, with
 int entries (coeffs any sequence).  Every caller builds integer rows, and
 none is rescaled here: a Fraction coefficient raises TypeError in math.gcd.
 Rationals appear only in the bounds and witnesses.  Unpruned FM grows doubly
-exponentially (P^5 took about 20 s to validate), so after every
-elimination step each row is divided by the gcd of its entries, only the
-tightest of parallel rows (same primitive coefficients) is kept, rows
-0 >= r <= 0 are dropped, and a row 0 >= r > 0 ends the elimination as
-infeasible (Imbert; Schrijver, Theory of Linear and Integer Programming,
-12.2).  Pruning drops only redundant rows, so every projected polyhedron,
-and with it the feasible_point witness (midpoints of the exact bound
-intervals), is exactly the unpruned one.
+exponentially (P^5 took about 20 s to validate), so every row is divided by
+the gcd of its entries once, when it enters the chain, only the tightest of
+parallel rows (same primitive coefficients) is kept, rows 0 >= r <= 0 are
+dropped, and a row 0 >= r > 0 ends the elimination as infeasible (Imbert;
+Schrijver, Theory of Linear and Integer Programming, 12.2).  Each
+projection is kept as a table of its parallel families, and an elimination
+step carries the rows free of x_k into the next table as they are: only
+the combined rows are new, so only they are normalised.  Pruning drops
+only redundant rows, so every projected polyhedron, and with it the
+feasible_point witness (midpoints of the exact bound intervals), is
+exactly the unpruned one.
 
 Every reader of the chain reads it the same way (_level): the projection
 that keeps x_0..x_k bounds x_k over a prefix x_0..x_{k-1}.  feasible_point
@@ -32,13 +35,21 @@ from math import gcd
 from operator import mul
 
 Constraint = tuple[tuple[int, ...], int]  # an integer row, as FM keeps it
+# a projection by its parallel families: primitive coefficients -> the
+# family's tightest row
+_Families = dict[tuple[int, ...], Constraint]
 
 
-def _prune(rows) -> list[Constraint] | None:
-    """Normalized rows, the tightest of each parallel family where the
-    family first appears; None if some row reads 0 >= r with r > 0.  A
-    primitive row (gcd 1, the common case) is kept as the tuple it came as."""
-    tightest: dict[tuple[int, ...], tuple[Constraint, int]] = {}
+def _prune(rows, tightest: _Families | None = None) -> _Families | None:
+    """Prune rows into tightest, whose rows are reduced and alone in their
+    families already (a new table if None): each row is divided by the gcd
+    of its entries and kept only if it is tighter than its family's row,
+    which it replaces in place, so a family stays where it first appears.
+    Returns the table, or None if some row reads 0 >= r with r > 0.  A
+    primitive row (gcd 1, the common case) is kept as the tuple it came as;
+    a family's row is read again only to compare it with a new member."""
+    if tightest is None:
+        tightest = {}
     for row in rows:
         coeffs, rhs = row
         gc = gcd(*coeffs)
@@ -49,43 +60,45 @@ def _prune(rows) -> list[Constraint] | None:
         key = coeffs if gc == 1 else tuple([c // gc for c in coeffs])
         old = tightest.get(key)
         # key . x >= rhs / gc is tighter than key . x >= old_rhs / old_gc
-        if old is None or rhs * old[1] > old[0][1] * gc:
+        if old is None or rhs * gcd(*old[0]) > old[1] * gc:
             if gc > 1 and (g := gcd(gc, rhs)) > 1:
-                row, gc = (tuple([c // g for c in coeffs]), rhs // g), gc // g
-            tightest[key] = row, gc
-    return [row for row, _ in tightest.values()]
+                row = (tuple([c // g for c in coeffs]), rhs // g)
+            tightest[key] = row
+    return tightest
 
 
-def _eliminate(rows: list[Constraint], k: int):
-    """Yield the rows of the projection along x_k, unpruned: the rows free
-    of x_k, then b * p + a * n for each pair with p_k = a > 0 > -b = n_k."""
-    pos, neg = [], []
-    for row in rows:
-        ck = row[0][k]
+def _eliminate(table: _Families, k: int) -> _Families | None:
+    """The pruned projection of a table along x_k: its rows free of x_k
+    carried over as they are, in their order, then b * p + a * n for each
+    pair with p_k = a > 0 > -b = n_k, pruned into them.  Only the combined
+    rows are normalised: a carried row is reduced and alone in its family
+    already."""
+    kept, pos, neg = {}, [], []
+    for key, row in table.items():
+        ck = key[k]
         if ck > 0:
             pos.append(row)
         elif ck < 0:
             neg.append(row)
         else:
-            yield row
-    for (cp, rp) in pos:
-        a = cp[k]
-        for (cn, rn) in neg:
-            b = -cn[k]
-            yield (tuple([b * x + a * y for x, y in zip(cp, cn)]),
-                   b * rp + a * rn)
+            kept[key] = row
+    return _prune(((tuple([b * x + a * y for x, y in zip(cp, cn)]),
+                    b * rp + a * rn)
+                   for cp, rp in pos for a in (cp[k],)
+                   for cn, rn in neg for b in (-cn[k],)), kept)
 
 
 def _projections(cons, nvars: int):
-    """Yield S_0, ..., S_nvars, where S_j is the system after eliminating
-    x_{nvars-1}, ..., x_{nvars-j}; an infeasible system ends with None."""
-    rows = _prune((tuple(c), r) for c, r in cons)
-    yield rows
+    """Yield the rows of S_0, ..., S_nvars, where S_j is the system after
+    eliminating x_{nvars-1}, ..., x_{nvars-j}; an infeasible system ends
+    with None."""
+    table = _prune((tuple(c), r) for c, r in cons)
     for k in range(nvars - 1, -1, -1):
-        if rows is None:
-            return
-        rows = _prune(_eliminate(rows, k))
-        yield rows
+        if table is None:
+            break
+        yield list(table.values())
+        table = _eliminate(table, k)
+    yield None if table is None else list(table.values())
 
 
 def _level(rows: list[Constraint], k: int):
@@ -116,9 +129,11 @@ def feasible_point(cons, nvars: int) -> list[Fraction] | None:
     The point is chosen deterministically (midpoints of the FM bound
     intervals, 0 on unbounded coordinates).
     """
-    systems = list(_projections(cons, nvars))
-    if systems[-1] is None:
-        return None
+    systems = []
+    for rows in _projections(cons, nvars):
+        if rows is None:
+            return None
+        systems.append(rows)
     x: list[Fraction] = []
     for k in range(nvars):
         # systems[nvars - 1 - k] involves variables 0..k only

@@ -10,7 +10,7 @@ engine sees it, while the references run on the rational rows as drawn."""
 import hashlib
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
 import toricpush.fans as fans_module
+import toricpush.feasibility as feasibility_module
 from conftest import ORACLE_FANS, bundled_fans
 from toricpush import (EndoError, class_group, hirzebruch, is_int_amplified,
                        is_projective, multiplication_endo, product_fan,
@@ -270,24 +271,97 @@ class TestFixedCases:
     def test_prune_tighter_non_primitive_row_replaces(self):
         # 2x + 2y >= 3 is x + y >= 3/2: it takes x + y >= 1's place
         rows = [((1, 1), 1), ((0, 1), 0), ((2, 2), 3)]
-        assert _prune(rows) == [((2, 2), 3), ((0, 1), 0)]
+        assert list(_prune(rows).values()) == [((2, 2), 3), ((0, 1), 0)]
 
     def test_prune_looser_primitive_row_dropped(self):
         rows = [((2, 2), 3), ((0, 1), 0), ((1, 1), 1)]
-        assert _prune(rows) == [((2, 2), 3), ((0, 1), 0)]
+        assert list(_prune(rows).values()) == [((2, 2), 3), ((0, 1), 0)]
 
     def test_prune_tie_keeps_the_first_row(self):
         first, second = ((1, -1), 2), (tuple([1, -1]), 2)
-        kept = _prune([first, ((1, 0), 0), second, ((3, -3), 6)])
+        kept = list(_prune([first, ((1, 0), 0), second,
+                            ((3, -3), 6)]).values())
         assert kept == [((1, -1), 2), ((1, 0), 0)]
         assert kept[0] is first
 
     def test_prune_divides_out_a_common_factor(self):
         # 2x + 4y >= 6 is x + 2y >= 3; in 2x + 4y >= 3 the rhs shares no
         # factor with the coefficients, so that row stays as it is
-        assert _prune([((2, 4), 6), ((0, -3), 3)]) == [((1, 2), 3),
-                                                       ((0, -1), 1)]
-        assert _prune([((2, 4), 3)]) == [((2, 4), 3)]
+        assert list(_prune([((2, 4), 6), ((0, -3), 3)]).values()) == [
+            ((1, 2), 3), ((0, -1), 1)]
+        assert list(_prune([((2, 4), 3)]).values()) == [((2, 4), 3)]
+
+    # eliminating y from x >= 0, y >= 0, x - y >= r', -x >= -10: the
+    # combined row x >= r' meets the carried row x >= 0 in its family
+    def test_tighter_combined_row_takes_the_carried_rows_place(self):
+        rows = [((1, 0), 0), ((0, 1), 0), ((1, -1), 2), ((-1, 0), -10)]
+        assert list(_projections(rows, 2))[1] == [((1, 0), 2),
+                                                  ((-1, 0), -10)]
+        # 2x - 2y >= 3 with 2y >= 0 gives 2x >= 3, x >= 3/2: kept unreduced
+        rows[2] = ((2, -2), 3)
+        assert list(_projections(rows, 2))[1] == [((2, 0), 3),
+                                                  ((-1, 0), -10)]
+
+    def test_looser_combined_row_is_dropped(self):
+        rows = [((1, 0), 0), ((0, 1), 0), ((1, -1), -3), ((-1, 0), -10)]
+        chain = list(_projections(rows, 2))
+        assert chain[1] == [((1, 0), 0), ((-1, 0), -10)]
+        assert chain[1][0] is chain[0][0]
+
+
+def test_carried_rows_are_not_normalised_again(monkeypatch):
+    # a P4 overlap system: when x_k is eliminated, math.gcd sees each
+    # combined row once, in order (up to the row that makes the system
+    # infeasible); a row of the previous projection only when a combined
+    # row falls into its family and the two are compared
+    systems = []
+
+    def recording(cons, nvars):
+        systems.append(([(tuple(c), r) for c, r in cons], nvars))
+        return feasible_point(cons, nvars)
+
+    monkeypatch.setattr(fans_module, "feasible_point", recording)
+    p4 = projective_space(4)
+    validate_fan(p4.dim, p4.rays, p4.max_cones)
+    cons, nvars = systems[0]
+
+    def family(coeffs):
+        g = gcd(*coeffs)
+        return tuple(c // g for c in coeffs)
+
+    seen = []
+
+    def recording_gcd(*args):
+        if len(args) == nvars:  # not the gcd of a row's gcd and its rhs
+            seen.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(feasibility_module, "gcd", recording_gcd)
+    chain = _projections(cons, nvars)
+    rows, untouched = next(chain), 0
+    for k in range(nvars - 1, -1, -1):
+        seen.clear()
+        projected = next(chain)
+        pos = [c for c, _ in rows if c[k] > 0]
+        neg = [c for c, _ in rows if c[k] < 0]
+        combined = [tuple(-cn[k] * x + cp[k] * y for x, y in zip(cp, cn))
+                    for cp in pos for cn in neg]
+        left = iter(seen)  # the combined rows that gcd saw, in order
+        normalised = [c for c in combined if c in left]
+        if projected is None:
+            assert normalised and normalised == combined[:len(normalised)]
+        else:
+            assert normalised == combined
+        met = {family(c) for c in combined if any(c)}
+        for c, _ in rows:
+            if c[k] == 0 and family(c) not in met:
+                assert c not in seen
+                untouched += 1
+        assert all(c in combined or family(c) in met for c in seen)
+        if projected is None:
+            break
+        rows = projected
+    assert untouched > 0
 
 
 # ------------------------------------------------------ the chain, pinned
