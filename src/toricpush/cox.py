@@ -59,8 +59,8 @@ def graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _graded_dimension(ring: CoxRing, cls: tuple[int, ...]) -> int:
-    # deg (rank x nrays, column rho = deg(x_rho)) is rows of class_group's
-    # unimodular U, so it is onto and one SNF gives U deg V = [I | 0]: the
+    # deg (rank x nrays, column rho = deg(x_rho)) is the identity on the
+    # rays off sigma0, so it is onto and one SNF gives U deg V = [I | 0]: the
     # solutions of deg e = cls are e0 + K t for t in Z^n, with
     # e0 = V (U cls, 0) and K the last n = nrays - rank columns of V
     snf = smith_normal_form(ring.pic.to_class_mat)

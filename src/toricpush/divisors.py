@@ -8,19 +8,17 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import FanError, LatticeError
-from .fans import Fan, _is_complete, _is_smooth
+from .fans import Fan, _is_complete, _is_smooth, _wall_map
 from .feasibility import feasible_point, lattice_point_counter
-from .lattice import IntMatrix, as_ints, scaled_inverse, smith_normal_form
+from .lattice import IntMatrix, as_ints, scaled_inverse
 
 
 class PicLattice(NamedTuple):
-    """Pic(X) of a smooth complete toric variety, torsion-free, in a
-    canonical basis.  class_group builds it on no other fan.
-
-    to_class_mat projects ray-coefficient space onto Z^rank; lift_mat is an
-    integer right-inverse section.  Both come from the Smith normal form of
-    the ray matrix, so the basis is deterministic.
-    """
+    """Pic(X) of a smooth complete toric variety, torsion-free, in the
+    gauge of the first maximal cone sigma0; class_group builds it on no
+    other fan.  to_class_mat sends a divisor to the coefficients off sigma0
+    of the one divisor in its class that vanishes on sigma0's rays;
+    lift_mat, the unit vectors on the rays off sigma0, is its right inverse."""
 
     fan: Fan
     rank: int
@@ -39,19 +37,20 @@ class PicLattice(NamedTuple):
 
 @lru_cache(maxsize=None)
 def class_group(fan: Fan) -> PicLattice:
-    """Pic(X) = Z^rays / (image of the character lattice), via SNF.
-    Class-level work starts here, so this alone refuses a fan that is not
-    complete, then one that is not smooth, the paper's hypothesis: then the
-    rays span, and Pic(X) is torsion-free of rank nrays - dim >= 1."""
+    """Pic(X) = Z^rays / (image of the character lattice), in sigma0's
+    gauge.  Class-level work starts here, so this alone refuses a fan that
+    is not complete, then one that is not smooth, the paper's hypothesis:
+    then sigma0's rays are a basis of N, so Pic(X) = Z^(rays off sigma0),
+    of rank nrays - dim >= 1, and class_of is sigma0's Kleiman forms."""
     if not _is_complete(fan):
         raise FanError("class group needs a complete fan; fan is not complete")
     if not _is_smooth(fan):
         raise FanError("class group needs a smooth fan; fan is not smooth")
-    n, snf = fan.dim, smith_normal_form(IntMatrix.from_rows(fan.rays))
-    uinv, _ = scaled_inverse(snf.U)  # U is unimodular, so X = U^{-1}
-    to_class = IntMatrix.from_rows(snf.U.entries[n:])
-    lift = IntMatrix.from_rows([row[n:] for row in uinv.entries])
-    return PicLattice(fan=fan, rank=fan.nrays - n, to_class_mat=to_class,
+    free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
+    to_class = IntMatrix.from_rows(_forms(fan, fan.max_cones[0], free))
+    lift = IntMatrix.from_rows([[int(rho == j) for j in free]
+                                for rho in range(fan.nrays)])
+    return PicLattice(fan=fan, rank=len(free), to_class_mat=to_class,
                       lift_mat=lift)
 
 
@@ -130,49 +129,54 @@ class Positivity(enum.Enum):
     NOT_NEF = "not-nef"
 
 
+def _forms(fan: Fan, cone, rhos) -> list[tuple[int, ...]]:
+    """For each ray rho off a full cone, the integer form a -> s (<m_sigma,
+    v_rho> + a_rho), with s = |det| of the cone's rays, 1 on a smooth fan:
+    m_sigma solves <m, v> = -a on the cone, so it is -rinv a_cone / s."""
+    rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
+    pairings = rinv.transpose()
+    forms = []
+    for rho in rhos:
+        form = [0] * fan.nrays
+        for idx, x in zip(cone, pairings.mul_vector(fan.rays[rho])):
+            form[idx] = -x
+        form[rho] = s
+        forms.append(tuple(form))
+    return forms
+
+
 @lru_cache(maxsize=None)
 def kleiman_forms(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """Integer linear forms g on ray-coefficient space, one per (max cone,
-    outside ray), on any complete simplicial fan.  Each g sends a divisor's
-    coefficients to s (<m_sigma, v_rho> + a_rho), with s = |det| of the
-    cone's rays: 1 on a smooth fan, where g is the form itself.  The divisor
-    is nef iff all values are >= 0 and ample iff all are > 0, so the sign of
-    g . a decides.
-    """
+    """The distinct integer wall forms, on any complete simplicial fan: for
+    each maximal cone and wall, the form of (cone, apex of the cone across
+    the wall), a positive multiple of D . V(wall).  D is nef iff each is
+    >= 0 and ample iff each is > 0, as a support function is convex iff it
+    is across every wall (Cox-Little-Schenck 6.1, 6.3-6.4)."""
     if not _is_complete(fan):
         raise FanError("positivity needs a complete fan")
-    forms = []
-    for cone in fan.max_cones:
-        # m_sigma solves <m, v_rho> = -a_rho on the cone, so it is
-        # -R^{-1} a_cone = -rinv a_cone / s for R the cone's rays (as rows)
-        rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
-        pairings = rinv.transpose()
-        for rho in range(fan.nrays):
-            if rho in cone:
-                continue
-            form = [0] * fan.nrays
-            for idx, x in zip(cone, pairings.mul_vector(fan.rays[rho])):
-                form[idx] = -x
-            form[rho] = s
-            forms.append(tuple(form))
-    return tuple(forms)
+    across = {}
+    for (c1, r1), (c2, r2) in _wall_map(fan).values():
+        across[c1, r1], across[c2, r2] = r2, r1
+    forms = [g for cone in fan.max_cones
+             for g in _forms(fan, cone, [across[cone, rho] for rho in cone])]
+    return tuple(dict.fromkeys(forms))
+
+
+def _ample_rows(fan: Fan) -> list[tuple[list[int], int]]:
+    """The rows g . a >= 1 over the Kleiman forms g on the rays off the
+    first maximal cone sigma0: the forms vanish on principal divisors, and
+    a multiple of any divisor is equivalent to one that is 0 on sigma0's
+    rays, a basis of Q^n.  On a smooth fan these are class coordinates."""
+    free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
+    return [([g[rho] for rho in free], 1) for g in kleiman_forms(fan)]
 
 
 def is_projective(fan: Fan) -> bool:
-    """Whether the fan has an ample divisor: False if it is not complete,
-    else whether g . a >= 1 is feasible over the Kleiman forms g.
-
-    The forms vanish on principal divisors, and the first maximal cone's
-    rays are a basis of Q^n, so a positive multiple of any divisor differs
-    by a principal divisor from one that is 0 on those rays: only the other
-    nrays - n coefficients are variables.  No class_group is needed, so a
-    fan that is not smooth answers too.
-    """
+    """Whether the fan has an ample divisor (False if it is not complete);
+    needs no class_group, so a fan that is not smooth answers too."""
     if not _is_complete(fan):
         return False
-    free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
-    rows = [([g[rho] for rho in free], 1) for g in kleiman_forms(fan)]
-    return feasible_point(rows, len(free)) is not None
+    return feasible_point(_ample_rows(fan), fan.nrays - fan.dim) is not None
 
 
 def positivity(fan: Fan, coeffs) -> Positivity:

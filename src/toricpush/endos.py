@@ -1,7 +1,7 @@
 """Finite toric endomorphisms: fan-compatible lattice self-maps (build_endo
 checks a matrix from outside; mul:q and compositions are built from their
 ray data), the pullback on Picard lattices, and the int-amplified decision,
-made on class rows built from the Kleiman forms."""
+made on is_projective's ample rows, read as class coordinates."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .divisors import PicLattice, _coefficients, kleiman_forms
+from .divisors import PicLattice, _ample_rows, _coefficients
 from .errors import EndoError
 from .fans import Fan
 from .feasibility import feasible_point
@@ -96,7 +96,7 @@ def pullback_divisor(endo: ToricEndomorphism, coeffs) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def pullback_matrix(endo: ToricEndomorphism, pic: PicLattice) -> IntMatrix:
-    """Matrix of f* on the Picard lattice in the canonical basis (cached)."""
+    """Matrix of f* on the Picard lattice in class_group's gauge (cached)."""
     if pic.fan != endo.fan:
         raise EndoError("Picard lattice belongs to a different fan")
     cols = []
@@ -111,19 +111,16 @@ def is_int_amplified(endo: ToricEndomorphism,
                      pic: PicLattice) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether some ample H has f*H - H ample; returns a certificate.
 
-    Each Kleiman form g gives the class row a . h >= 1 with
-    a_j = g . lift(e_j): H is ample iff every a . h > 0, and the strict
-    systems are scale-invariant, so margin 1 is as good.  By linearity the
-    row of f*H - H is a . f*[:, j] - a_j.  One exact solve of both row sets
+    H is ample iff every ample row a . h >= 1 holds, as the strict systems
+    are scale-invariant, so margin 1 is as good.  By linearity the row of
+    f*H - H is a . f*[:, j] - a_j.  One exact solve of both row sets
     decides; clearing the witness's denominators scales every margin by a
     positive integer, so H and f*H - H are ample by construction.  A "no"
     solves the ample rows alone, to tell a fan with no ample class apart.
     """
     r = pic.rank
     pb = pullback_matrix(endo, pic).transpose().entries
-    lift = pic.lift_mat.transpose().entries
-    ample = [([sum(map(mul, g, col)) for col in lift], 1)
-             for g in kleiman_forms(endo.fan)]
+    ample = _ample_rows(endo.fan)
     point = feasible_point(ample + [
         ([sum(map(mul, a, col)) - x for col, x in zip(pb, a)], 1)
         for a, _ in ample], r)

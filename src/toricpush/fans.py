@@ -6,7 +6,6 @@ is the check for fan data from outside the package."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -108,8 +107,15 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     return feasible_point(cons, nvars) is None
 
 
-def _walls(cone):
-    return [tuple(w) for w in combinations(cone, len(cone) - 1)]
+def _wall_map(fan: Fan) -> dict:
+    """Each wall, a maximal cone less one ray, mapped to its (cone, ray off
+    the wall) pairs, in the order of the cones and of their rays."""
+    walls = {}
+    for cone in fan.max_cones:
+        for rho in cone:
+            wall = tuple(i for i in cone if i != rho)
+            walls.setdefault(wall, []).append((cone, rho))
+    return walls
 
 
 def _is_complete(fan: Fan) -> bool:
@@ -121,8 +127,7 @@ def _is_complete(fan: Fan) -> bool:
     """
     if any(len(c) != fan.dim for c in fan.max_cones):
         return False
-    walls = Counter(w for cone in fan.max_cones for w in _walls(cone))
-    return all(k == 2 for k in walls.values())
+    return all(len(pairs) == 2 for pairs in _wall_map(fan).values())
 
 
 def _cone_index(fan: Fan, cone) -> int:

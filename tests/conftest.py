@@ -149,23 +149,41 @@ def fraction_inverse(rows):
     return [row[n:] for row in a]
 
 
+def fraction_form(fan, cone, rho):
+    """Reference form a -> <m_sigma, v_rho> + a_rho of a maximal cone and a
+    ray off it, as a Fraction tuple, with m_sigma = -R^{-1} a_cone."""
+    rinv = fraction_inverse(fan.cone_rays(cone))
+    form = [Fraction(0)] * fan.nrays
+    v = fan.rays[rho]
+    for pos, idx in enumerate(cone):
+        form[idx] -= sum(v[i] * rinv[i][pos] for i in range(fan.dim))
+    form[rho] += 1
+    return tuple(form)
+
+
+def fraction_cone_ray_forms(fan):
+    """The Kleiman forms of the full criterion, one per maximal cone and
+    outside ray, as Fraction tuples."""
+    return [fraction_form(fan, cone, rho) for cone in fan.max_cones
+            for rho in range(fan.nrays) if rho not in cone]
+
+
 def fraction_kleiman_forms(fan):
-    """Reference Kleiman forms as Fraction tuples, in kleiman_forms order:
-    for each maximal cone and outside ray rho, a -> <m_sigma, v_rho> + a_rho
-    with m_sigma = -R^{-1} a_cone."""
-    forms = []
+    """Reference wall forms as Fraction tuples, in kleiman_forms order: for
+    each maximal cone and each of its rays rho, the form of the cone and
+    the apex of the other maximal cone through the wall cone - rho, kept
+    the first time its ray through the origin is met."""
+    forms = {}
     for cone in fan.max_cones:
-        rinv = fraction_inverse(fan.cone_rays(cone))
-        for rho in range(fan.nrays):
-            if rho in cone:
-                continue
-            form = [Fraction(0)] * fan.nrays
-            v = fan.rays[rho]
-            for pos, idx in enumerate(cone):
-                form[idx] -= sum(v[i] * rinv[i][pos] for i in range(fan.dim))
-            form[rho] += 1
-            forms.append(tuple(form))
-    return forms
+        for rho in cone:
+            wall = set(cone) - {rho}
+            (other,) = [c for c in fan.max_cones
+                        if c != cone and wall <= set(c)]
+            (apex,) = set(other) - wall
+            form = fraction_form(fan, cone, apex)
+            scale = max(map(abs, form))
+            forms.setdefault(tuple(x / scale for x in form), form)
+    return list(forms.values())
 
 
 def accepted_endos(fan, bound):

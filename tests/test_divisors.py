@@ -1,22 +1,25 @@
 import random
+import sys
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 import toricpush.divisors as divisors
+import toricpush.endos as endos_module
 from conftest import (HALF_PLANE, P2_MOD_3, QUADRANTS, WEIGHTED,
                       bundled_fans, class_level_cases, decomposition,
-                      fraction_kleiman_forms, half_plane_fan,
-                      non_smooth_fans, weighted_plane)
-from toricpush import (FanError, PicLattice, Positivity, class_group,
-                       cox_ring, decompose_pushforward, graded_dimension, h0,
-                       h0_class, hirzebruch, is_int_amplified, is_projective,
-                       iterate_coherence,
+                      fraction_cone_ray_forms, fraction_kleiman_forms,
+                      half_plane_fan, labelled_fans, non_smooth_fans,
+                      weighted_plane)
+from toricpush import (EndoError, FanError, IntMatrix, PicLattice, Positivity,
+                       class_group, cox_ring, decompose_pushforward,
+                       graded_dimension, h0, h0_class, hirzebruch,
+                       is_int_amplified, is_projective, iterate_coherence,
                        module_shifts, multiplication_endo, positivity,
                        product_fan, projective_space, pullback_divisor,
-                       verify_decomposition, validate_fan)
-from toricpush.divisors import _class_counter
+                       smith_normal_form, verify_decomposition, validate_fan)
+from toricpush.divisors import _class_counter, kleiman_forms
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -43,6 +46,16 @@ def brute_h0(fan, coeffs):
                for ray, a in zip(fan.rays, coeffs)):
             count += 1
     return count
+
+
+def reference_verdict(forms, d):
+    """The Kleiman verdict on the divisor d read off reference forms."""
+    values = [sum(c * a for c, a in zip(form, d)) for form in forms]
+    if all(v > 0 for v in values):
+        return Positivity.AMPLE
+    if all(v >= 0 for v in values):
+        return Positivity.NEF_NOT_AMPLE
+    return Positivity.NOT_NEF
 
 
 def ray_divisor(fan, rho, mult=1):
@@ -93,6 +106,72 @@ class TestClassGroup:
         fan, _ = validate_fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
         with pytest.raises(FanError, match="^%s$" % NOT_COMPLETE):
             class_group(fan)
+
+
+class TestPicGauge:
+    # class coordinates are the coefficients off the first maximal cone
+    # sigma0 of the one divisor in the class that vanishes on sigma0's rays
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()))
+    def test_lift_is_the_units_off_sigma0(self, label, fan):
+        pic = class_group(fan)
+        free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
+        units = [[int(rho == j) for j in free] for rho in range(fan.nrays)]
+        assert pic.lift_mat == IntMatrix.from_rows(units)
+        assert pic.to_class_mat @ pic.lift_mat == IntMatrix.identity(pic.rank)
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()))
+    def test_principal_divisors_vanish(self, label, fan):
+        pic = class_group(fan)
+        for i in range(fan.dim):
+            assert pic.class_of([v[i] for v in fan.rays]) == pic.zero()
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()))
+    def test_h0_class_of_a_divisor(self, label, fan):
+        pic, rng = class_group(fan), random.Random(23)
+        for _ in range(6):
+            a = [rng.randint(-1, 2) for _ in range(fan.nrays)]
+            assert h0_class(fan, pic.class_of(a)) == h0(fan, a)
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()))
+    def test_no_smith_normal_form(self, label, fan, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("class_group took a Smith normal form")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "toricpush" and hasattr(
+                    module, "smith_normal_form"):
+                monkeypatch.setattr(module, "smith_normal_form", refuse)
+        class_group.cache_clear()
+        assert class_group(fan).rank == fan.nrays - fan.dim
+
+    def test_where_the_smith_basis_differed(self):
+        # the basis read off the Smith normal form of the ray matrix, which
+        # class_group used before, is this gauge on every labelled fan but
+        # two: there printed classes differ from that basis's
+        differ = {label for label, fan in labelled_fans()
+                  if class_group(fan).to_class_mat.entries
+                  != smith_normal_form(IntMatrix.from_rows(fan.rays))
+                  .U.entries[fan.dim:]}
+        assert differ == {"F1xP1", "P1^3"}
+
+    @pytest.mark.parametrize("label, fan", list(labelled_fans()))
+    def test_int_amplified_starts_with_the_projective_rows(
+            self, label, fan, monkeypatch):
+        systems = []
+        for module in (divisors, endos_module):
+            real = module.feasible_point
+            monkeypatch.setattr(module, "feasible_point",
+                                lambda rows, n, real=real:
+                                systems.append(rows) or real(rows, n))
+        is_projective(fan)
+        try:
+            is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
+        except EndoError:  # no ample class: Oda's threefold
+            assert label == "oda3"
+        projective, amplified = systems[:2]
+        assert amplified[:len(projective)] == projective
+        assert len(amplified) == 2 * len(projective)
 
 
 class TestH0:
@@ -346,22 +425,16 @@ class TestPositivity:
         assert positivity(F1, fiber) is Positivity.NEF_NOT_AMPLE
         assert pic.class_of(fiber) != pic.zero()
 
-    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    @pytest.mark.parametrize("name", [name for name, _ in non_smooth_fans()])
     def test_non_smooth_against_fraction_forms(self, name):
-        # on a simplicial non-smooth fan some integer form g is s > 1
-        # times its Fraction reference form; the sign of g . a must give
-        # the reference's verdict
-        fan = weighted_plane(name)
+        # on a simplicial non-smooth fan an integer form g is s >= 1 times
+        # its Fraction reference form, s = 3 on P2 / (Z/3); the sign of
+        # g . a must give the reference's verdict
+        fan = dict(non_smooth_fans())[name]
         forms = fraction_kleiman_forms(fan)
         verdicts = set()
         for d in product(range(-1, 2), repeat=fan.nrays):
-            values = [sum(c * a for c, a in zip(form, d)) for form in forms]
-            if all(v > 0 for v in values):
-                expected = Positivity.AMPLE
-            elif all(v >= 0 for v in values):
-                expected = Positivity.NEF_NOT_AMPLE
-            else:
-                expected = Positivity.NOT_NEF
+            expected = reference_verdict(forms, d)
             assert positivity(fan, d) is expected, d
             verdicts.add(expected)
         assert verdicts == set(Positivity)
@@ -395,6 +468,46 @@ class TestPositivity:
             values = [h0(fan, tuple(k * a for a in coeffs))
                       for k in range(1, 5)]
             assert all(x < y for x, y in zip(values, values[1:]))
+
+
+# every complete test fan: the labelled and the non-smooth ones, and two
+# products with more walls
+COMPLETE_FANS = [*labelled_fans(), *non_smooth_fans(),
+                 ("F1xF2", product_fan(F1, F2)),
+                 ("P1^4", product_fan(P1XP1, P1XP1))]
+
+
+class TestKleimanForms:
+    @pytest.mark.parametrize("fan, count", [
+        (P1, 1), (P2, 1), (projective_space(3), 1), (projective_space(5), 1),
+        (F1, 3), (F2, 3), (F3, 3), (P1XP1, 2),
+        (bundled_fans()["oda3"], 10), (product_fan(P1XP1, P1XP1), 4),
+        (product_fan(product_fan(P1XP1, P1XP1), P1XP1), 6),
+        (product_fan(F1, F2), 6)])
+    def test_one_form_per_wall(self, fan, count):
+        # the distinct wall forms, where one per (maximal cone, outside
+        # ray) gave nrays - n per cone: P^n n + 1, F_a 8, P1xP1 8, Oda3
+        # 40, P1^4 64, P1^6 384 and F1xF2 64
+        assert len(kleiman_forms(fan)) == count
+
+    @pytest.mark.parametrize("label, fan", COMPLETE_FANS)
+    def test_walls_decide_as_cone_ray_forms(self, label, fan, monkeypatch):
+        # the ample and nef cones of the full criterion, one form per
+        # maximal cone and outside ray: the same positivity verdict on
+        # seeded random divisors near the principal ones, and the same
+        # is_projective
+        forms = fraction_cone_ray_forms(fan)
+        rng = random.Random(31)
+        for _ in range(200):
+            m = [rng.randint(-2, 2) for _ in range(fan.dim)]
+            d = [sum(a * b for a, b in zip(m, v)) + rng.randint(-1, 2)
+                 for v in fan.rays]
+            assert positivity(fan, d) is reference_verdict(forms, d), d
+        projective = is_projective(fan)
+        scaled = tuple(tuple(int(x * lcm(*(y.denominator for y in form)))
+                             for x in form) for form in forms)
+        monkeypatch.setattr(divisors, "kleiman_forms", lambda fan: scaled)
+        assert is_projective(fan) == projective == (label != "oda3")
 
 
 # P2 has three rays; a divisor with fewer or more coefficients used to be

@@ -8,9 +8,9 @@ import toricpush.divisors as divisors_module
 import toricpush.endos as endos_module
 from conftest import (FIXTURE_DIR, ORACLE_FANS, WEIGHTED, accepted_endos,
                       bundled_fans, class_level_cases, corpus_fans,
-                      corpus_pairs, fraction_kleiman_forms, half_plane_fan,
-                      labelled_fans, non_smooth_fans, oracle_endos,
-                      weighted_plane)
+                      corpus_pairs, fraction_form, fraction_kleiman_forms,
+                      half_plane_fan, labelled_fans, non_smooth_fans,
+                      oracle_endos, weighted_plane)
 from toricpush import (EndoError, FanError, IntMatrix, build_endo, class_group,
                        compose, degree, is_int_amplified, iterate_coherence,
                        multiplication_endo, positivity, Positivity,
@@ -358,10 +358,11 @@ class TestIntAmplified:
             is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
 
     def test_no_ample_class(self, monkeypatch, capsys):
-        # a form and its negative: no class is strictly positive on both
+        # a form and its negative: no class is strictly positive on both;
+        # is_int_amplified reads the forms through divisors._ample_rows
         forms = ((1, 0, -2, 0), (-1, 0, 2, 0))
-        for module in (endos_module, divisors_module):
-            monkeypatch.setattr(module, "kleiman_forms", lambda fan: forms)
+        monkeypatch.setattr(divisors_module, "kleiman_forms",
+                            lambda fan: forms)
         message = "no ample class found; fan may be non-projective"
         with pytest.raises(EndoError, match="^%s$" % message):
             is_int_amplified(SWAP, class_group(P1XP1))
@@ -411,22 +412,25 @@ class TestStrictClassConstraints:
     @pytest.mark.parametrize("kind, name", [
         *(("corpus", name) for name in sorted(corpus_fans())),
         *(("oracle", name) for name in sorted(ORACLE_FANS)),
-        *(("weighted", name) for name in sorted(WEIGHTED))])
+        *(("weighted", name) for name in sorted(WEIGHTED)),
+        ("non-smooth", "P2/(Z/3)")])
     def test_integer_multiples_of_the_kleiman_rows(self, kind, name, solves):
-        # each Kleiman form is s >= 1 times the Fraction reference form,
-        # with integer entries and s = 1 on every smooth fan; a weighted
-        # plane has some s > 1, and class_group refuses it before any class
-        # row is built.  The engine takes integer rows only: the strict
-        # rows form . lift(h) >= 1 and form . lift((f* - id) h) >= 1 for
-        # the corpus pairs or the exhaustive oracle set, with f* - id taken
-        # entry by entry; a "no" solves the ample rows again alone
+        # each Kleiman form is s >= 1 times its Fraction reference wall
+        # form, with integer entries and s = 1 on every smooth fan; s is 3
+        # on P2 / (Z/3), whose cones all have index 3, and 1 on the weighted
+        # planes, whose first cone is smooth.  class_group refuses a
+        # non-smooth fan before any class row is built.  The engine takes
+        # integer rows only: the strict rows form . lift(h) >= 1 and
+        # form . lift((f* - id) h) >= 1 for the corpus pairs or the
+        # exhaustive oracle set, with f* - id taken entry by entry; a "no"
+        # solves the ample rows again alone
         if kind == "oracle":
             fan, endos = ORACLE_FANS[name][0], oracle_endos(name)
         elif kind == "corpus":
             fan = corpus_fans()[name]
             endos = [e for _, f, e in corpus_pairs() if f == fan]
         else:
-            fan = weighted_plane(name)
+            fan = dict(non_smooth_fans())[name]
         forms = kleiman_forms(fan)
         reference = fraction_kleiman_forms(fan)
         assert len(forms) == len(reference)
@@ -436,8 +440,8 @@ class TestStrictClassConstraints:
             s = next(x / a for x, a in zip(g, form) if a)
             assert s >= 1 and list(g) == [s * a for a in form]
             scales.add(s)
-        if kind == "weighted":
-            assert max(scales) > 1
+        if kind in ("weighted", "non-smooth"):
+            assert scales == ({3} if name == "P2/(Z/3)" else {1})
             with pytest.raises(FanError, match="fan is not smooth$"):
                 is_int_amplified(multiplication_endo(fan, 2),
                                  class_group(fan))
@@ -462,12 +466,15 @@ class TestStrictClassConstraints:
             assert solves == [ample + amplified] + ([] if yes else [ample])
 
     def test_non_smooth_cone_row(self, solves):
-        # on P(1,1,2) the cone {(-1,-2), (1,0)} has index 2, so its form
-        # (1/2, 1, 1/2) is scaled to the integer form (1, 2, 1), whose sign
-        # positivity reads; no class row is ever built from it, as
+        # on P(1,1,2) the cone {(-1,-2), (1,0)} has index 2, so its wall
+        # forms (1/2, 1, 1/2) are scaled to the integer form (1, 2, 1), the
+        # form of the smooth cones across the same walls: that one form is
+        # all positivity reads; no class row is ever built from it, as
         # class_group refuses the fan before is_int_amplified runs
         fan = weighted_plane("P(1,1,2)")
-        assert kleiman_forms(fan)[-1] == (1, 2, 1)
+        assert fraction_form(fan, (0, 2), 1) == (Fraction(1, 2), 1,
+                                                 Fraction(1, 2))
+        assert kleiman_forms(fan) == ((1, 2, 1),)
         assert positivity(fan, (-1, 0, 1)) is Positivity.NEF_NOT_AMPLE
         with pytest.raises(FanError, match="fan is not smooth$"):
             is_int_amplified(multiplication_endo(fan, 2), class_group(fan))

@@ -90,7 +90,11 @@ class TestSmithNormalForm:
             rows[k % len(rows)] = [0] * len(rows[0])
         mats = []
         for _, fan in labelled_fans():
-            mats += [mat(fan.rays), class_group(fan).to_class_mat]
+            # the ray matrix's U below the first n rows: the Picard basis
+            # before class_group took the first maximal cone's gauge
+            snf = smith_normal_form(mat(fan.rays))
+            mats += [mat(fan.rays),
+                     IntMatrix.from_rows(snf.U.entries[fan.dim:])]
         mats += [pullback_matrix(endo, class_group(fan))
                  for _, fan, endo in corpus_pairs()]
         mats += map(mat, randoms)
