@@ -8,7 +8,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import FanError, LatticeError
-from .fans import Fan, _is_complete, _is_smooth, _wall_map
+from .fans import Fan, _charts, _is_complete, _is_smooth, _wall_map
 from .feasibility import feasible_point, lattice_point_counter
 from .lattice import IntMatrix, as_ints, scaled_inverse
 
@@ -39,13 +39,17 @@ class PicLattice(NamedTuple):
 def class_group(fan: Fan) -> PicLattice:
     """Pic(X) = Z^rays / (image of the character lattice), in sigma0's
     gauge.  Class-level work starts here, so this alone refuses a fan that
-    is not complete, then one that is not smooth, the paper's hypothesis:
-    then sigma0's rays are a basis of N, so Pic(X) = Z^(rays off sigma0),
-    of rank nrays - dim >= 1, and class_of is sigma0's Kleiman forms."""
+    is not complete, then one that is not smooth, the paper's hypothesis,
+    then one with a ray in no maximal cone (no divisor of X): then sigma0's
+    rays are a basis of N, so Pic(X) = Z^(rays off sigma0), of rank
+    nrays - dim >= 1, and class_of is sigma0's Kleiman forms."""
     if not _is_complete(fan):
         raise FanError("class group needs a complete fan; fan is not complete")
     if not _is_smooth(fan):
         raise FanError("class group needs a smooth fan; fan is not smooth")
+    if stray := set(range(fan.nrays)).difference(*fan.max_cones):
+        raise FanError("class group needs every ray in a maximal cone; "
+                       "ray %d is in none" % min(stray))
     free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
     to_class = IntMatrix.from_rows(_forms(fan, fan.max_cones[0], free))
     lift = IntMatrix.from_rows([[int(rho == j) for j in free]
@@ -131,9 +135,10 @@ class Positivity(enum.Enum):
 
 def _forms(fan: Fan, cone, rhos) -> list[tuple[int, ...]]:
     """For each ray rho off a full cone, the integer form a -> s (<m_sigma,
-    v_rho> + a_rho), with s = |det| of the cone's rays, 1 on a smooth fan:
+    v_rho> + a_rho), with (rinv, s) the cone's chart, s = |det| of its rays:
     m_sigma solves <m, v> = -a on the cone, so it is -rinv a_cone / s."""
-    rinv, s = scaled_inverse(IntMatrix.from_rows(fan.cone_rays(cone)))
+    rinv, s = _charts(fan).get(cone) or scaled_inverse(  # no chart: raises
+        IntMatrix.from_rows(fan.cone_rays(cone)))
     pairings = rinv.transpose()
     forms = []
     for rho in rhos:

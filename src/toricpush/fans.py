@@ -1,18 +1,19 @@
-"""Simplicial fans: validation, which reports smoothness (from the minors
-of each cone's rays) and completeness rather than requiring them, and the
-standard smooth builders, which construct their fans directly: validate_fan
-is the check for fan data from outside the package."""
+"""Simplicial fans: validation, which reports smoothness (each full cone's
+chart, _charts, also gives the wall signs and the Kleiman forms) and
+completeness rather than requiring them, and the standard smooth builders,
+which construct their fans directly: validate_fan checks outside data."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import FanError
+from .errors import FanError, LatticeError
 from .feasibility import feasible_point
-from .lattice import IntMatrix, as_ints
+from .lattice import IntMatrix, as_ints, scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,30 @@ def _check_structure(dim, rays, max_cones):
     return rays, tuple(cones)
 
 
-def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
-    """Check sigma ∩ tau = cone(common rays), via exact rational feasibility.
+@lru_cache(maxsize=None)
+def _charts(fan: Fan) -> dict:
+    """Each full maximal cone with independent rays mapped to (X, s) =
+    scaled_inverse of its rays, s = |det|: v is X^T v / s in their basis."""
+    charts, rays = {}, fan.cone_rays
+    for cone in (c for c in fan.max_cones if len(c) == fan.dim):
+        try:
+            charts[cone] = scaled_inverse(IntMatrix.from_rows(rays(cone)))
+        except LatticeError:  # dependent rays: no chart
+            pass
+    return charts
 
-    A point of sigma ∩ tau is sum_sigma a_rho v_rho = sum_tau b_rho v_rho
+
+def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
+    """Check sigma ∩ tau = cone(common rays).  Charted cones sigma = W + a
+    and tau = W + b that share a wall W are decided by the sign of b's
+    coordinate on a in sigma's basis, sum_k X[k][a] v_b[k] / s, which is
+    not 0, as tau's rays are independent.  If it is negative, sigma's facet
+    functional for a (that coordinate) is >= 0 on sigma and <= 0 on tau,
+    where it vanishes only on cone(W).  If it is positive, y + e v_b, with
+    y inside cone(W) and e > 0 small, lies in tau off W and inside sigma.
+
+    Every other pair is decided by exact rational feasibility.  A point of
+    sigma ∩ tau is sum_sigma a_rho v_rho = sum_tau b_rho v_rho
     with every coefficient >= 0, and a shared ray enters only through
     a_rho - b_rho.  So each ray of sigma ∪ tau gets one unknown x_rho,
     signed + on sigma and - on tau minus sigma: free on a shared ray, >= 0
@@ -94,6 +115,11 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     non-shared unknowns sum to >= 1.
     """
     only2 = [i for i in c2 if i not in c1]
+    charts = _charts(fan)
+    if len(only2) == 1 and c1 in charts and c2 in charts:  # a wall pair
+        a = next(k for k, i in enumerate(c1) if i not in c2)
+        return sum(row[a] * v for row, v in
+                   zip(charts[c1][0].entries, fan.rays[only2[0]])) < 0
     cols = fan.cone_rays(c1) + [tuple(-x for x in fan.rays[i]) for i in only2]
     outside = tuple([int(i not in c2) for i in c1] + [1] * len(only2))
     nvars = len(cols)
@@ -133,6 +159,8 @@ def _is_complete(fan: Fan) -> bool:
 def _cone_index(fan: Fan, cone) -> int:
     """gcd of the k x k minors of the cone's k rays (Newman, Integral
     Matrices, II.15): 0 iff they are dependent, 1 iff they extend to a basis."""
+    if len(cone) == fan.dim:  # one minor: the chart's s, 0 without a chart
+        return _charts(fan).get(cone, (None, 0))[1]
     return math.gcd(*(IntMatrix.from_rows(cols).det() for cols
                       in combinations(zip(*fan.cone_rays(cone)), len(cone))))
 

@@ -100,6 +100,11 @@ WEIGHTED = {"P(1,1,2)": [[1, 0], [0, 1], [-1, -2]],
 P2_MOD_3 = {"dim": 2, "rays": [[2, -1], [-1, 2], [-1, -1]],
             "cones": [[0, 1], [1, 2], [0, 2]]}
 
+# P2's cones with a fourth ray (1, 1) in none of them: a valid, smooth and
+# complete fan whose variety is P2, but the ray is no divisor of it
+P2_STRAY = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+            "cones": [[0, 1], [1, 2], [0, 2]]}
+
 
 def weighted_plane(name):
     fan, report = validate_fan(2, WEIGHTED[name], [[0, 1], [1, 2], [2, 0]])

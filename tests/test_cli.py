@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from conftest import (FIXTURE_DIR, HALF_PLANE, P2_MOD_3, QUADRANTS,
-                      non_smooth_fans)
+from conftest import (FIXTURE_DIR, HALF_PLANE, P2_MOD_3, P2_STRAY,
+                      QUADRANTS, non_smooth_fans)
 from toricpush import class_group, cox, cox_ring, lattice, pushforward
 from toricpush.cli import COMMANDS, build_parser, run_command
 from toricpush.errors import InputError
@@ -431,6 +431,26 @@ class TestExitCodes:
                         else (2, "", "error: %s\n" % NOT_SMOOTH))
             for attempt in ("cold", "warm"):
                 assert _outcome(argv, capsys) == expected, (name, attempt)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_class_level_subcommand_refuses_a_stray_ray(
+            self, command, tmp_path, capsys):
+        # P2's cones with a fourth ray in none of them: validate, h0 and
+        # positivity answer, and every other subcommand exits 2
+        path = tmp_path / "stray.fan.json"
+        path.write_text(json.dumps(P2_STRAY))
+        options = {"endo": ["--endo", "mul:2"],
+                   "divisor": ["--divisor", "0,0,1,0"], "box": []}
+        argv = [command, str(path)]
+        for option in COMMANDS[command][1]:
+            argv += options[option]
+        answers = {"validate": "smooth complete projective", "h0": "3",
+                   "positivity": "ample"}
+        class_group.cache_clear()
+        expected = ((0, answers[command] + "\n", "") if command in answers
+                    else (2, "", "error: class group needs every ray in a "
+                          "maximal cone; ray 3 is in none\n"))
+        assert _outcome(argv, capsys) == expected
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

@@ -7,7 +7,7 @@ import pytest
 
 import toricpush.divisors as divisors
 import toricpush.endos as endos_module
-from conftest import (HALF_PLANE, P2_MOD_3, QUADRANTS, WEIGHTED,
+from conftest import (HALF_PLANE, P2_MOD_3, P2_STRAY, QUADRANTS, WEIGHTED,
                       bundled_fans, class_level_cases, decomposition,
                       fraction_cone_ray_forms, fraction_kleiman_forms,
                       half_plane_fan, labelled_fans, non_smooth_fans,
@@ -29,6 +29,7 @@ F2 = hirzebruch(2)
 F3 = hirzebruch(3)
 NOT_COMPLETE = "class group needs a complete fan; fan is not complete"
 NOT_SMOOTH = "class group needs a smooth fan; fan is not smooth"
+STRAY = "class group needs every ray in a maximal cone; ray 3 is in none"
 
 
 def brute_h0(fan, coeffs):
@@ -372,6 +373,47 @@ class TestClassLevelNeedsASmoothFan:
         for fan in fans.values():
             assert is_projective(fan)
             assert h0(fan, (0, 0, 0)) == 1
+
+
+class TestClassLevelNeedsEveryRayInACone:
+    """A ray in no maximal cone is no divisor of the variety: P2's cones
+    with a stray ray have Pic = Z, where Z^rays / M would give rank 2 and
+    mul:2 three summand classes.  class_group refuses the fan; validate_fan
+    and the divisor-level functions answer on it."""
+
+    def test_class_level_refused_divisor_level_answers(self):
+        fan, report = validate_fan(P2_STRAY["dim"], P2_STRAY["rays"],
+                                   P2_STRAY["cones"])
+        assert report.smooth and report.complete
+        endo = multiplication_endo(fan, 2)
+        zero, coeffs = (0,) * (fan.nrays - fan.dim), (0,) * fan.nrays
+        calls = {
+            "class_group": lambda: class_group(fan),
+            "cox_ring": lambda: cox_ring(fan),
+            "h0_class": lambda: h0_class(fan, zero),
+            "is_int_amplified":
+                lambda: is_int_amplified(endo, class_group(fan)),
+            "decompose_pushforward":
+                lambda: decompose_pushforward(endo, coeffs),
+            "verify_decomposition": lambda: verify_decomposition(
+                endo, coeffs, decomposition([zero] * 4)),
+            "iterate_coherence": lambda: iterate_coherence(endo, coeffs),
+            "module_shifts": lambda: module_shifts(endo, coeffs),
+        }
+        refusals = {}
+        for label, call in calls.items():
+            class_group.cache_clear()
+            cox_ring.cache_clear()
+            for attempt in ("cold", "warm"):
+                refusals[label, attempt] = _refusal(call)
+        assert refusals == dict.fromkeys(refusals, STRAY)
+
+        # the stray ray's row m1 + m2 >= -a_3 still bounds the sections
+        assert h0(fan, (0, 0, 0, 0)) == 1
+        assert h0(fan, (0, 0, 1, 0)) == 3
+        assert h0(fan, (1, 0, 0, 0)) == 2
+        assert positivity(fan, (0, 0, 1, 0)) is Positivity.AMPLE
+        assert is_projective(fan)
 
 
 class TestIsProjective:

@@ -12,13 +12,15 @@ import pytest
 
 from conftest import HALF_PLANE, QUADRANTS, WEIGHTED, bundled_fans
 from toricpush import (Fan, FanError, FanReport, IntMatrix, LatticeError,
-                       class_group, cox_ring, decompose_pushforward, fans,
-                       graded_dimension, h0, h0_class, hirzebruch,
-                       iterate_coherence, module_shifts, multiplication_endo,
-                       product_fan, projective_space, smith_normal_form,
-                       validate_fan, verify_decomposition)
+                       class_group, cox_ring, decompose_pushforward, divisors,
+                       fans, graded_dimension, h0, h0_class, hirzebruch,
+                       is_projective, iterate_coherence, module_shifts,
+                       multiplication_endo, product_fan, projective_space,
+                       smith_normal_form, validate_fan, verify_decomposition)
+from toricpush.divisors import kleiman_forms
 from toricpush.fans import _cones_intersect_properly, _is_complete
 from toricpush.feasibility import feasible_point
+from toricpush.lattice import scaled_inverse
 
 
 def complete_rank2_oracle(rays, max_cones):
@@ -299,8 +301,10 @@ class TestStandardFans:
         monkeypatch.setattr(fans, "feasible_point", refuse)
         projective_space(4), hirzebruch(3)
         reduce(product_fan, [projective_space(1)] * 4)
+        # P1xP1's opposite quadrants share no wall, so they pose a system
         with pytest.raises(AssertionError, match="feasibility solve"):
-            validate_fan(1, [(1,), (-1,)], [(0,), (1,)])
+            validate_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                         [(0, 1), (1, 2), (2, 3), (0, 3)])
 
     def test_bad_params(self):
         with pytest.raises(FanError):
@@ -566,3 +570,237 @@ def test_completeness_needs_no_connectivity_walk():
     verdicts = [_is_complete(fan) for fan in fans]
     assert verdicts == [connected_complete(fan) for fan in fans]
     assert 50 < sum(verdicts) < len(fans) - 50
+
+
+# ------------------------------------------------ charts and wall signs
+
+def all_pairs_overlap_check(fan, c1, c2):
+    """The overlap check as one feasibility system for every pair of cones,
+    walls included: the check validate_fan made before it read wall signs."""
+    only2 = [i for i in c2 if i not in c1]
+    cols = fan.cone_rays(c1) + [tuple(-x for x in fan.rays[i]) for i in only2]
+    outside = [int(i not in c2) for i in c1] + [1] * len(only2)
+    nvars = len(cols)
+    cons = [row for coords in zip(*cols)
+            for row in equality_rows(list(coords), 0)]
+    cons += [([int(i == j) for i in range(nvars)], 0)
+             for j in range(nvars) if outside[j]]
+    return feasible_point(cons + [(outside, 1)], nvars) is None
+
+
+def all_pairs_verdict(dim, rays, cones):
+    """validate_fan's verdict on raw data as it was made before charts: the
+    report, or the FanError text.  Each cone's index is the gcd of its
+    minors, and every pair of cones is decided by all_pairs_overlap_check,
+    in the same order."""
+    try:
+        rays, cones = fans._check_structure(dim, rays, cones)
+    except FanError as exc:
+        return str(exc)
+    fan = Fan(dim=dim, rays=rays, max_cones=cones)
+    index = [math.gcd(*(IntMatrix.from_rows(m).det() for m in
+                        combinations(zip(*fan.cone_rays(c)), len(c))))
+             for c in cones]
+    if 0 in index:
+        return "cone %s has linearly dependent rays" % (cones[index.index(0)],)
+    for c1, c2 in combinations(cones, 2):
+        if not all_pairs_overlap_check(fan, c1, c2):
+            return "cones %s and %s overlap improperly" % (c1, c2)
+    return FanReport(smooth=set(index) == {1}, complete=_is_complete(fan))
+
+
+def verdict(dim, rays, cones):
+    """validate_fan's report on raw data, or its FanError text."""
+    try:
+        return validate_fan(dim, rays, cones)[1]
+    except FanError as exc:
+        return str(exc)
+
+
+def perturbed(fan, count):
+    """count (dim, rays, cones) data, seeded by the fan's name: the fan's
+    cones, with 1 to 3 of its rays moved to random primitive vectors in
+    [-3, 3]^n that are not rays already.  Each passes _is_complete's
+    combinatorial test, and many have cones that overlap."""
+    rng = random.Random("perturb " + fan.name)
+    for _ in range(count):
+        rays = list(fan.rays)
+        for i in rng.sample(range(fan.nrays), rng.randint(1, 3)):
+            while True:
+                v = [rng.randint(-3, 3) for _ in range(fan.dim)]
+                g = math.gcd(*v)
+                if g and tuple(x // g for x in v) not in rays:
+                    rays[i] = tuple(x // g for x in v)
+                    break
+        yield fan.dim, rays, fan.max_cones
+
+
+def wound(rays):
+    """The plane fan whose k rays, ray j near the angle 4 pi j / k (k odd),
+    are joined in index order: every cone is salient and every wall is in
+    two cones, but the cones wind twice around the origin."""
+    k = len(rays)
+    return 2, rays, [tuple(sorted((j, (j + 1) % k))) for j in range(k)]
+
+
+def suspension(plane):
+    """The 3D fan of the plane fan's cones, each joined to e3 and to -e3."""
+    _, rays, cones = plane
+    top, bottom = len(rays), len(rays) + 1
+    return (3, [(x, y, 0) for x, y in rays] + [(0, 0, 1), (0, 0, -1)],
+            [c + (apex,) for c in cones for apex in (top, bottom)])
+
+
+WOUND = {
+    "wound5": wound([(1, 0), (-3, 2), (2, -7), (2, 7), (-3, -2)]),
+    "wound9": wound([(1, 0), (1, 7), (-7, 2), (-2, -3), (5, -4), (5, 4),
+                     (-1, 2), (-7, -2), (1, -7)]),
+    "wound11": wound([(1, 0), (1, 2), (-1, 1), (-7, -2), (-1, -7), (3, -2),
+                      (3, 2), (-1, 7), (-7, 2), (-1, -1), (1, -2)]),
+}
+WOUND["suspended wound5"] = suspension(WOUND["wound5"])
+
+
+def shape_fans():
+    """The smooth complete 4-folds that the fan-validate benchmark
+    relabels."""
+    p1, p2 = projective_space(1), projective_space(2)
+    return [projective_space(4), product_fan(projective_space(3), p1),
+            product_fan(p2, p2), product_fan(hirzebruch(2), p1),
+            reduce(product_fan, [p1] * 4),
+            product_fan(hirzebruch(1), hirzebruch(2))]
+
+
+# (fan, perturbations): 60 of each bundled fan of dimension 2 or 3, and 15
+# of each 4-fold, whose overlap systems are the largest
+PERTURBED = ([(fan, 60) for fan in bundled_fans().values() if fan.dim > 1]
+             + [(fan, 15) for fan in shape_fans()])
+
+
+def perturbed_data():
+    """(dim, rays, cones) for every perturbation of PERTURBED."""
+    for fan, count in PERTURBED:
+        yield from perturbed(fan, count)
+
+
+def charted_wall_pairs(fan):
+    """Both orders of every pair of charted cones that share a wall."""
+    charts = fans._charts(fan)
+    return [(c1, c2) for c1, c2 in permutations(charts, 2)
+            if len(set(c1) - set(c2)) == 1]
+
+
+class TestWallSign:
+    @pytest.mark.parametrize("fan, count", PERTURBED,
+                             ids=[fan.name for fan, _ in PERTURBED])
+    def test_perturbed_fans_keep_their_verdicts(self, fan, count):
+        # the same report, or the same FanError text, as the all-pairs
+        # check gives; the kinds met are pinned below
+        for data in perturbed(fan, count):
+            assert verdict(*data) == all_pairs_verdict(*data), data
+
+    def test_perturbations_meet_every_kind(self):
+        # every perturbation passes the combinatorial completeness test:
+        # complete fans, overlapping cones and dependent rays all occur
+        kinds = Counter()
+        for dim, rays, cones in perturbed_data():
+            assert _is_complete(Fan(dim=dim, rays=tuple(rays),
+                                    max_cones=cones))
+            got = verdict(dim, rays, cones)
+            kinds[got if isinstance(got, FanReport) else got.split()[-1]] += 1
+        assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+        assert {FanReport(smooth=True, complete=True), "improperly",
+                "rays"} < kinds.keys()
+
+    @pytest.mark.parametrize("name", sorted(WOUND))
+    def test_wound_fans_refused_as_before(self, name):
+        dim, rays, cones = WOUND[name]
+        fan = Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones))
+        assert _is_complete(fan)
+        got = verdict(dim, rays, cones)
+        assert got == all_pairs_verdict(dim, rays, cones)
+        assert got.endswith("overlap improperly")
+        if name == "wound5":
+            assert got == "cones (0, 1) and (2, 3) overlap improperly"
+
+    def test_sign_matches_the_system(self):
+        # on every wall pair of the test fans, their planted overlaps, the
+        # wound fans and the perturbed fans: the sign that decides it is
+        # the verdict of its feasibility system, solved directly
+        made = [Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones))
+                for dim, rays, cones in [*WOUND.values(),
+                                         *perturbed_data()]]
+        test_fans = overlap_test_fans()
+        verdicts = Counter()
+        for fan in [*test_fans, *map(planted_overlap, test_fans), *made]:
+            for c1, c2 in charted_wall_pairs(fan):
+                sign = _cones_intersect_properly(fan, c1, c2)
+                assert sign == all_pairs_overlap_check(fan, c1, c2), (fan,
+                                                                      c1, c2)
+                verdicts[sign] += 1
+        assert min(verdicts.values()) >= 100, verdicts
+
+
+class TestCharts:
+    @pytest.mark.parametrize("fan", [*overlap_test_fans(), *shape_fans()],
+                             ids=lambda f: f.name)
+    def test_chart_is_the_scaled_inverse(self, fan):
+        # X M = s I with s = |det M|, for exactly the full cones with
+        # independent rays
+        charts = fans._charts(fan)
+        assert list(charts) == [c for c in fan.max_cones
+                                if len(c) == fan.dim]
+        for cone, (x, s) in charts.items():
+            m = IntMatrix.from_rows(fan.cone_rays(cone))
+            assert x @ m == IntMatrix.identity(fan.dim).scale(s)
+            assert s == abs(m.det()) > 0
+
+    def test_weighted_and_dependent_cones(self):
+        # s is the index of a cone that is not smooth; a cone with
+        # dependent rays has no chart, and reading its forms raises
+        for name, rays in sorted(WEIGHTED.items()):
+            fan = Fan(dim=2, rays=tuple(map(tuple, rays)),
+                      max_cones=((0, 1), (1, 2), (0, 2)))
+            assert sorted(s for _, s in fans._charts(fan).values()) == (
+                [1, 1, 2] if name == "P(1,1,2)" else [1, 2, 3])
+        flat = Fan(dim=2, rays=((1, 0), (-1, 0), (0, 1)),
+                   max_cones=((0, 1), (0, 2), (1, 2)))
+        assert list(fans._charts(flat)) == [(0, 2), (1, 2)]
+        with pytest.raises(LatticeError, match="^matrix is singular$"):
+            kleiman_forms(flat)
+
+    @pytest.mark.parametrize("fan", shape_fans(), ids=lambda f: f.name)
+    def test_one_inverse_per_cone(self, fan, monkeypatch):
+        # validate_fan, class_group, the Kleiman forms and is_projective
+        # share one scaled_inverse per maximal cone
+        inverses = []
+
+        def counting(matrix):
+            inverses.append(matrix)
+            return scaled_inverse(matrix)
+
+        monkeypatch.setattr(fans, "scaled_inverse", counting)
+        monkeypatch.setattr(divisors, "scaled_inverse", counting)
+        for cached in (fans._charts, class_group, kleiman_forms):
+            cached.cache_clear()
+        checked = validate_fan(fan.dim, fan.rays, fan.max_cones)[0]
+        class_group(checked), kleiman_forms(checked), is_projective(checked)
+        assert len(inverses) == len(fan.max_cones)
+
+
+@pytest.mark.parametrize("fan, systems", [
+    *((fan, n) for fan, n in zip(shape_fans(), (0, 12, 18, 16, 88, 88))),
+    (product_fan(projective_space(1), projective_space(1)), 2),
+    *((projective_space(n), 0) for n in (1, 2, 3, 5, 6))],
+    ids=lambda x: x.name if isinstance(x, Fan) else str(x))
+def test_systems_solved(fan, systems, monkeypatch):
+    # the pairs of cones that share no wall: one feasibility system each
+    solved = []
+
+    def counting(cons, nvars):
+        solved.append(nvars)
+        return feasible_point(cons, nvars)
+
+    monkeypatch.setattr(fans, "feasible_point", counting)
+    validate_fan(fan.dim, fan.rays, fan.max_cones)
+    assert len(solved) == systems
