@@ -47,15 +47,20 @@ def class_group(fan: Fan) -> PicLattice:
         raise FanError("class group needs a complete fan; fan is not complete")
     if not _is_smooth(fan):
         raise FanError("class group needs a smooth fan; fan is not smooth")
-    if stray := set(range(fan.nrays)).difference(*fan.max_cones):
-        raise FanError("class group needs every ray in a maximal cone; "
-                       "ray %d is in none" % min(stray))
+    _refuse_stray_rays(fan)
     free = [rho for rho in range(fan.nrays) if rho not in fan.max_cones[0]]
     to_class = IntMatrix.from_rows(_forms(fan, fan.max_cones[0], free))
     lift = IntMatrix.from_rows([[int(rho == j) for j in free]
                                 for rho in range(fan.nrays)])
     return PicLattice(fan=fan, rank=len(free), to_class_mat=to_class,
                       lift_mat=lift)
+
+
+def _refuse_stray_rays(fan: Fan) -> None:
+    """A ray in no maximal cone is no divisor of the variety."""
+    if stray := set(range(fan.nrays)).difference(*fan.max_cones):
+        raise FanError("class group needs every ray in a maximal cone; "
+                       "ray %d is in none" % min(stray))
 
 
 def _coefficients(fan: Fan, coeffs) -> tuple[int, ...]:
@@ -79,7 +84,9 @@ def _class_coordinates(fan: Fan, cls) -> tuple[int, ...]:
 def _section_counter(fan: Fan):
     """count(a): the lattice points of the section polytope
     <m, v_rho> >= -a_rho, from one elimination of the homogenized polytope
-    a_rho + <m, v_rho> >= 0 with the coefficients a as parameters."""
+    a_rho + <m, v_rho> >= 0 with the coefficients a as parameters.  A
+    stray ray's row would cut the polytope, so such a fan is refused."""
+    _refuse_stray_rays(fan)
     k = fan.nrays
     rows = [((*(int(i == rho) for i in range(k)), *ray), 0)
             for rho, ray in enumerate(fan.rays)]
@@ -100,7 +107,8 @@ def h0(fan: Fan, coeffs) -> int:
     counted by the fan's section counter.  That counter's one elimination
     is cached per fan until the caches are cleared: once per CLI process,
     and once per benchmark pass, which clears every lru_cache.  It takes
-    ray coefficients, so it answers on any simplicial fan."""
+    ray coefficients, so it answers on any simplicial fan with every ray in
+    a maximal cone."""
     count = _section_counter(fan)(_coefficients(fan, coeffs))
     if count is None:
         raise FanError("section polytope unbounded; fan is not complete")

@@ -1,7 +1,8 @@
-"""Simplicial fans: validation, which reports smoothness (each full cone's
-chart, _charts, also gives the wall signs and the Kleiman forms) and
-completeness rather than requiring them, and the standard smooth builders,
-which construct their fans directly: validate_fan checks outside data."""
+"""Simplicial fans: validation, which reports smoothness (each cone's
+chart, _charts, also poses every cone-pair check and gives the Kleiman
+forms) and completeness rather than requiring them, and the standard
+smooth builders, which construct their fans directly: validate_fan checks
+outside data."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .errors import FanError, LatticeError
@@ -84,53 +86,56 @@ def _check_structure(dim, rays, max_cones):
 
 @lru_cache(maxsize=None)
 def _charts(fan: Fan) -> dict:
-    """Each full maximal cone with independent rays mapped to (X, s) =
-    scaled_inverse of its rays, s = |det|: v is X^T v / s in their basis."""
-    charts, rays = {}, fan.cone_rays
-    for cone in (c for c in fan.max_cones if len(c) == fan.dim):
-        try:
-            charts[cone] = scaled_inverse(IntMatrix.from_rows(rays(cone)))
-        except LatticeError:  # dependent rays: no chart
-            pass
+    """Each maximal cone with independent rays mapped to (X, s) =
+    scaled_inverse of its basis B: its rays, then, on a cone of fewer than
+    n rays, the first unit vectors (in combinations order) that complete
+    them to a basis of Q^n.  s = |det B|, and v is X^T v / s in B."""
+    charts, units = {}, IntMatrix.identity(fan.dim).entries
+    for cone in fan.max_cones:
+        for extra in combinations(units, fan.dim - len(cone)):
+            try:
+                charts[cone] = scaled_inverse(
+                    IntMatrix.from_rows(fan.cone_rays(cone) + list(extra)))
+                break
+            except LatticeError:  # dependent: no chart from this completion
+                pass
     return charts
 
 
 def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
-    """Check sigma ∩ tau = cone(common rays).  Charted cones sigma = W + a
-    and tau = W + b that share a wall W are decided by the sign of b's
-    coordinate on a in sigma's basis, sum_k X[k][a] v_b[k] / s, which is
-    not 0, as tau's rays are independent.  If it is negative, sigma's facet
-    functional for a (that coordinate) is >= 0 on sigma and <= 0 on tau,
-    where it vanishes only on cone(W).  If it is positive, y + e v_b, with
-    y inside cone(W) and e > 0 small, lies in tau off W and inside sigma.
+    """Check sigma ∩ tau = cone(common rays), in sigma's chart (X, s); both
+    cones have independent rays, as validate_fan has checked.
 
-    Every other pair is decided by exact rational feasibility.  A point of
-    sigma ∩ tau is sum_sigma a_rho v_rho = sum_tau b_rho v_rho
-    with every coefficient >= 0, and a shared ray enters only through
-    a_rho - b_rho.  So each ray of sigma ∪ tau gets one unknown x_rho,
-    signed + on sigma and - on tau minus sigma: free on a shared ray, >= 0
-    on the others (a = max(x, 0), b = max(-x, 0) map a solution back).  An
-    improper intersection needs a strictly positive coefficient on a
-    non-shared ray; the cone is scale-invariant, so that is one system: the
-    non-shared unknowns sum to >= 1.
-    """
-    only2 = [i for i in c2 if i not in c1]
-    charts = _charts(fan)
-    if len(only2) == 1 and c1 in charts and c2 in charts:  # a wall pair
-        a = next(k for k, i in enumerate(c1) if i not in c2)
-        return sum(row[a] * v for row, v in
-                   zip(charts[c1][0].entries, fan.rays[only2[0]])) < 0
-    cols = fan.cone_rays(c1) + [tuple(-x for x in fan.rays[i]) for i in only2]
-    outside = tuple([int(i not in c2) for i in c1] + [1] * len(only2))
-    nvars = len(cols)
-    zero = (0,) * nvars
-    cons = []
-    for row in zip(*cols):  # sum_rho +-x_rho v_rho = 0, as >= and <=
+    z(v) = X^T v is s > 0 times v's coordinates in sigma's basis, so sigma
+    is the set where z_e = 0 on each completing unit vector e and z_a >= 0
+    on each of its rays a.  Its points off cone(common rays) are those with
+    sum_{a in sigma - tau} z_a > 0, and scaling makes that >= 1.  A point
+    of tau is y = sum_{b in tau} beta_b v_b with beta >= 0.  A shared ray
+    is a basis vector: it moves only its own coordinate, which is bounded
+    only below by 0, so its beta drops out.  So the intersection is
+    improper iff some beta >= 0 on the k rays b of tau off sigma has
+      sum_b z_a(v_b) beta_b >= 0 for each a in sigma - tau,
+      sum_b z_e(v_b) beta_b  = 0 for each completing e,
+    and the a-rows summing to >= 1: one FM system in k unknowns, with only
+    those coordinates computed.  With k = 1 it is read off its rows: on a
+    wall pair, sigma = W + a and tau = W + b, proper iff z_a(v_b) < 0."""
+    x = list(zip(*_charts(fan)[c1][0].entries))  # z_j(v) = x[j] . v
+    off = [fan.rays[i] for i in c2 if i not in c1]
+
+    def rows(js):
+        return [tuple([sum(map(mul, x[j], v)) for v in off]) for j in js]
+
+    outs = rows([j for j, i in enumerate(c1) if i not in c2])
+    eqs = rows(range(len(c1), fan.dim))
+    if (k := len(off)) == 1:
+        zs = [z for (z,) in outs]
+        return any(z for (z,) in eqs) or min(zs) < 0 or max(zs) == 0
+    cons = [(tuple(int(i == j) for i in range(k)), 0) for j in range(k)]
+    cons += [(row, 0) for row in outs]
+    for row in eqs:  # = 0, as >= 0 and <= 0
         cons += [(row, 0), (tuple([-c for c in row]), 0)]
-    cons += [(zero[:j] + (1,) + zero[j + 1:], 0)
-             for j in range(nvars) if outside[j]]
-    cons.append((outside, 1))
-    return feasible_point(cons, nvars) is None
+    cons.append((tuple(map(sum, zip(*outs))), 1))
+    return feasible_point(cons, k) is None
 
 
 def _wall_map(fan: Fan) -> dict:

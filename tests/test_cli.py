@@ -435,7 +435,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_class_level_subcommand_refuses_a_stray_ray(
             self, command, tmp_path, capsys):
-        # P2's cones with a fourth ray in none of them: validate, h0 and
+        # P2's cones with a fourth ray in none of them: validate and
         # positivity answer, and every other subcommand exits 2
         path = tmp_path / "stray.fan.json"
         path.write_text(json.dumps(P2_STRAY))
@@ -444,13 +444,22 @@ class TestExitCodes:
         argv = [command, str(path)]
         for option in COMMANDS[command][1]:
             argv += options[option]
-        answers = {"validate": "smooth complete projective", "h0": "3",
+        answers = {"validate": "smooth complete projective",
                    "positivity": "ample"}
         class_group.cache_clear()
         expected = ((0, answers[command] + "\n", "") if command in answers
                     else (2, "", "error: class group needs every ray in a "
                           "maximal cone; ray 3 is in none\n"))
         assert _outcome(argv, capsys) == expected
+
+    def test_h0_refuses_a_stray_ray(self, tmp_path, capsys):
+        # the stray ray's row would give O_P2(1) 2 sections, not 3
+        path = tmp_path / "stray.fan.json"
+        path.write_text(json.dumps(P2_STRAY))
+        argv = ["h0", str(path), "--divisor", "1,0,0,0", "--json"]
+        assert _outcome(argv, capsys) == (
+            2, "", "error: class group needs every ray in a maximal cone; "
+            "ray 3 is in none\n")
 
     def test_wrong_divisor_length(self, capsys):
         assert run_command(["h0", P2, "--divisor", "1,0"]) == 2

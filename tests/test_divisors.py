@@ -378,8 +378,8 @@ class TestClassLevelNeedsASmoothFan:
 class TestClassLevelNeedsEveryRayInACone:
     """A ray in no maximal cone is no divisor of the variety: P2's cones
     with a stray ray have Pic = Z, where Z^rays / M would give rank 2 and
-    mul:2 three summand classes.  class_group refuses the fan; validate_fan
-    and the divisor-level functions answer on it."""
+    mul:2 three summand classes.  class_group and h0 refuse the fan;
+    validate_fan, positivity and is_projective answer on it."""
 
     def test_class_level_refused_divisor_level_answers(self):
         fan, report = validate_fan(P2_STRAY["dim"], P2_STRAY["rays"],
@@ -391,6 +391,7 @@ class TestClassLevelNeedsEveryRayInACone:
             "class_group": lambda: class_group(fan),
             "cox_ring": lambda: cox_ring(fan),
             "h0_class": lambda: h0_class(fan, zero),
+            "h0": lambda: h0(fan, coeffs),
             "is_int_amplified":
                 lambda: is_int_amplified(endo, class_group(fan)),
             "decompose_pushforward":
@@ -407,13 +408,20 @@ class TestClassLevelNeedsEveryRayInACone:
             for attempt in ("cold", "warm"):
                 refusals[label, attempt] = _refusal(call)
         assert refusals == dict.fromkeys(refusals, STRAY)
-
-        # the stray ray's row m1 + m2 >= -a_3 still bounds the sections
-        assert h0(fan, (0, 0, 0, 0)) == 1
-        assert h0(fan, (0, 0, 1, 0)) == 3
-        assert h0(fan, (1, 0, 0, 0)) == 2
         assert positivity(fan, (0, 0, 1, 0)) is Positivity.AMPLE
         assert is_projective(fan)
+
+    def test_h0_refuses_the_stray_row(self):
+        # the stray ray's row m1 + m2 >= -a_3 would cut O_P2(1)'s triangle
+        # to 2 of its 3 sections
+        fan = validate_fan(P2_STRAY["dim"], P2_STRAY["rays"],
+                           P2_STRAY["cones"])[0]
+        assert h0(P2, (1, 0, 0)) == 3
+        divisors._section_counter.cache_clear()
+        for attempt in ("cold", "warm"):
+            with pytest.raises(FanError) as info:
+                h0(fan, (1, 0, 0, 0))
+            assert str(info.value) == STRAY, attempt
 
 
 class TestIsProjective:

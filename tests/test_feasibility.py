@@ -372,18 +372,23 @@ def test_chain_pinned(monkeypatch):
     # solve, with every projection of its FM chain and its witness, pinned
     # by digest: pruning may get cheaper, but it keeps the same rows in the
     # same order.  is_projective and is_int_amplified pass one row per
-    # distinct wall form; validate_fan poses no system for a pair of cones
-    # that share a wall, which the wall sign decides
-    solved = []
+    # distinct wall form (the ample rows); validate_fan poses one system in
+    # a cone's chart for each pair of cones whose second has two or more
+    # rays off the first (the overlap systems), and reads the others off
+    # their rows.  The two kinds are pinned apart
+    solved = {fans_module: [], divisors_module: [], endos_module: []}
 
-    def recording(cons, nvars):
-        rows = [(tuple(c), r) for c, r in cons]
-        point = feasible_point(cons, nvars)
-        solved.append((rows, nvars, list(_projections(rows, nvars)), point))
-        return point
+    def recording(module):
+        def record(cons, nvars):
+            rows = [(tuple(c), r) for c, r in cons]
+            point = feasible_point(cons, nvars)
+            solved[module].append(
+                (rows, nvars, list(_projections(rows, nvars)), point))
+            return point
+        return record
 
-    for module in (fans_module, divisors_module, endos_module):
-        monkeypatch.setattr(module, "feasible_point", recording)
+    for module in solved:
+        monkeypatch.setattr(module, "feasible_point", recording(module))
     bundled = list(bundled_fans().values())  # validated as they load
     oracle = [fan for fan, _ in ORACLE_FANS.values()]
     # the fan shapes that the fan-validate benchmark relabels
@@ -402,8 +407,12 @@ def test_chain_pinned(monkeypatch):
             is_int_amplified(multiplication_endo(fan, 2), class_group(fan))
         except EndoError:  # no ample class: Oda's threefold
             pass
-    digest = hashlib.md5(repr(solved).encode()).hexdigest()
-    assert (len(solved), digest) == (328, "f73934991225e6c22502074aee023b7f")
+    overlap = solved[fans_module]
+    ample = solved[divisors_module] + solved[endos_module]
+    assert [(len(systems), hashlib.md5(repr(systems).encode()).hexdigest())
+            for systems in (overlap, ample)] == [
+        (304, "c1cb3c0548f3ab9a0bbd08f1449c603f"),
+        (24, "3b969d8573e337ae8fa413ce3d02a09b")]
 
 
 # ----------------------------------------------------- lattice-point counts
