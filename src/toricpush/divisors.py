@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .errors import FanError, LatticeError
 from .fans import Fan, _charts, _is_complete, _is_smooth, _wall_map
 from .feasibility import feasible_point, lattice_point_counter
-from .lattice import IntMatrix, as_ints, scaled_inverse
+from .lattice import IntMatrix, as_ints
 
 
 class PicLattice(NamedTuple):
@@ -143,16 +143,16 @@ class Positivity(enum.Enum):
 
 def _forms(fan: Fan, cone, rhos) -> list[tuple[int, ...]]:
     """For each ray rho off a full cone, the integer form a -> s (<m_sigma,
-    v_rho> + a_rho), with (rinv, s) the cone's chart, s = |det| of its rays:
-    m_sigma solves <m, v> = -a on the cone, so it is -rinv a_cone / s."""
-    rinv, s = _charts(fan).get(cone) or scaled_inverse(  # no chart: raises
-        IntMatrix.from_rows(fan.cone_rays(cone)))
-    pairings = rinv.transpose()
+    v_rho> + a_rho), with (x, s) the cone's chart, s = |det| of its rays:
+    m_sigma solves <m, v> = -a on the cone, so it is -sum_j a_j x_j / s."""
+    if (chart := _charts(fan).get(cone)) is None:  # dependent rays
+        raise LatticeError("matrix is singular")
+    x, s = chart
     forms = []
     for rho in rhos:
-        form = [0] * fan.nrays
-        for idx, x in zip(cone, pairings.mul_vector(fan.rays[rho])):
-            form[idx] = -x
+        v, form = fan.rays[rho], [0] * fan.nrays
+        for idx, xj in zip(cone, x):
+            form[idx] = -sum(map(mul, xj, v))
         form[rho] = s
         forms.append(tuple(form))
     return forms

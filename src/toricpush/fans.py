@@ -2,7 +2,18 @@
 chart, _charts, also poses every cone-pair check and gives the Kleiman
 forms) and completeness rather than requiring them, and the standard
 smooth builders, which construct their fans directly: validate_fan checks
-outside data."""
+outside data.
+
+Charts are exchanged across walls.  scaled_inverse charts the first full
+cone of each wall-connected set; every other full cone tau = W + b takes
+its chart from a charted neighbour sigma = W + a by one exact basis
+exchange (lattice.basis_exchange).  With x_j sigma's forms, z_j = x_j . v_b
+and p the position of a in sigma: s' = |z_p|, b's form is sign(z_p) x_p,
+and x'_j = sign(z_p) (z_p x_j - z_j x_p) / s for j != p.  The division by
+s is exact: the results are the entries of s' times the inverse of tau's
+basis, its adjugate up to sign, so integers.  z_p = 0 iff v_b lies in W's
+span, and then tau has dependent rays and no chart.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import FanError, LatticeError
 from .feasibility import feasible_point
-from .lattice import IntMatrix, as_ints, scaled_inverse
+from .lattice import IntMatrix, as_ints, basis_exchange, scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -86,29 +97,62 @@ def _check_structure(dim, rays, max_cones):
 
 @lru_cache(maxsize=None)
 def _charts(fan: Fan) -> dict:
-    """Each maximal cone with independent rays mapped to (X, s) =
-    scaled_inverse of its basis B: its rays, then, on a cone of fewer than
-    n rays, the first unit vectors (in combinations order) that complete
-    them to a basis of Q^n.  s = |det B|, and v is X^T v / s in B."""
-    charts, units = {}, IntMatrix.identity(fan.dim).entries
+    """Each maximal cone with independent rays mapped to its chart (x, s):
+    s = |det B| and x_j, the j-th column of s B^{-1}, with B the cone's
+    rays, then, on a cone of fewer than n rays, the first unit vectors (in
+    combinations order) that complete them to a basis of Q^n.  So
+    z_j(v) = x_j . v is s times v's j-th coordinate in B.
+
+    A lower-dimensional cone, and the first full cone with independent
+    rays of each set that the walls connect, take scaled_inverse.  Every
+    other full cone tau = W + b is reached across a wall W from a charted
+    sigma = W + a by basis_exchange: with z_j = x_j . v_b and p the
+    position of a in sigma, s' = |z_p| and
+      x'_j = sign(z_p) (z_p x_j - z_j x_p) / s  (j != p),  b: sign(z_p) x_p,
+    reordered to tau's rays.  The division is exact, as the results are
+    the entries of s' times tau's inverse basis, +- its adjugate; z_p = 0
+    exactly when tau has dependent rays, and then it has no chart.  A
+    chart is unique, so the order in which cones are reached changes none.
+    """
+    walls, charts, seen = _wall_map(fan), {}, set()
+    units = IntMatrix.identity(fan.dim).entries
     for cone in fan.max_cones:
+        if cone in seen:
+            continue
+        seen.add(cone)
         for extra in combinations(units, fan.dim - len(cone)):
             try:
-                charts[cone] = scaled_inverse(
+                x, s = scaled_inverse(
                     IntMatrix.from_rows(fan.cone_rays(cone) + list(extra)))
+                charts[cone] = tuple(zip(*x.entries)), s
                 break
             except LatticeError:  # dependent: no chart from this completion
                 pass
-    return charts
+        reached = [cone] if cone in charts and len(cone) == fan.dim else []
+        while reached:
+            sigma = reached.pop()
+            x, s = charts[sigma]
+            for p in range(fan.dim):
+                for tau, b in walls[sigma[:p] + sigma[p + 1:]]:
+                    if tau in seen:
+                        continue
+                    seen.add(tau)
+                    if chart := basis_exchange(x, s, p, fan.rays[b]):
+                        y, t = chart  # in sigma's order, b's form at p
+                        forms = [*y[:p], *y[p + 1:]]
+                        forms.insert(tau.index(b), y[p])
+                        charts[tau] = tuple(forms), t
+                        reached.append(tau)
+    return {cone: charts[cone] for cone in fan.max_cones if cone in charts}
 
 
 def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
-    """Check sigma ∩ tau = cone(common rays), in sigma's chart (X, s); both
+    """Check sigma ∩ tau = cone(common rays), in sigma's chart (x, s); both
     cones have independent rays, as validate_fan has checked.
 
-    z(v) = X^T v is s > 0 times v's coordinates in sigma's basis, so sigma
-    is the set where z_e = 0 on each completing unit vector e and z_a >= 0
-    on each of its rays a.  Its points off cone(common rays) are those with
+    z_j(v) = x_j . v is s > 0 times v's j-th coordinate in sigma's basis,
+    so sigma is the set where z_e = 0 on each completing unit vector e and
+    z_a >= 0 on each of its rays a.  Its points off cone(common rays) are those with
     sum_{a in sigma - tau} z_a > 0, and scaling makes that >= 1.  A point
     of tau is y = sum_{b in tau} beta_b v_b with beta >= 0.  A shared ray
     is a basis vector: it moves only its own coordinate, which is bounded
@@ -119,7 +163,7 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     and the a-rows summing to >= 1: one FM system in k unknowns, with only
     those coordinates computed.  With k = 1 it is read off its rows: on a
     wall pair, sigma = W + a and tau = W + b, proper iff z_a(v_b) < 0."""
-    x = list(zip(*_charts(fan)[c1][0].entries))  # z_j(v) = x[j] . v
+    x = _charts(fan)[c1][0]  # z_j(v) = x[j] . v
     off = [fan.rays[i] for i in c2 if i not in c1]
 
     def rows(js):
@@ -138,14 +182,15 @@ def _cones_intersect_properly(fan: Fan, c1, c2) -> bool:
     return feasible_point(cons, k) is None
 
 
+@lru_cache(maxsize=None)
 def _wall_map(fan: Fan) -> dict:
     """Each wall, a maximal cone less one ray, mapped to its (cone, ray off
-    the wall) pairs, in the order of the cones and of their rays."""
+    the wall) pairs, in the order of the cones and of their rays; _charts,
+    _is_complete and kleiman_forms read it."""
     walls = {}
     for cone in fan.max_cones:
-        for rho in cone:
-            wall = tuple(i for i in cone if i != rho)
-            walls.setdefault(wall, []).append((cone, rho))
+        for p, rho in enumerate(cone):
+            walls.setdefault(cone[:p] + cone[p + 1:], []).append((cone, rho))
     return walls
 
 

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: Smith normal form, coset representatives
-walked axis by axis as ranges, and one fraction-free Gauss-Jordan
-elimination (_bareiss) behind both the determinant and the inverse
-(scaled_inverse).
+walked axis by axis as ranges, and one fraction-free Gauss-Jordan step
+(_pivot) behind the determinant and the inverse (both by _bareiss, through
+scaled_inverse) and the basis exchange that updates an inverse when one row
+of the matrix is replaced (basis_exchange).
 
 Everything here works over arbitrary-precision Python ints: no Fraction and
 no floating point.
@@ -86,11 +87,24 @@ class IntMatrix:
         return _bareiss(list(map(list, self.entries)), self.nrows)
 
 
+def _pivot(rows, col, k, prev) -> None:
+    """One fraction-free Gauss-Jordan step (Bareiss, Math. Comp. 22, 1968),
+    in place: with p = col[k] the pivot, each row i != k becomes
+    (p * rows[i] - col[i] * rows[k]) / prev.  col[i] is row i's entry in the
+    pivot column, which the rows need not hold; prev is the last pivot.  On
+    rows whose entries are minors the results are minors again, so the
+    division is exact."""
+    row, p = rows[k], col[k]
+    for i, f in enumerate(col):
+        if i != k:
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], row)]
+
+
 def _bareiss(a, n) -> int:
-    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the
-    first n columns of the row lists a, in place: entries stay minors, so each
-    division by the last pivot is exact, and the left block ends as D * I with
-    D = +-det.  Returns the signed det of that block, or 0 if it is singular."""
+    """Fraction-free Gauss-Jordan on the first n columns of the n row lists
+    a, in place, one _pivot per column: entries stay minors, and the left
+    block ends as D * I with D = +-det.  Returns the signed det of that
+    block, or 0 if it is singular."""
     sign = prev = 1
     for k in range(n):
         for piv in range(k, n):
@@ -101,13 +115,8 @@ def _bareiss(a, n) -> int:
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        row = a[k]
-        p = row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-        prev = p
+        _pivot(a, [row[k] for row in a], k, prev)
+        prev = a[k][k]
     return sign * prev
 
 
@@ -195,6 +204,30 @@ def scaled_inverse(M: IntMatrix) -> tuple[IntMatrix, int]:
     sign = 1 if a[0][0] > 0 else -1
     return (IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in a)),
             sign * a[0][0])
+
+
+def basis_exchange(forms, s, p, v):
+    """The chart of a basis B with row p replaced by v, from B's chart: or
+    None if v is in the span of B's other rows.
+
+    A chart (forms, s) has s = |det B| and forms[j], the j-th column of
+    X = s B^{-1}, so that forms[j] . w is s times w's j-th coordinate in
+    B.  With z_j = forms[j] . v, v's coordinates scaled by s, the new
+    basis B' has |det B'| = |z_p|, zero iff v is dependent on the others;
+    else its chart is s' = |z_p| and, with e = sign(z_p),
+      x'_j = e (z_p x_j - z_j x_p) / s  for j != p,   x'_p = e x_p,
+    one _pivot on z in the row p.  The result is s' B'^{-1} = +-adj B', an
+    integer matrix, so the division is exact; and a chart is unique, so
+    it equals scaled_inverse of B', transposed."""
+    z = [sum(map(mul, x, v)) for x in forms]
+    zp = z[p]
+    if not zp:
+        return None
+    rows = list(forms)
+    _pivot(rows, z, p, s)
+    if zp < 0:
+        return tuple(tuple([-x for x in row]) for row in rows), -zp
+    return tuple(map(tuple, rows)), zp
 
 
 def coset_representatives(F: IntMatrix) -> list[tuple[int, ...]]:

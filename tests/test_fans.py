@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
@@ -786,9 +787,9 @@ class TestCharts:
     @pytest.mark.parametrize("fan", [*overlap_test_fans(), *shape_fans()],
                              ids=lambda f: f.name)
     def test_chart_is_the_scaled_inverse(self, fan):
-        # X B = s I with s = |det B|, for every maximal cone, B its rays
-        # completed by the first unit vectors that make a basis; on a full
-        # cone s is also the cone's index
+        # x_j . b_i = s [i == j] with s = |det B|, for every maximal cone's
+        # forms x_j, B its rays b_i completed by the first unit vectors that
+        # make a basis; on a full cone s is also the cone's index
         charts = fans._charts(fan)
         assert list(charts) == list(fan.max_cones)
         units = IntMatrix.identity(fan.dim).entries
@@ -796,7 +797,9 @@ class TestCharts:
             b = next(m for extra in combinations(units, fan.dim - len(cone))
                      if (m := IntMatrix.from_rows(fan.cone_rays(cone)
                                                   + list(extra))).det())
-            assert x @ b == IntMatrix.identity(fan.dim).scale(s)
+            n = range(fan.dim)
+            assert [[sum(map(mul, xj, bi)) for bi in b.entries]
+                    for xj in x] == [[s * (i == j) for i in n] for j in n]
             assert s == abs(b.det()) > 0
             if len(cone) == fan.dim:
                 assert s == fans._cone_index(fan, cone)
@@ -818,7 +821,9 @@ class TestCharts:
     @pytest.mark.parametrize("fan", shape_fans(), ids=lambda f: f.name)
     def test_one_inverse_per_cone(self, fan, monkeypatch):
         # validate_fan, class_group, the Kleiman forms and is_projective
-        # share one scaled_inverse per maximal cone
+        # share one scaled_inverse per wall-connected set of full cones, and
+        # one per lower-dimensional cone: one on each shape fan, as every
+        # other cone is reached across a wall by basis_exchange
         inverses = []
 
         def counting(matrix):
@@ -826,12 +831,93 @@ class TestCharts:
             return scaled_inverse(matrix)
 
         monkeypatch.setattr(fans, "scaled_inverse", counting)
-        monkeypatch.setattr(divisors, "scaled_inverse", counting)
         for cached in (fans._charts, class_group, kleiman_forms):
             cached.cache_clear()
         checked = validate_fan(fan.dim, fan.rays, fan.max_cones)[0]
         class_group(checked), kleiman_forms(checked), is_projective(checked)
-        assert len(inverses) == len(fan.max_cones)
+        assert len(inverses) == 1
+
+
+def reference_charts(fan):
+    """Each maximal cone's chart by scaled_inverse alone: the columns of X
+    for its rays completed by the first unit vectors that make a basis, in
+    the fan's cone order; none for a cone with dependent rays."""
+    units, charts = IntMatrix.identity(fan.dim).entries, {}
+    for cone in fan.max_cones:
+        for extra in combinations(units, fan.dim - len(cone)):
+            if (b := IntMatrix.from_rows(fan.cone_rays(cone)
+                                         + list(extra))).det():
+                x, s = scaled_inverse(b)
+                charts[cone] = tuple(zip(*x.entries)), s
+                break
+    return charts
+
+
+def chart_test_fans():
+    """The overlap-test and shape fans with their planted overlaps, the
+    wound and perturbed fans (some with dependent cones) and the weighted
+    planes, whose cones have index 2 and 3."""
+    built = [*overlap_test_fans(), *shape_fans()]
+    made = [Fan(dim=dim, rays=tuple(map(tuple, rays)),
+                max_cones=tuple(map(tuple, cones)))
+            for dim, rays, cones in [*WOUND.values(), *perturbed_data()]]
+    weighted = [Fan(dim=2, rays=tuple(map(tuple, rays)),
+                    max_cones=((0, 1), (1, 2), (0, 2)))
+                for rays in WEIGHTED.values()]
+    return [*built, *map(planted_overlap, built), *made, *weighted]
+
+
+class TestChartsByExchange:
+    def test_every_chart_is_the_scaled_inverse(self):
+        # the exchanged charts are scaled_inverse's, in forms and in cone
+        # order; the fans meet pivots to cones with dependent rays and to
+        # cones of index > 1, and non-pure fans
+        kinds = Counter()
+        for fan in chart_test_fans():
+            charts = fans._charts(fan)
+            assert list(charts.items()) == list(
+                reference_charts(fan).items()), fan
+            kinds["dependent"] += len(fan.max_cones) - len(charts)
+            kinds["index > 1"] += sum(s > 1 for _, s in charts.values())
+            kinds["non-pure"] += len({*map(len, fan.max_cones)}) > 1
+        assert min(kinds.values()) >= 2, kinds
+
+    def test_cone_order_changes_no_chart(self):
+        # reversed or shuffled cones start the walk from other cones
+        rng = random.Random(35)
+        for fan in chart_test_fans():
+            charts = fans._charts(fan)
+            shuffled = rng.sample(fan.max_cones, len(fan.max_cones))
+            for cones in (fan.max_cones[::-1], shuffled):
+                assert fans._charts(replace(fan, max_cones=tuple(cones))) \
+                    == charts, fan
+
+    @pytest.mark.parametrize("dim, rays, cones, inverses", [
+        (*QUADRANTS.values(), 2),
+        (*HALF_PLANE.values(), 1),
+        (*NONCOMPLETE["mixed3"].values(), 1 + 3 + 2 + 2),
+        (2, [[1, 0], [-1, 0], [0, 1]], [[0, 1], [0, 2], [1, 2]], 2),
+        (2, [[1, 0], [-1, 0], [0, 1]], [[0, 2], [0, 1], [1, 2]], 1)],
+        ids=["quadrants", "half-plane", "mixed3", "flat first",
+             "flat reached"])
+    def test_one_inverse_per_connected_set(self, dim, rays, cones,
+                                           inverses, monkeypatch):
+        # one scaled_inverse per wall-connected set of full cones, and per
+        # completion tried on a lower-dimensional cone (mixed3's three
+        # take 3, 2 and 2); a full cone with dependent rays met first costs
+        # a failed one, and met across a wall none
+        made = []
+
+        def counting(matrix):
+            made.append(matrix)
+            return scaled_inverse(matrix)
+
+        monkeypatch.setattr(fans, "scaled_inverse", counting)
+        fan = Fan(dim=dim, rays=tuple(map(tuple, rays)),
+                  max_cones=tuple(map(tuple, cones)))
+        fans._charts.cache_clear()
+        fans._charts(fan)
+        assert len(made) == inverses
 
 
 @pytest.mark.parametrize("fan, systems", [

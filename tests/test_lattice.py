@@ -11,7 +11,7 @@ from conftest import axis_expansion, box_cosets, corpus_pairs, labelled_fans
 from toricpush import (FanError, IntMatrix, LatticeError, class_group,
                        coset_representatives, pullback_matrix,
                        smith_normal_form, validate_fan)
-from toricpush.lattice import scaled_inverse
+from toricpush.lattice import basis_exchange, scaled_inverse
 
 
 def mat(rows):
@@ -339,6 +339,47 @@ class TestScaledInverse:
         x, d = scaled_inverse(mat(rows))
         assert d == 2
         assert mat(rows) @ x == IntMatrix.identity(len(rows)).scale(2)
+
+
+def forms_of(m):
+    """The chart of a nonsingular m: the columns of scaled_inverse's X."""
+    x, d = scaled_inverse(m)
+    return tuple(zip(*x.entries)), d
+
+
+class TestBasisExchange:
+    def test_matches_scaled_inverse(self):
+        # one pivot on the chart of M, row a replaced by v, is the chart of
+        # the new matrix, with s' = |z_a|; z_a = 0, and no chart, exactly
+        # when the new matrix is singular.  v is random, or (a quarter of
+        # the time) a random combination of M's other rows
+        rng, kinds = random.Random(2027), {True: 0, False: 0}
+        for _ in range(1500):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if not leibniz_det(rows):
+                continue
+            a = rng.randrange(n)
+            if rng.random() < 0.25:
+                coeffs = [rng.randint(-2, 2) for _ in range(n)]
+                v = [sum(c * row[j] for i, (c, row)
+                         in enumerate(zip(coeffs, rows)) if i != a)
+                     for j in range(n)]
+            else:
+                v = [rng.randint(-3, 3) for _ in range(n)]
+            forms, s = forms_of(mat(rows))
+            za = sum(x * y for x, y in zip(forms[a], v))
+            new = rows[:a] + [v] + rows[a + 1:]
+            got = basis_exchange(forms, s, a, v)
+            singular = leibniz_det(new) == 0
+            assert (za == 0) == singular
+            if singular:
+                assert got is None
+            else:
+                assert got == forms_of(mat(new))
+                assert got[1] == abs(za)
+            kinds[singular] += 1
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestHelpers:
